@@ -13,14 +13,8 @@ __version__ = "0.1.0"
 from .errors import EngineError
 from .kcenter import RetentionSet, greedy_kcenter, oracle_greedy, optimal_kcenter_radius
 from .layout import CompressionPlan, InputLayout, layer_schedule, resolve_k
-from .pivot import ClsAttention, cls_attention, select_pivot
-from .relevance import (
-    AttentionTrace,
-    PruneDecision,
-    attention_ratios,
-    decide_drop_layer,
-    decoding_attention_report,
-)
+from .pivot import cls_attention, select_pivot
+from .relevance import PruneDecision, attention_ratios, decide_drop_layer, decoding_attention_report
 from .costmodel import FlopsReport, StageConfig, flops_decode, flops_prefill, stage_ratio_report
 from .theory import LemmaTrial, covariance_experiment, cross_redundancy_measure, diversity_measure
 
@@ -35,10 +29,8 @@ __all__ = [
     "InputLayout",
     "layer_schedule",
     "resolve_k",
-    "ClsAttention",
     "cls_attention",
     "select_pivot",
-    "AttentionTrace",
     "PruneDecision",
     "attention_ratios",
     "decide_drop_layer",

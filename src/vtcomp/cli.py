@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -84,28 +83,25 @@ def _effective_plan(md: ManifestData, args) -> CompressionPlan:
 def _run_stage1(md: ManifestData, plan: CompressionPlan):
     if not md.has_stage1_inputs():
         raise EngineError("stage 1 requires cls_vector, wq and wk entries in the manifest")
-    attn = cls_attention(md.cls_vector, md.visual_embeddings, md.wq, md.wk, md.layout)
-    pivot = select_pivot(attn, md.layout)
+    scores = cls_attention(md.cls_vector, md.visual_embeddings, md.wq, md.wk, md.layout)
+    pivot = select_pivot(scores, md.layout)
     k = resolve_k(plan, md.layout.visual_len)
     return greedy_kcenter(md.visual_embeddings, pivot, k)
 
 
 def _run_stage2(md: ManifestData, plan: CompressionPlan):
     schedule = plan.resolved_schedule()
-    return decide_drop_layer(md.trace, md.layout, schedule, plan.tau)
+    return decide_drop_layer(md.attention_layers, md.layout, schedule, plan.tau)
 
 
 def _emit(report: dict, args) -> None:
-    text = canonical_json(report) if args.report == "json" else report_to_csv(report)
+    # verify-lemma and oracle-check have no --report: their results are JSON only.
+    text = report_to_csv(report) if getattr(args, "report", "json") == "csv" else canonical_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _plan_echo(plan: CompressionPlan) -> dict:
-    return plan.to_dict()
 
 
 def cmd_select(args) -> int:
@@ -114,7 +110,7 @@ def cmd_select(args) -> int:
     retention = _run_stage1(md, plan)
     report = build_run_report(
         command="select", seed=args.seed,
-        config={"manifest": str(md.path), "plan": _plan_echo(plan)},
+        config={"manifest": str(md.path), "plan": plan.to_dict()},
         retention=retention)
     _emit(report, args)
     return EXIT_OK
@@ -124,10 +120,10 @@ def cmd_decide(args) -> int:
     md = load_manifest(args.manifest)
     plan = _effective_plan(md, args)
     decision = _run_stage2(md, plan)
-    decode_report = decoding_attention_report(md.trace, md.layout) if md.decode_rows else None
+    decode_report = decoding_attention_report(md.decode_rows, md.layout) if md.decode_rows else None
     report = build_run_report(
         command="decide", seed=args.seed,
-        config={"manifest": str(md.path), "plan": _plan_echo(plan)},
+        config={"manifest": str(md.path), "plan": plan.to_dict()},
         decision=decision, decode_report=decode_report)
     _emit(report, args)
     return EXIT_OK
@@ -150,10 +146,10 @@ def cmd_pipeline(args) -> int:
     enc_cfg, llm_cfg = preset_configs(args.preset, seq_len=layout.seq_len, out_len=args.decode_len)
     flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=reduced)
 
-    decode_report = decoding_attention_report(md.trace, layout) if md.decode_rows else None
+    decode_report = decoding_attention_report(md.decode_rows, layout) if md.decode_rows else None
     report = build_run_report(
         command="pipeline", seed=args.seed,
-        config={"manifest": str(md.path), "plan": _plan_echo(plan), "preset": args.preset,
+        config={"manifest": str(md.path), "plan": plan.to_dict(), "preset": args.preset,
                 "decode_len": args.decode_len},
         retention=retention, decision=decision, flops=flops,
         decode_report=decode_report, warnings=warnings)
@@ -196,7 +192,6 @@ def cmd_verify_lemma(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    start = time.monotonic()
     mismatches = 0
     for _ in range(args.instances):
         n = int(rng.integers(2, args.max_n + 1))
@@ -208,7 +203,6 @@ def cmd_oracle_check(args) -> int:
         slow = oracle_greedy(v, pivot, n)
         if fast.indices != slow.indices:
             mismatches += 1
-    elapsed = time.monotonic() - start
     report = {
         "engine_version": __version__,
         "command": "oracle-check",
@@ -217,7 +211,6 @@ def cmd_oracle_check(args) -> int:
         "max_d": args.max_d,
         "seed": args.seed,
         "mismatches": mismatches,
-        "elapsed_seconds": elapsed,
         "ok": mismatches == 0,
     }
     _emit(report, args)
@@ -270,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=1000)
     p.add_argument("--negative-control", action="store_true",
                    help="break orthogonality on purpose (shared basis + shared tokens)")
-    p.add_argument("--report", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_lemma)
 
@@ -279,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=int, default=64)
     p.add_argument("--max-d", type=int, default=16)
-    p.add_argument("--report", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -18,10 +18,6 @@ class DegenerateVector(EngineError):
         self.index = index
 
 
-class DimensionMismatch(EngineError):
-    pass
-
-
 class InvalidPlan(EngineError):
     pass
 

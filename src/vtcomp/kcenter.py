@@ -20,6 +20,10 @@ from .tensors import normalize_rows
 ORACLE_MAX_N = 512
 EXHAUSTIVE_MAX_N = 12
 EXHAUSTIVE_MAX_K = 5
+# Max similarities within this of the step's minimum tie, so that rounding
+# differences between the incremental and the recomputed path (a few ulps)
+# cannot flip which of two near-duplicate tokens is picked.
+TIE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,48 +49,41 @@ def _validate(n: int, pivot: int, k: int) -> None:
         raise InvalidK(f"pivot index {pivot} outside [0, {n})")
 
 
-def _pairwise_scores(v: np.ndarray, use_cosine: bool) -> np.ndarray:
-    """Rows prepared so that row-dot-products yield the similarity in use."""
-    if use_cosine:
-        return normalize_rows(v, "greedy_kcenter")
-    return np.asarray(v, dtype=np.float64)
+def _pick(values: np.ndarray) -> int:
+    """Lowest index among the values within TIE_EPS of the minimum."""
+    return int(np.argmax(values <= values.min() + TIE_EPS))
 
 
-def greedy_kcenter(v: np.ndarray, pivot: int, k: int, use_cosine: bool = True) -> RetentionSet:
+def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     """Select k tokens by repeatedly taking the candidate with the smallest
-    maximum similarity to the current set. Ties break to the lowest index.
-
-    ``use_cosine=False`` switches the similarity to the raw dot product for
-    fidelity experiments; the default is the normalized cosine form.
+    maximum cosine similarity to the current set. Candidates within TIE_EPS
+    of that minimum tie, and the lowest index wins.
     """
     v = np.asarray(v)
     n = v.shape[0]
     _validate(n, pivot, k)
-    rows = _pairwise_scores(v, use_cosine)
+    rows = normalize_rows(v, "greedy_kcenter")
 
     s = rows @ rows[pivot]
-    if use_cosine:
-        np.clip(s, -1.0, 1.0, out=s)
+    np.clip(s, -1.0, 1.0, out=s)
     selected = np.zeros(n, dtype=bool)
     selected[pivot] = True
     indices = [pivot]
     trace = [(pivot, -1.0)]
 
     for _ in range(k - 1):
-        masked = np.where(selected, np.inf, s)
-        c = int(np.argmin(masked))
+        c = _pick(np.where(selected, np.inf, s))
         trace.append((c, float(s[c])))
         indices.append(c)
         selected[c] = True
         update = rows @ rows[c]
-        if use_cosine:
-            np.clip(update, -1.0, 1.0, out=update)
+        np.clip(update, -1.0, 1.0, out=update)
         np.maximum(s, update, out=s)
 
     return RetentionSet(indices=tuple(indices), trace=tuple(trace))
 
 
-def oracle_greedy(v: np.ndarray, pivot: int, k: int, use_cosine: bool = True) -> RetentionSet:
+def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     """Same contract as greedy_kcenter, recomputed without incremental state.
 
     At every step the max similarity of each remaining candidate to each
@@ -97,7 +94,7 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int, use_cosine: bool = True) ->
     if n > ORACLE_MAX_N:
         raise InstanceTooLarge(f"oracle_greedy: n={n} exceeds guard {ORACLE_MAX_N}")
     _validate(n, pivot, k)
-    rows = _pairwise_scores(v, use_cosine)
+    rows = normalize_rows(v, "oracle_greedy")
 
     indices = [pivot]
     trace = [(pivot, -1.0)]
@@ -105,20 +102,13 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int, use_cosine: bool = True) ->
     selected[pivot] = True
     for _ in range(k - 1):
         chosen = np.flatnonzero(selected)
-        best_idx = -1
-        best_val = np.inf
+        max_sims = np.full(n, np.inf)
         for cand in range(n):
-            if selected[cand]:
-                continue
-            sims = rows[chosen] @ rows[cand]
-            if use_cosine:
-                sims = np.clip(sims, -1.0, 1.0)
-            max_sim = float(np.max(sims))
-            if max_sim < best_val:
-                best_val = max_sim
-                best_idx = cand
+            if not selected[cand]:
+                max_sims[cand] = float(np.max(np.clip(rows[chosen] @ rows[cand], -1.0, 1.0)))
+        best_idx = _pick(max_sims)
         indices.append(best_idx)
-        trace.append((best_idx, best_val))
+        trace.append((best_idx, float(max_sims[best_idx])))
         selected[best_idx] = True
 
     return RetentionSet(indices=tuple(indices), trace=tuple(trace))

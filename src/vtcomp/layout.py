@@ -10,6 +10,7 @@ and crop ranges are expressed *within* the visual tokens, i.e. over
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import InvalidPlan, ParseError, TooShallow
@@ -22,7 +23,18 @@ KINDS = (KIND_IMAGE, KIND_ANYRES, KIND_VIDEO)
 Range = tuple[int, int]
 
 
-def _check_range(r: Range, name: str) -> Range:
+def is_int(x) -> bool:
+    """An integer value, as opposed to a bool, a float or a string."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_range(r, name: str) -> Range:
+    if not isinstance(r, (list, tuple)) or len(r) != 2 or not all(is_int(x) for x in r):
+        raise ParseError(f"{name}: expected a [start, stop] pair of integers, got {r!r}")
     start, stop = int(r[0]), int(r[1])
     if start < 0 or stop < start:
         raise ParseError(f"{name}: invalid range ({start}, {stop})")
@@ -69,8 +81,8 @@ class InputLayout:
 
         m = self.visual_len
         if self.kind == KIND_ANYRES:
-            if self.thumbnail_range is None or self.crop_ranges is None:
-                raise ParseError("layout: anyres requires thumbnail_range and crop_ranges")
+            if self.thumbnail_range is None or not isinstance(self.crop_ranges, (list, tuple)):
+                raise ParseError("layout: anyres requires thumbnail_range and a list of crop_ranges")
             thumb = _check_range(self.thumbnail_range, "thumbnail_range")
             crops = tuple(_check_range(c, "crop_ranges") for c in self.crop_ranges)
             object.__setattr__(self, "thumbnail_range", thumb)
@@ -86,7 +98,7 @@ class InputLayout:
                 raise ParseError(f"layout: thumbnail/crop ranges cover {pos} of {m} visual tokens")
         elif self.kind == KIND_VIDEO:
             f, t = self.frames, self.tokens_per_frame
-            if f is None or t is None or f < 1 or t < 1:
+            if not (is_int(f) and is_int(t)) or f < 1 or t < 1:
                 raise ParseError("layout: video requires frames >= 1 and tokens_per_frame >= 1")
             if f * t != m:
                 raise ParseError(f"layout: frames*tokens_per_frame = {f * t} != visual count {m}")
@@ -124,14 +136,16 @@ class InputLayout:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputLayout":
+        if not isinstance(d, dict):
+            raise ParseError("layout: must be a JSON object")
         try:
             return cls(
                 kind=d["kind"],
-                system_range=tuple(d["system_range"]),
-                visual_range=tuple(d["visual_range"]),
-                text_range=tuple(d["text_range"]),
-                thumbnail_range=tuple(d["thumbnail_range"]) if "thumbnail_range" in d else None,
-                crop_ranges=tuple(tuple(c) for c in d["crop_ranges"]) if "crop_ranges" in d else None,
+                system_range=d["system_range"],
+                visual_range=d["visual_range"],
+                text_range=d["text_range"],
+                thumbnail_range=d.get("thumbnail_range"),
+                crop_ranges=d.get("crop_ranges"),
                 frames=d.get("frames"),
                 tokens_per_frame=d.get("tokens_per_frame"),
             )
@@ -159,6 +173,14 @@ class CompressionPlan:
     num_layers: int | None = None
 
     def __post_init__(self):
+        for name in ("retain_k", "num_layers"):
+            value = getattr(self, name)
+            if value is not None and not is_int(value):
+                raise InvalidPlan(f"plan: {name} must be an integer, got {value!r}")
+        if self.retain_ratio is not None and not _is_real(self.retain_ratio):
+            raise InvalidPlan(f"plan: retain_ratio must be a number, got {self.retain_ratio!r}")
+        if not _is_real(self.tau):
+            raise InvalidPlan(f"plan: tau must be a number, got {self.tau!r}")
         if self.retain_k is not None and self.retain_k < 1:
             raise InvalidPlan(f"plan: retain_k must be >= 1, got {self.retain_k}")
         if self.retain_ratio is not None and not 0.0 < self.retain_ratio <= 1.0:
@@ -166,6 +188,8 @@ class CompressionPlan:
         if not 0.0 <= self.tau <= 1.0:
             raise InvalidPlan(f"plan: tau must be in [0, 1], got {self.tau}")
         if self.schedule is not None:
+            if not isinstance(self.schedule, (list, tuple)) or not all(is_int(x) for x in self.schedule):
+                raise InvalidPlan(f"plan: schedule must be a list of integers, got {self.schedule!r}")
             sched = tuple(int(x) for x in self.schedule)
             if any(b <= a for a, b in zip(sched, sched[1:])):
                 raise InvalidPlan("plan: schedule indices must be strictly increasing")
@@ -189,11 +213,13 @@ class CompressionPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompressionPlan":
+        if not isinstance(d, dict):
+            raise InvalidPlan("plan: must be a JSON object")
         return cls(
             retain_k=d.get("retain_k"),
             retain_ratio=d.get("retain_ratio"),
             tau=d.get("tau", DEFAULT_TAU),
-            schedule=tuple(d["schedule"]) if "schedule" in d else None,
+            schedule=d.get("schedule"),
             num_layers=d.get("num_layers"),
         )
 

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteData, ParseError, RowSumViolation, ShapeMismatch
-from .layout import CompressionPlan, InputLayout
-from .relevance import AttentionTrace
+from .layout import CompressionPlan, InputLayout, is_int
 
 FORMAT_VERSION = 1
 ROW_SUM_TOL = 1e-4
@@ -40,10 +39,6 @@ class ManifestData:
     decode_rows: dict[int, np.ndarray] = field(default_factory=dict)
     path: Path | None = None
 
-    @property
-    def trace(self) -> AttentionTrace:
-        return AttentionTrace(layers=self.attention_layers, decode_rows=self.decode_rows)
-
     def has_stage1_inputs(self) -> bool:
         return self.cls_vector is not None and self.wq is not None and self.wk is not None
 
@@ -56,7 +51,7 @@ def _read_payload(base: Path, entry: dict, name: str) -> np.ndarray:
     if dtype != "f32le":
         raise ParseError(f"entry {name!r}: unsupported dtype {dtype!r} (only f32le)")
     shape = entry.get("shape")
-    if not isinstance(shape, list) or not shape or not all(isinstance(x, int) and x >= 0 for x in shape):
+    if not isinstance(shape, list) or not shape or not all(is_int(x) and x >= 0 for x in shape):
         raise ParseError(f"entry {name!r}: shape must be a non-empty list of non-negative ints")
     rel = entry.get("file")
     if not isinstance(rel, str):
@@ -101,7 +96,8 @@ def load_manifest(path) -> ManifestData:
         raise ParseError(f"manifest {path}: {e}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"manifest {path}: top level must be a JSON object")
-    if raw.get("format_version") != FORMAT_VERSION:
+    version = raw.get("format_version")
+    if not is_int(version) or version != FORMAT_VERSION:
         raise ParseError(f"manifest {path}: format_version must be {FORMAT_VERSION}")
 
     if "layout" not in raw:
@@ -128,7 +124,7 @@ def load_manifest(path) -> ManifestData:
 
         if role in _LAYERED_ROLES:
             layer = entry.get("layer")
-            if not isinstance(layer, int):
+            if not is_int(layer):
                 raise ParseError(f"entry {name!r}: role {role} requires an integer layer")
             target = attention_layers if role == "attention_layer_k" else decode_rows
             if layer in target:

@@ -8,27 +8,11 @@ comparable before the cross-frame argmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyThumbnail
+from .errors import EmptyThumbnail, ShapeMismatch
 from .layout import KIND_ANYRES, KIND_VIDEO, InputLayout
 from .tensors import softmax_row
-
-@dataclass(frozen=True)
-class ClsAttention:
-    """Softmax scores of the [CLS] query over visual tokens.
-
-    ``scores`` is 1-D of length n for image/anyres inputs, or (frames,
-    tokens_per_frame) with one softmax row per frame for video.
-    """
-
-    scores: np.ndarray
-
-    @property
-    def is_video(self) -> bool:
-        return self.scores.ndim == 2
 
 
 def cls_attention(
@@ -37,8 +21,12 @@ def cls_attention(
     w_q: np.ndarray,
     w_k: np.ndarray,
     layout: InputLayout | None = None,
-) -> ClsAttention:
-    """Scaled dot-product attention from the [CLS] token to all visual tokens."""
+) -> np.ndarray:
+    """Scaled dot-product attention from the [CLS] token to all visual tokens.
+
+    Returns the softmax scores: 1-D of length n for image/anyres inputs, or
+    (frames, tokens_per_frame) with one softmax row per frame for video.
+    """
     z_cls = np.asarray(z_cls, dtype=np.float64).reshape(-1)
     z_v = np.asarray(z_v, dtype=np.float64)
     w_q = np.asarray(w_q, dtype=np.float64)
@@ -46,12 +34,12 @@ def cls_attention(
 
     d = z_cls.shape[0]
     if z_v.ndim != 2 or z_v.shape[1] != d:
-        raise DimensionMismatch(f"cls_attention: visual matrix shape {z_v.shape} incompatible with d={d}")
+        raise ShapeMismatch(f"cls_attention: visual matrix shape {z_v.shape} incompatible with d={d}")
     if w_q.shape != (d, d) or w_k.shape != (d, d):
-        raise DimensionMismatch(f"cls_attention: projection shapes {w_q.shape}/{w_k.shape} must be ({d}, {d})")
+        raise ShapeMismatch(f"cls_attention: projection shapes {w_q.shape}/{w_k.shape} must be ({d}, {d})")
     n = z_v.shape[0]
     if layout is not None and n != layout.visual_len:
-        raise DimensionMismatch(f"cls_attention: {n} visual rows but layout declares M={layout.visual_len}")
+        raise ShapeMismatch(f"cls_attention: {n} visual rows but layout declares M={layout.visual_len}")
 
     q = z_cls @ w_q
     keys = z_v @ w_k
@@ -60,12 +48,11 @@ def cls_attention(
     if layout is not None and layout.kind == KIND_VIDEO:
         f, t = layout.frames, layout.tokens_per_frame
         per_frame = logits.reshape(f, t)
-        scores = np.stack([softmax_row(per_frame[i]) for i in range(f)])
-        return ClsAttention(scores=scores)
-    return ClsAttention(scores=softmax_row(logits))
+        return np.stack([softmax_row(per_frame[i]) for i in range(f)])
+    return softmax_row(logits)
 
 
-def select_pivot(attn: ClsAttention, layout: InputLayout) -> int:
+def select_pivot(scores: np.ndarray, layout: InputLayout) -> int:
     """Index of the pivot among the visual tokens (0-based over [0, M)).
 
     Plain images take the global argmax, AnyRes restricts to the thumbnail,
@@ -73,17 +60,18 @@ def select_pivot(attn: ClsAttention, layout: InputLayout) -> int:
     the lowest index.
     """
     m = layout.visual_len
+    scores = np.asarray(scores)
     if layout.kind == KIND_VIDEO:
         f, t = layout.frames, layout.tokens_per_frame
-        if attn.scores.shape != (f, t):
-            raise DimensionMismatch(
-                f"select_pivot: scores shape {attn.scores.shape} != (frames, tokens_per_frame) = ({f}, {t})")
+        if scores.shape != (f, t):
+            raise ShapeMismatch(
+                f"select_pivot: scores shape {scores.shape} != (frames, tokens_per_frame) = ({f}, {t})")
         # Row-major flat argmax yields a*t + b with lowest-index tie-break.
-        return int(np.argmax(attn.scores))
+        return int(np.argmax(scores))
 
-    scores = np.asarray(attn.scores).reshape(-1)
+    scores = scores.reshape(-1)
     if scores.shape[0] != m:
-        raise DimensionMismatch(f"select_pivot: {scores.shape[0]} scores for M={m} visual tokens")
+        raise ShapeMismatch(f"select_pivot: {scores.shape[0]} scores for M={m} visual tokens")
     if layout.kind == KIND_ANYRES:
         a, b = layout.thumbnail_range
         if b <= a:

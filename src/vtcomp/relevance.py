@@ -9,25 +9,12 @@ prompt length to cover previously generated keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyPartition,
-    MissingLayer,
-    NoDecodeRows,
-)
+from .errors import EmptyPartition, MissingLayer, NoDecodeRows, ShapeMismatch
 from .layout import InputLayout
-
-
-@dataclass(frozen=True)
-class AttentionTrace:
-    """Per-layer prompt attention matrices plus optional decode-step rows."""
-
-    layers: dict[int, np.ndarray]
-    decode_rows: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -48,27 +35,27 @@ def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
     """Fraction of text-query attention mass on visual keys, and vice versa.
 
     Denominators are restricted to prompt keys (system, visual, text),
-    which is the whole matrix here by construction.
+    which is the whole row-block because the three ranges tile the prompt.
+    Sums accumulate in float64 without copying the matrix.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
     seq = layout.seq_len
     if a.ndim != 2 or a.shape != (seq, seq):
-        raise DimensionMismatch(f"attention_ratios: matrix shape {a.shape} != ({seq}, {seq})")
+        raise ShapeMismatch(f"attention_ratios: matrix shape {a.shape} != ({seq}, {seq})")
     if layout.text_len == 0:
         raise EmptyPartition("attention_ratios: text partition is empty")
     if layout.visual_len == 0:
         raise EmptyPartition("attention_ratios: visual partition is empty")
 
-    s0, s1 = layout.system_range
     v0, v1 = layout.visual_range
     t0, t1 = layout.text_range
 
     text_rows = a[t0:t1]
     visual_rows = a[v0:v1]
-    t_to_v = text_rows[:, v0:v1].sum()
-    t_total = text_rows[:, s0:s1].sum() + text_rows[:, v0:v1].sum() + text_rows[:, t0:t1].sum()
-    v_to_t = visual_rows[:, t0:t1].sum()
-    v_total = visual_rows[:, s0:s1].sum() + visual_rows[:, v0:v1].sum() + visual_rows[:, t0:t1].sum()
+    t_to_v = text_rows[:, v0:v1].sum(dtype=np.float64)
+    t_total = text_rows.sum(dtype=np.float64)
+    v_to_t = visual_rows[:, t0:t1].sum(dtype=np.float64)
+    v_total = visual_rows.sum(dtype=np.float64)
 
     alpha_tv = float(t_to_v / t_total) if t_total > 0 else 0.0
     alpha_vt = float(v_to_t / v_total) if v_total > 0 else 0.0
@@ -76,22 +63,25 @@ def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
 
 
 def decide_drop_layer(
-    trace: AttentionTrace,
+    layers: dict[int, np.ndarray],
     layout: InputLayout,
     schedule,
     tau: float,
 ) -> PruneDecision:
     """Probe scheduled layers in ascending order; drop at the first layer
-    where both cross-modal ratios fall below tau, else None."""
+    where both cross-modal ratios fall below tau, else None.
+
+    ``layers`` maps a layer index to its head-averaged prompt attention.
+    """
     ordered = sorted(int(x) for x in schedule)
     for layer in ordered:
-        if layer not in trace.layers:
+        if layer not in layers:
             raise MissingLayer(f"decide_drop_layer: no attention matrix for scheduled layer {layer}",
                                layer=layer)
     probed: list[tuple[int, float, float]] = []
     drop_layer = None
     for layer in ordered:
-        alpha_tv, alpha_vt = attention_ratios(trace.layers[layer], layout)
+        alpha_tv, alpha_vt = attention_ratios(layers[layer], layout)
         probed.append((layer, alpha_tv, alpha_vt))
         if alpha_tv < tau and alpha_vt < tau:
             drop_layer = layer
@@ -99,27 +89,28 @@ def decide_drop_layer(
     return PruneDecision(drop_layer=drop_layer, probed=tuple(probed), tau=tau)
 
 
-def decoding_attention_report(trace: AttentionTrace, layout: InputLayout) -> list[dict]:
+def decoding_attention_report(decode_rows: dict[int, np.ndarray], layout: InputLayout) -> list[dict]:
     """Per-layer mean attention fractions of decode-step queries onto the
-    system / visual / text prompt partitions.
+    system / visual / text prompt partitions. ``decode_rows`` maps a layer
+    index to its decode-step query rows.
 
     Rows may be longer than the prompt; any remaining mass sits on
     previously generated keys, so the three fractions sum to <= 1.
     """
-    if not trace.decode_rows:
-        raise NoDecodeRows("decoding_attention_report: trace carries no decode rows")
+    if not decode_rows:
+        raise NoDecodeRows("decoding_attention_report: no decode rows given")
     seq = layout.seq_len
     s0, s1 = layout.system_range
     v0, v1 = layout.visual_range
     t0, t1 = layout.text_range
 
     report = []
-    for layer in sorted(trace.decode_rows):
-        rows = np.asarray(trace.decode_rows[layer], dtype=np.float64)
+    for layer in sorted(decode_rows):
+        rows = np.asarray(decode_rows[layer], dtype=np.float64)
         if rows.ndim == 1:
             rows = rows[None, :]
         if rows.shape[1] < seq:
-            raise DimensionMismatch(
+            raise ShapeMismatch(
                 f"decoding_attention_report: layer {layer} rows of width {rows.shape[1]} "
                 f"shorter than prompt length {seq}")
         report.append({

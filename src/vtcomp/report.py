@@ -62,7 +62,6 @@ def build_run_report(
     seed: int,
     config: dict,
     retention: RetentionSet | None = None,
-    pivot: int | None = None,
     decision: PruneDecision | None = None,
     flops: FlopsReport | None = None,
     decode_report: list[dict] | None = None,
@@ -82,8 +81,6 @@ def build_run_report(
             "indices": list(retention.indices),
             "trace": [{"index": i, "max_similarity": s} for i, s in retention.trace],
         }
-    if pivot is not None and retention is None:
-        report["pivot"] = pivot
     if decision is not None:
         report["prune_decision"] = {
             "drop_layer": decision.drop_layer,

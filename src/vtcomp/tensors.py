@@ -1,59 +1,25 @@
 """Minimal dense numerical primitives shared by every other module.
 
 Token matrices are plain ``numpy`` arrays: 2-D, row-major, one token per
-row, stored as float32. Dot products and norms are accumulated in float64
-and results are cast back to float32, which keeps cancellation in check at
-hidden sizes up to a few thousand while staying deterministic.
+row, read from float32 payloads. Both helpers compute in float64, which
+keeps cancellation in check at hidden sizes up to a few thousand while
+staying deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateVector, DimensionMismatch, NonFiniteData
+from .errors import DegenerateVector, NonFiniteData, ShapeMismatch
 
 # Norms at or below this are treated as degenerate (true zero vectors at
 # 32-bit scale, as opposed to merely small embeddings).
 NORM_EPS = 1e-12
 
 
-def validate_token_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check shape/finiteness and return the matrix as float32."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"{name}: expected 2-D token matrix, got ndim={m.ndim}")
-    if m.shape[1] < 1:
-        raise DimensionMismatch(f"{name}: need at least one column, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteData(f"{name}: contains NaN/Inf values")
-    return np.ascontiguousarray(m, dtype=np.float32)
-
-
-def _norm64(v: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(v, v)))
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1].
-
-    Raises DegenerateVector if either norm is <= NORM_EPS.
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cosine_similarity: dims differ ({a.shape[0]} vs {b.shape[0]})")
-    na = _norm64(a)
-    nb = _norm64(b)
-    if na <= NORM_EPS:
-        raise DegenerateVector("cosine_similarity: first argument has near-zero norm")
-    if nb <= NORM_EPS:
-        raise DegenerateVector("cosine_similarity: second argument has near-zero norm")
-    val = np.dot(a, b) / (na * nb)
-    return float(np.float32(min(1.0, max(-1.0, val))))
-
-
-def row_norms(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Float64 L2 norm of each row; raises on degenerate rows with the index."""
+def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Rows scaled to unit L2 norm, in float64; raises on degenerate rows
+    with the index of the first one."""
     m64 = np.asarray(m, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", m64, m64))
     bad = np.flatnonzero(norms <= NORM_EPS)
@@ -61,38 +27,14 @@ def row_norms(m: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise DegenerateVector(
             f"{name}: row {int(bad[0])} has near-zero norm", index=int(bad[0])
         )
-    return norms
-
-
-def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Rows scaled to unit L2 norm, in float64."""
-    m64 = np.asarray(m, dtype=np.float64)
-    return m64 / row_norms(m64, name)[:, None]
-
-
-def similarity_row(m: np.ndarray, pivot_index: int) -> np.ndarray:
-    """Cosine similarity of every row of ``m`` to the row at ``pivot_index``.
-
-    Returns a float32 vector of length n; the entry at the pivot is 1 up to
-    rounding.
-    """
-    m64 = np.asarray(m, dtype=np.float64)
-    if m64.ndim != 2:
-        raise DimensionMismatch("similarity_row: expected a 2-D matrix")
-    n = m64.shape[0]
-    if not 0 <= pivot_index < n:
-        raise DimensionMismatch(f"similarity_row: pivot_index {pivot_index} out of range [0, {n})")
-    norms = row_norms(m64, "similarity_row")
-    sims = (m64 @ m64[pivot_index]) / (norms * norms[pivot_index])
-    np.clip(sims, -1.0, 1.0, out=sims)
-    return sims.astype(np.float32)
+    return m64 / norms[:, None]
 
 
 def softmax_row(scores: np.ndarray) -> np.ndarray:
     """Numerically safe softmax (max-subtraction) over a 1-D score vector."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     if s.size < 1:
-        raise DimensionMismatch("softmax_row: empty score vector")
+        raise ShapeMismatch("softmax_row: empty score vector")
     if not np.all(np.isfinite(s)):
         raise NonFiniteData("softmax_row: non-finite scores")
     e = np.exp(s - s.max())

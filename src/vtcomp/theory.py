@@ -77,16 +77,30 @@ def _normalize(rows: np.ndarray, what: str) -> np.ndarray:
     return rows / norms[..., None]
 
 
+def _diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
+    """Diversity of each trial in a (trials, n_visual, ambient) batch."""
+    n = v.shape[1]
+    pv = _normalize(v @ w_v, "diversity_measure")
+    gram = _kernel(np.clip(np.einsum("bik,bjk->bij", pv, pv), -1.0, 1.0), kernel)
+    diag = np.einsum("bii->b", gram)
+    return (gram.sum(axis=(1, 2)) - diag) / (n * (n - 1))
+
+
+def _redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
+                      kernel: str) -> np.ndarray:
+    """Redundancy of each trial in a batch of visual and text token sets."""
+    pvt = _normalize(v @ w_t, "cross_redundancy_measure (visual)")
+    pt = _normalize(t_tokens @ w_t, "cross_redundancy_measure (text)")
+    cross = _kernel(np.clip(np.einsum("bik,bjk->bij", pvt, pt), -1.0, 1.0), kernel)
+    return cross.mean(axis=(1, 2))
+
+
 def diversity_measure(v: np.ndarray, w_v: np.ndarray, kernel: str = "cosine") -> float:
     """Mean pairwise kernel over projected tokens, diagonal excluded."""
     v = np.asarray(v, dtype=np.float64)
-    n = v.shape[0]
-    if n < 2:
+    if v.shape[0] < 2:
         raise InvalidPlan("diversity_measure: need at least two tokens")
-    proj = _normalize(v @ w_v, "diversity_measure")
-    gram = _kernel(np.clip(proj @ proj.T, -1.0, 1.0), kernel)
-    off_sum = gram.sum() - np.trace(gram)
-    return float(off_sum / (n * (n - 1)))
+    return float(_diversity_batch(v[None], w_v, kernel)[0])
 
 
 def cross_redundancy_measure(v: np.ndarray, t_tokens: np.ndarray,
@@ -96,26 +110,7 @@ def cross_redundancy_measure(v: np.ndarray, t_tokens: np.ndarray,
     t_tokens = np.asarray(t_tokens, dtype=np.float64)
     if v.shape[0] < 1 or t_tokens.shape[0] < 1:
         raise InvalidPlan("cross_redundancy_measure: need at least one token per side")
-    pv = _normalize(v @ w_t, "cross_redundancy_measure (visual)")
-    pt = _normalize(t_tokens @ w_t, "cross_redundancy_measure (text)")
-    cross = _kernel(np.clip(pv @ pt.T, -1.0, 1.0), kernel)
-    return float(cross.mean())
-
-
-def _measure_batch(v: np.ndarray, t_tokens: np.ndarray, w_v: np.ndarray,
-                   w_t: np.ndarray, kernel: str) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (diversity, redundancy) pairs for a batch of trials."""
-    n = v.shape[1]
-    pv = _normalize(v @ w_v, "diversity batch")
-    gram = _kernel(np.clip(np.einsum("bik,bjk->bij", pv, pv), -1.0, 1.0), kernel)
-    diag = np.einsum("bii->b", gram)
-    d = (gram.sum(axis=(1, 2)) - diag) / (n * (n - 1))
-
-    pvt = _normalize(v @ w_t, "redundancy batch (visual)")
-    pt = _normalize(t_tokens @ w_t, "redundancy batch (text)")
-    cross = _kernel(np.clip(np.einsum("bik,bjk->bij", pvt, pt), -1.0, 1.0), kernel)
-    r = cross.mean(axis=(1, 2))
-    return d, r
+    return float(_redundancy_batch(v[None], t_tokens[None], w_t, kernel)[0])
 
 
 def covariance_experiment(
@@ -158,9 +153,8 @@ def covariance_experiment(
         t_tokens = rng.standard_normal((b, trial.n_text, trial.ambient_dim))
         if negative_control:
             t_tokens = v[:, : trial.n_text, :]
-        d, r = _measure_batch(v, t_tokens, w_v, w_t, trial.kernel)
-        d_all[done:done + b] = d
-        r_all[done:done + b] = r
+        d_all[done:done + b] = _diversity_batch(v, w_v, trial.kernel)
+        r_all[done:done + b] = _redundancy_batch(v, t_tokens, w_t, trial.kernel)
         done += b
 
     dm = d_all - d_all.mean()

@@ -28,7 +28,7 @@ from vtcomp.kcenter import (
     oracle_greedy,
 )
 from vtcomp.layout import CompressionPlan, InputLayout, layer_schedule, resolve_k
-from vtcomp.relevance import AttentionTrace, attention_ratios, decide_drop_layer
+from vtcomp.relevance import attention_ratios, decide_drop_layer
 from vtcomp.report import canonical_json
 from vtcomp.theory import LemmaTrial, covariance_experiment
 
@@ -153,10 +153,9 @@ def test_criterion_6_attention_ratio_correctness():
     for _ in range(100):
         layers = {l: (lambda x: x / x.sum(axis=1, keepdims=True))(rng.random((9, 9)) + 1e-3)
                   for l in (2, 5, 7)}
-        trace = AttentionTrace(layers=layers)
         previous = np.inf
         for tau in (0.0, 0.05, 0.2, 0.5, 1.0):
-            drop = decide_drop_layer(trace, lo, [2, 5, 7], tau=tau).drop_layer
+            drop = decide_drop_layer(layers, lo, [2, 5, 7], tau=tau).drop_layer
             pos = np.inf if drop is None else drop
             ok &= pos <= previous
             previous = pos

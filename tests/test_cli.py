@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +211,94 @@ def test_anyres_manifest_pivot_in_thumbnail(tmp_path, rng, capsys):
     code, report = run_json(["select", "--manifest", str(path)], capsys)
     assert code == 0
     assert 0 <= report["retention"]["pivot"] < 3
+
+
+def _set(section, key, value):
+    def mutate(manifest):
+        manifest[section][key] = value
+    return mutate
+
+
+def _replace_ratio_by_k(value):
+    def mutate(manifest):
+        del manifest["plan"]["retain_ratio"]
+        manifest["plan"]["retain_k"] = value
+    return mutate
+
+
+def _layer_one_as_bool(manifest):
+    entry = next(e for e in manifest["entries"] if e.get("layer") == 1)
+    entry["layer"] = True
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (_set("plan", "retain_ratio", "0.5"), "retain_ratio"),
+    (_set("plan", "tau", "0.1"), "tau"),
+    (_replace_ratio_by_k("5"), "retain_k"),
+    (_replace_ratio_by_k(2.5), "retain_k"),
+    (_set("plan", "schedule", [1.7, 5.2]), "schedule"),
+    (_set("layout", "system_range", [0, "x"]), "system_range"),
+    (_set("layout", "system_range", [0]), "system_range"),
+    (_set("layout", "system_range", 5), "system_range"),
+    (_set("layout", "system_range", [0, 2.5]), "system_range"),
+    (_layer_one_as_bool, "layer"),
+    (lambda manifest: manifest.update(format_version=True), "format_version"),
+], ids=["ratio-str", "tau-str", "k-str", "k-float", "schedule-float", "range-str",
+        "range-short", "range-scalar", "range-float", "layer-bool", "version-bool"])
+def test_malformed_manifest_types_exit_3(tmp_path, rng, capsys, mutate, named):
+    layout = small_layout()
+    attention = {layer: block_weighted_attention(rng, layout, 1e-4) for layer in (1, 5, 6, 7)}
+    path = build_manifest(tmp_path, attention=attention,
+                          plan={"retain_ratio": 0.5, "tau": 0.03, "schedule": [1, 5, 6, 7]})
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    mutate(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    code = main(["pipeline", "--manifest", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error:" in err and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify-lemma", "oracle-check"])
+def test_json_only_commands_reject_report_flag(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--report", "csv"])
+    assert exc.value.code == 2
+
+
+def test_oracle_check_reports_are_byte_identical(tmp_path):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["oracle-check", "--instances", "20", "--max-n", "24", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands(heading):
+    """The ``vtcomp ...`` lines of the first sh block after ``heading``."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(re.escape(heading) + r".*?```sh\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("vtcomp ")]
+
+
+def test_readme_cli_flags_exist(capsys):
+    lines = _readme_commands("## CLI")
+    assert len(lines) == 6
+    for line in lines:
+        command = line.split()[1]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for flag in re.findall(r"--[a-z][a-z-]*", line):
+            assert re.search(re.escape(flag) + r"(?![a-z-])", help_text), \
+                f"README: {command} has no {flag}"
+
+
+def test_readme_flops_example_runs(capsys):
+    (line,) = [x for x in _readme_commands("Example:") if x.startswith("vtcomp flops")]
+    assert main(shlex.split(line)[1:]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "flops"

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from vtcomp.errors import DimensionMismatch, EmptyThumbnail
+from vtcomp.errors import EmptyThumbnail, ShapeMismatch
 from vtcomp.layout import InputLayout
-from vtcomp.pivot import ClsAttention, cls_attention, select_pivot
+from vtcomp.pivot import cls_attention, select_pivot
 
 
 def image_layout(m, system=1, text=2, **kw):
@@ -17,7 +17,7 @@ def image_layout(m, system=1, text=2, **kw):
 
 def test_cls_attention_analytic_1d():
     attn = cls_attention([1.0], [[0.0], [math.log(2)]], [[1.0]], [[1.0]])
-    np.testing.assert_allclose(attn.scores, [1 / 3, 2 / 3], atol=1e-6)
+    np.testing.assert_allclose(attn, [1 / 3, 2 / 3], atol=1e-6)
 
 
 def test_cls_attention_identical_rows_uniform(rng):
@@ -25,7 +25,7 @@ def test_cls_attention_identical_rows_uniform(rng):
     z_v = np.tile(row, (6, 1))
     attn = cls_attention(rng.standard_normal(4), z_v,
                          rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
-    np.testing.assert_allclose(attn.scores, np.full(6, 1 / 6), atol=1e-6)
+    np.testing.assert_allclose(attn, np.full(6, 1 / 6), atol=1e-6)
 
 
 def test_cls_attention_matches_naive_oracle(rng):
@@ -47,29 +47,29 @@ def test_cls_attention_matches_naive_oracle(rng):
     want = exps / exps.sum()
 
     got = cls_attention(z_cls, z_v, w_q, w_k)
-    np.testing.assert_allclose(got.scores, want, atol=1e-5)
+    np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 def test_cls_attention_dim_mismatch(rng):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         cls_attention(rng.standard_normal(3), rng.standard_normal((4, 4)),
                       rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
 
 
 def test_select_pivot_plain_argmax():
     lo = image_layout(3)
-    assert select_pivot(ClsAttention(np.array([0.1, 0.7, 0.2])), lo) == 1
+    assert select_pivot(np.array([0.1, 0.7, 0.2]), lo) == 1
 
 
 def test_select_pivot_tie_breaks_low():
     lo = image_layout(4)
-    assert select_pivot(ClsAttention(np.array([0.2, 0.3, 0.3, 0.2])), lo) == 1
+    assert select_pivot(np.array([0.2, 0.3, 0.3, 0.2]), lo) == 1
 
 
 def test_select_pivot_video_flattening():
     lo = image_layout(4, kind="video", frames=2, tokens_per_frame=2)
     scores = np.array([[0.2, 0.3], [0.6, 0.1]])
-    p = select_pivot(ClsAttention(scores), lo)
+    p = select_pivot(scores, lo)
     assert p == 2
     assert (p // 2, p % 2) == (1, 0)
 
@@ -77,13 +77,13 @@ def test_select_pivot_video_flattening():
 def test_select_pivot_anyres_restricted_to_thumbnail():
     lo = image_layout(8, kind="anyres", thumbnail_range=(0, 4), crop_ranges=((4, 8),))
     scores = np.array([0.01, 0.02, 0.04, 0.03, 0.4, 0.2, 0.2, 0.1])
-    assert select_pivot(ClsAttention(scores), lo) == 2
+    assert select_pivot(scores, lo) == 2
 
 
 def test_select_pivot_empty_thumbnail():
     lo = image_layout(8, kind="anyres", thumbnail_range=(0, 0), crop_ranges=((0, 8),))
     with pytest.raises(EmptyThumbnail):
-        select_pivot(ClsAttention(np.full(8, 0.125)), lo)
+        select_pivot(np.full(8, 0.125), lo)
 
 
 def test_pivot_invariant_under_logit_shift(rng):
@@ -97,7 +97,7 @@ def test_pivot_invariant_under_logit_shift(rng):
     # Adding a constant to every logit leaves the softmax argmax unchanged;
     # emulate by shifting the computed scores through the softmax identity.
     attn = cls_attention(z_cls, z_v, w_q, w_k, lo)
-    shifted = ClsAttention(attn.scores * 0.5)  # positive rescale keeps argmax
+    shifted = attn * 0.5  # positive rescale keeps argmax
     assert select_pivot(shifted, lo) == base
 
 
@@ -106,7 +106,7 @@ def test_video_per_frame_normalization(rng):
     lo = image_layout(f * t, kind="video", frames=f, tokens_per_frame=t)
     attn = cls_attention(rng.standard_normal(d), rng.standard_normal((f * t, d)),
                          rng.standard_normal((d, d)), rng.standard_normal((d, d)), lo)
-    assert attn.scores.shape == (f, t)
-    np.testing.assert_allclose(attn.scores.sum(axis=1), np.ones(f), atol=1e-6)
+    assert attn.shape == (f, t)
+    np.testing.assert_allclose(attn.sum(axis=1), np.ones(f), atol=1e-6)
     p = select_pivot(attn, lo)
     assert 0 <= p < f * t

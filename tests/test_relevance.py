@@ -3,12 +3,7 @@ import pytest
 
 from vtcomp.errors import EmptyPartition, MissingLayer, NoDecodeRows
 from vtcomp.layout import InputLayout
-from vtcomp.relevance import (
-    AttentionTrace,
-    attention_ratios,
-    decide_drop_layer,
-    decoding_attention_report,
-)
+from vtcomp.relevance import attention_ratios, decide_drop_layer, decoding_attention_report
 
 
 def layout_for(system, visual, text):
@@ -79,16 +74,16 @@ def test_empty_partition():
         attention_ratios(np.full((4, 4), 0.25), lo)
 
 
-def make_trace(rng, lo, layers):
-    return AttentionTrace(layers={l: row_stochastic(rng, lo.seq_len) for l in layers})
+def make_layers(rng, lo, layers):
+    return {l: row_stochastic(rng, lo.seq_len) for l in layers}
 
 
 def test_drop_at_first_qualifying_layer():
     lo = layout_for(1, 2, 1)
     quiet = np.eye(4)  # block diagonal: ratios (0, 0)
     busy = np.full((4, 4), 0.25)
-    trace = AttentionTrace(layers={4: busy, 5: quiet, 6: quiet, 7: busy})
-    d = decide_drop_layer(trace, lo, [4, 5, 6, 7], tau=0.03)
+    layers = {4: busy, 5: quiet, 6: quiet, 7: busy}
+    d = decide_drop_layer(layers, lo, [4, 5, 6, 7], tau=0.03)
     assert d.drop_layer == 5
     # Probing stops at the first hit.
     assert [p[0] for p in d.probed] == [4, 5]
@@ -101,33 +96,33 @@ def test_no_drop_when_conjunction_fails():
     a[1, 3], a[1, 1] = 0.01, 0.99  # visual -> text stays below tau
     a[2, 2] = 1.0
     a[3, 1], a[3, 3] = 0.05, 0.95  # text -> visual exceeds tau
-    trace = AttentionTrace(layers={4: a})
-    d = decide_drop_layer(trace, lo, [4], tau=0.03)
+    layers = {4: a}
+    d = decide_drop_layer(layers, lo, [4], tau=0.03)
     assert d.drop_layer is None
     assert len(d.probed) == 1
 
 
 def test_missing_layer(rng):
     lo = layout_for(1, 2, 1)
-    trace = make_trace(rng, lo, [4, 6])
+    layers = make_layers(rng, lo, [4, 6])
     with pytest.raises(MissingLayer):
-        decide_drop_layer(trace, lo, [4, 5, 6], tau=0.03)
+        decide_drop_layer(layers, lo, [4, 5, 6], tau=0.03)
 
 
 def test_tau_boundaries(rng):
     lo = layout_for(2, 4, 3)
-    trace = make_trace(rng, lo, [2, 5, 7])
-    assert decide_drop_layer(trace, lo, [2, 5, 7], tau=1.0).drop_layer == 2
-    assert decide_drop_layer(trace, lo, [2, 5, 7], tau=0.0).drop_layer is None
+    layers = make_layers(rng, lo, [2, 5, 7])
+    assert decide_drop_layer(layers, lo, [2, 5, 7], tau=1.0).drop_layer == 2
+    assert decide_drop_layer(layers, lo, [2, 5, 7], tau=0.0).drop_layer is None
 
 
 def test_tau_monotonicity(rng):
     lo = layout_for(2, 4, 3)
     for _ in range(25):
-        trace = make_trace(rng, lo, [2, 5, 7])
+        layers = make_layers(rng, lo, [2, 5, 7])
         previous = None
         for tau in (0.0, 0.1, 0.3, 0.6, 1.0):
-            d = decide_drop_layer(trace, lo, [2, 5, 7], tau=tau).drop_layer
+            d = decide_drop_layer(layers, lo, [2, 5, 7], tau=tau).drop_layer
             if previous is not None:
                 prev_pos = np.inf if previous is None else previous
                 cur_pos = np.inf if d is None else d
@@ -137,17 +132,16 @@ def test_tau_monotonicity(rng):
 
 def test_unscheduled_layers_ignored(rng):
     lo = layout_for(2, 4, 3)
-    trace = make_trace(rng, lo, [2, 5, 7, 9])
-    base = decide_drop_layer(trace, lo, [2, 5], tau=0.2)
-    perturbed = AttentionTrace(layers={**trace.layers, 9: row_stochastic(rng, lo.seq_len)})
+    layers = make_layers(rng, lo, [2, 5, 7, 9])
+    base = decide_drop_layer(layers, lo, [2, 5], tau=0.2)
+    perturbed = {**layers, 9: row_stochastic(rng, lo.seq_len)}
     again = decide_drop_layer(perturbed, lo, [2, 5], tau=0.2)
     assert base == again
 
 
 def test_decode_report_uniform_row():
     lo = layout_for(1, 2, 1)
-    trace = AttentionTrace(layers={}, decode_rows={3: np.full((1, 4), 0.25)})
-    rep = decoding_attention_report(trace, lo)
+    rep = decoding_attention_report({3: np.full((1, 4), 0.25)}, lo)
     assert rep == [{"layer": 3, "to_system": pytest.approx(0.25),
                     "to_visual": pytest.approx(0.5), "to_text": pytest.approx(0.25)}]
 
@@ -155,7 +149,7 @@ def test_decode_report_uniform_row():
 def test_decode_report_zero_visual_mass():
     lo = layout_for(1, 2, 1)
     row = np.array([[0.5, 0.0, 0.0, 0.5]])
-    rep = decoding_attention_report(AttentionTrace(layers={}, decode_rows={0: row}), lo)
+    rep = decoding_attention_report({0: row}, lo)
     assert rep[0]["to_visual"] == 0.0
 
 
@@ -169,7 +163,7 @@ def test_decode_report_deep_layer_visual_fraction(rng):
         r[:, 4:14] *= 0.01
         r /= r.sum(axis=1, keepdims=True)
         rows[layer] = r
-    rep = decoding_attention_report(AttentionTrace(layers={}, decode_rows=rows), lo)
+    rep = decoding_attention_report(rows, lo)
     for entry in rep:
         assert entry["to_visual"] < 0.05
         total = entry["to_system"] + entry["to_visual"] + entry["to_text"]
@@ -182,4 +176,4 @@ def test_decode_report_deep_layer_visual_fraction(rng):
 def test_decode_report_requires_rows():
     lo = layout_for(1, 2, 1)
     with pytest.raises(NoDecodeRows):
-        decoding_attention_report(AttentionTrace(layers={}), lo)
+        decoding_attention_report({}, lo)

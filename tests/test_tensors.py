@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from vtcomp.errors import DegenerateVector, DimensionMismatch
-from vtcomp.tensors import cosine_similarity, normalize_rows, similarity_row, softmax_row
+from conftest import cosine_similarity
+from vtcomp.errors import DegenerateVector, ShapeMismatch
+from vtcomp.tensors import normalize_rows, softmax_row
 
 
 def test_orthogonal_vectors():
@@ -43,32 +44,14 @@ def test_degenerate_vector_raises():
 
 
 def test_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         cosine_similarity([1, 0], [1, 0, 0])
 
 
-def test_similarity_row_identity_rows():
-    m = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-    np.testing.assert_allclose(similarity_row(m, 0), [1.0, 0.0], atol=1e-6)
-
-
-def test_similarity_row_identical_rows():
-    m = np.ones((5, 3), dtype=np.float32)
-    np.testing.assert_allclose(similarity_row(m, 0), np.ones(5), atol=1e-6)
-
-
-def test_similarity_row_matches_pairwise_loop(rng):
-    m = normalize_rows(rng.standard_normal((8, 5))).astype(np.float32)
-    got = similarity_row(m, 3)
-    want = [cosine_similarity(m[i], m[3]) for i in range(8)]
-    np.testing.assert_allclose(got, want, atol=1e-6)
-    assert got[3] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_similarity_row_reports_offending_row():
+def test_normalize_rows_reports_offending_row():
     m = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], dtype=np.float32)
     with pytest.raises(DegenerateVector) as exc:
-        similarity_row(m, 0)
+        normalize_rows(m)
     assert exc.value.index == 1
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import cosine_similarity
 from vtcomp.errors import InvalidPlan, OrthogonalityViolated
-from vtcomp.tensors import cosine_similarity
 from vtcomp.theory import (
     LemmaTrial,
     check_orthogonality,
