@@ -2,8 +2,9 @@
 
 A manifest is a UTF-8 JSON file describing headerless binary tensor
 payloads (raw little-endian IEEE-754 float32, row-major), the input
-layout, and the compression plan. Every validation failure names the
-offending entry.
+layout, and the compression plan. Payload files are named relative to the
+manifest directory and must resolve inside it. Every validation failure
+names the offending entry.
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ def _read_payload(base: Path, entry: dict, name: str) -> np.ndarray:
     rel = entry.get("file")
     if not isinstance(rel, str):
         raise ParseError(f"entry {name!r}: missing file path")
+    if Path(rel).is_absolute():
+        raise ParseError(f"entry {name!r}: file {rel!r} must be relative to the manifest directory")
     path = base / rel
+    if not path.resolve().is_relative_to(base.resolve()):
+        raise ParseError(f"entry {name!r}: file {rel!r} resolves outside the manifest directory")
     if not path.is_file():
         raise ParseError(f"entry {name!r}: file {rel!r} does not exist")
     expected = math.prod(shape) * 4

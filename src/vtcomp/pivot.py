@@ -1,9 +1,11 @@
 """Pivot token selection from [CLS]-to-visual attention (stage 1, step 1).
 
 The attention is a single-projection softmax over query/key products; the
-weight matrices are ingested from files and never trained. For video
-inputs the softmax is applied per frame so that frame-wise candidates are
-comparable before the cross-frame argmax.
+weight matrices are ingested from files and never trained. The logits are
+re-associated as ``z_v @ (w_k @ (z_cls @ w_q))``: two d x d matrix-vector
+products and one n x d, O(d^2 + n*d), instead of forming the n x d keys in
+O(n*d^2). For video inputs the softmax is applied per frame so that
+frame-wise candidates are comparable before the cross-frame argmax.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ def cls_attention(
     (frames, tokens_per_frame) with one softmax row per frame for video.
     """
     z_cls = np.asarray(z_cls, dtype=np.float64).reshape(-1)
-    z_v = np.asarray(z_v, dtype=np.float64)
-    w_q = np.asarray(w_q, dtype=np.float64)
-    w_k = np.asarray(w_k, dtype=np.float64)
+    z_v = np.asarray(z_v)
+    w_q = np.asarray(w_q)
+    w_k = np.asarray(w_k)
 
     d = z_cls.shape[0]
     if z_v.ndim != 2 or z_v.shape[1] != d:
@@ -41,9 +43,11 @@ def cls_attention(
     if layout is not None and n != layout.visual_len:
         raise ShapeMismatch(f"cls_attention: {n} visual rows but layout declares M={layout.visual_len}")
 
-    q = z_cls @ w_q
-    keys = z_v @ w_k
-    logits = (keys @ q) / np.sqrt(d)
+    # Each operand is cast to float64 only at its own product, so at most
+    # one d x d float64 copy is alive at a time.
+    q = z_cls @ np.asarray(w_q, dtype=np.float64)
+    kq = np.asarray(w_k, dtype=np.float64) @ q
+    logits = (np.asarray(z_v, dtype=np.float64) @ kq) / np.sqrt(d)
 
     if layout is not None and layout.kind == KIND_VIDEO:
         f, t = layout.frames, layout.tokens_per_frame

@@ -36,7 +36,9 @@ def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
 
     Denominators are restricted to prompt keys (system, visual, text),
     which is the whole row-block because the three ranges tile the prompt.
-    Sums accumulate in float64 without copying the matrix.
+    Sums accumulate in float64 without copying the matrix. A row-block with
+    no attention mass (every row masked) has no ratio and raises
+    EmptyPartition rather than reading as 0, which would pass any tau.
     """
     a = np.asarray(a)
     seq = layout.seq_len
@@ -57,9 +59,11 @@ def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
     v_to_t = visual_rows[:, t0:t1].sum(dtype=np.float64)
     v_total = visual_rows.sum(dtype=np.float64)
 
-    alpha_tv = float(t_to_v / t_total) if t_total > 0 else 0.0
-    alpha_vt = float(v_to_t / v_total) if v_total > 0 else 0.0
-    return alpha_tv, alpha_vt
+    if not t_total > 0:
+        raise EmptyPartition("attention_ratios: text rows carry no attention mass (all masked)")
+    if not v_total > 0:
+        raise EmptyPartition("attention_ratios: visual rows carry no attention mass (all masked)")
+    return float(t_to_v / t_total), float(v_to_t / v_total)
 
 
 def decide_drop_layer(
@@ -81,7 +85,10 @@ def decide_drop_layer(
     probed: list[tuple[int, float, float]] = []
     drop_layer = None
     for layer in ordered:
-        alpha_tv, alpha_vt = attention_ratios(layers[layer], layout)
+        try:
+            alpha_tv, alpha_vt = attention_ratios(layers[layer], layout)
+        except EmptyPartition as e:
+            raise EmptyPartition(f"decide_drop_layer: layer {layer}: {e}") from None
         probed.append((layer, alpha_tv, alpha_vt))
         if alpha_tv < tau and alpha_vt < tau:
             drop_layer = layer

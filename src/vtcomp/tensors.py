@@ -20,14 +20,17 @@ NORM_EPS = 1e-12
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Rows scaled to unit L2 norm, in float64; raises on degenerate rows
     with the index of the first one."""
-    m64 = np.asarray(m, dtype=np.float64)
+    # Always a copy, so the division can run in place on it without
+    # touching the caller's array.
+    m64 = np.array(m, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", m64, m64))
     bad = np.flatnonzero(norms <= NORM_EPS)
     if bad.size:
         raise DegenerateVector(
             f"{name}: row {int(bad[0])} has near-zero norm", index=int(bad[0])
         )
-    return m64 / norms[:, None]
+    m64 /= norms[:, None]
+    return m64
 
 
 def softmax_row(scores: np.ndarray) -> np.ndarray:

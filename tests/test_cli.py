@@ -131,6 +131,49 @@ def test_missing_manifest_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_decide_masked_text_rows_exits_3(tmp_path, rng, capsys):
+    layout = small_layout()
+    attention = {layer: block_weighted_attention(rng, layout, 1.0) for layer in (4, 5)}
+    t0, t1 = layout.text_range
+    attention[5][t0:t1] = 0.0
+    path = build_manifest(tmp_path, attention=attention,
+                          plan={"retain_ratio": 0.5, "tau": 0.03, "schedule": [4, 5]})
+    code = main(["decide", "--manifest", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "layer 5" in err and "text rows" in err
+    assert "Traceback" not in err
+
+
+def _repoint_visual(path, file):
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for entry in manifest["entries"]:
+        if entry["name"] == "visual":
+            entry["file"] = file
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_payload_outside_manifest_dir_exits_3(tmp_path, capsys):
+    path = build_manifest(tmp_path / "fixture")
+    (tmp_path / "fixture" / "visual.bin").rename(tmp_path / "outside_visual.bin")
+    _repoint_visual(path, "../outside_visual.bin")
+    code = main(["select", "--manifest", str(path), "--ratio", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "'visual'" in captured.err and "outside the manifest directory" in captured.err
+
+
+def test_absolute_payload_path_exits_3(tmp_path, capsys):
+    path = build_manifest(tmp_path)
+    _repoint_visual(path, str((tmp_path / "visual.bin").resolve()))
+    code = main(["select", "--manifest", str(path), "--ratio", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "'visual'" in captured.err and "must be relative" in captured.err
+
+
 def test_select_without_stage1_inputs_exits_3(tmp_path, capsys):
     path = build_manifest(tmp_path, with_stage1=False)
     code = main(["select", "--manifest", str(path), "--ratio", "0.5"])

@@ -132,18 +132,56 @@ def test_two_approximation_small(rng):
             assert r_greedy <= 2.0 * r_opt + 1e-9
 
 
+def near_duplicates(rng, n, d):
+    """Rows drawn from n/4 base directions plus no, 1-ulp-scale or small
+    noise: cosines of near-duplicates differ only by rounding, which the
+    incremental and the recomputed path accumulate differently."""
+    bases = rng.standard_normal((n // 4, d))
+    noise = (0.0, 1e-7, 1e-4)[int(rng.integers(0, 3))]
+    return (bases[rng.integers(0, n // 4, n)] + noise * rng.standard_normal((n, d))).astype(np.float32)
+
+
 def test_greedy_matches_oracle_on_near_duplicates():
-    # Rows drawn from n/4 base directions plus no, 1-ulp-scale or small
-    # noise: cosines of near-duplicates differ only by rounding, which the
-    # incremental and the recomputed path accumulate differently.
     mismatches = 0
     for seed in range(300):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 25))
         d = int(rng.integers(2, 13))
-        bases = rng.standard_normal((n // 4, d))
-        noise = (0.0, 1e-7, 1e-4)[int(rng.integers(0, 3))]
-        v = (bases[rng.integers(0, n // 4, n)] + noise * rng.standard_normal((n, d))).astype(np.float32)
+        v = near_duplicates(rng, n, d)
         pivot = int(rng.integers(0, n))
         mismatches += greedy_kcenter(v, pivot, n).indices != oracle_greedy(v, pivot, n).indices
     assert mismatches == 0
+
+
+def test_gram_regime_matches_oracle_on_near_duplicates():
+    # d >= n takes the Gram-matrix path of greedy_kcenter.
+    mismatches = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 49))
+        d = int(rng.integers(n, n + 40))
+        v = near_duplicates(rng, n, d)
+        pivot = int(rng.integers(0, n))
+        mismatches += greedy_kcenter(v, pivot, n).indices != oracle_greedy(v, pivot, n).indices
+    assert mismatches == 0
+
+
+def test_zero_padding_crosses_regimes_without_changing_picks():
+    # Zero columns leave every cosine unchanged but move n > d inputs to
+    # n <= d, so both regimes must agree on indices and, to rounding, on
+    # the trace.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 64))
+        d = int(rng.integers(2, n))
+        if seed % 2:
+            v = near_duplicates(rng, n, d)
+        else:
+            v = rng.standard_normal((n, d)).astype(np.float32)
+        pivot = int(rng.integers(0, n))
+        k = int(rng.integers(1, n + 1))
+        narrow = greedy_kcenter(v, pivot, k)
+        wide = greedy_kcenter(np.pad(v, ((0, 0), (0, n))), pivot, k)
+        assert wide.indices == narrow.indices
+        for (_, a), (_, b) in zip(wide.trace, narrow.trace):
+            assert abs(a - b) <= 1e-12

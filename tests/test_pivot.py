@@ -50,6 +50,27 @@ def test_cls_attention_matches_naive_oracle(rng):
     np.testing.assert_allclose(got, want, atol=1e-5)
 
 
+def test_cls_attention_matches_key_matrix_product(rng):
+    # The logits are re-associated as z_v @ (w_k @ q); the textbook order
+    # forms the keys z_v @ w_k first.
+    d, n = 64, 256
+    lo = image_layout(n)
+    z_cls = rng.standard_normal(d).astype(np.float32)
+    z_v = rng.standard_normal((n, d)).astype(np.float32)
+    w_q = (rng.standard_normal((d, d)) / np.sqrt(d)).astype(np.float32)
+    w_k = (rng.standard_normal((d, d)) / np.sqrt(d)).astype(np.float32)
+
+    q = z_cls.astype(np.float64) @ w_q.astype(np.float64)
+    keys = z_v.astype(np.float64) @ w_k.astype(np.float64)
+    logits = (keys @ q) / np.sqrt(d)
+    exps = np.exp(logits - logits.max())
+    want = exps / exps.sum()
+
+    got = cls_attention(z_cls, z_v, w_q, w_k, lo)
+    np.testing.assert_allclose(got, want, rtol=1e-6)
+    assert select_pivot(got, lo) == int(np.argmax(want))
+
+
 def test_cls_attention_dim_mismatch(rng):
     with pytest.raises(ShapeMismatch):
         cls_attention(rng.standard_normal(3), rng.standard_normal((4, 4)),

@@ -74,6 +74,18 @@ def test_empty_partition():
         attention_ratios(np.full((4, 4), 0.25), lo)
 
 
+def test_fully_masked_block_raises():
+    lo = layout_for(1, 2, 1)
+    a = np.full((4, 4), 0.25)
+    a[3] = 0.0  # the only text row is masked
+    with pytest.raises(EmptyPartition, match="text rows"):
+        attention_ratios(a, lo)
+    b = np.full((4, 4), 0.25)
+    b[1:3] = 0.0  # both visual rows are masked
+    with pytest.raises(EmptyPartition, match="visual rows"):
+        attention_ratios(b, lo)
+
+
 def make_layers(rng, lo, layers):
     return {l: row_stochastic(rng, lo.seq_len) for l in layers}
 
@@ -107,6 +119,16 @@ def test_missing_layer(rng):
     layers = make_layers(rng, lo, [4, 6])
     with pytest.raises(MissingLayer):
         decide_drop_layer(layers, lo, [4, 5, 6], tau=0.03)
+
+
+def test_masked_probe_raises_naming_layer(rng):
+    lo = layout_for(2, 4, 3)
+    layers = make_layers(rng, lo, [2, 5, 7])
+    t0, t1 = lo.text_range
+    layers[5][t0:t1] = 0.0
+    # tau=0 never drops, so probing reaches layer 5 instead of stopping at 2.
+    with pytest.raises(EmptyPartition, match="layer 5: .*text rows"):
+        decide_drop_layer(layers, lo, [2, 5, 7], tau=0.0)
 
 
 def test_tau_boundaries(rng):
