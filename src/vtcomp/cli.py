@@ -8,8 +8,8 @@ Subcommands:
   verify-lemma  Monte Carlo covariance check of the orthogonality lemma
   oracle-check  greedy k-center vs. brute-force oracle over random instances
 
-Exit codes: 0 success, 2 usage error, 3 data validation error, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 usage error, 3 data validation error (EngineError),
+4 internal invariant violation (InternalInvariant).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .costmodel import MODEL_PRESETS, preset_configs, stage_ratio_report
 from .errors import EngineError, InternalInvariant
-from .kcenter import greedy_kcenter, oracle_greedy
+from .kcenter import ORACLE_MAX_N, greedy_kcenter, oracle_greedy
 from .layout import CompressionPlan, layer_schedule, resolve_k
 from .manifest import ManifestData, load_manifest
 from .pivot import cls_attention, select_pivot
@@ -98,8 +98,11 @@ def _emit(report: dict, args) -> None:
     # verify-lemma and oracle-check have no --report: their results are JSON only.
     text = report_to_csv(report) if getattr(args, "report", "json") == "csv" else canonical_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise EngineError(f"--out {args.out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -191,6 +194,12 @@ def cmd_verify_lemma(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.instances < 1:
+        raise EngineError(f"--instances must be >= 1, got {args.instances}")
+    if not 2 <= args.max_n <= ORACLE_MAX_N:
+        raise EngineError(f"--max-n must be in [2, {ORACLE_MAX_N}], got {args.max_n}")
+    if args.max_d < 2:
+        raise EngineError(f"--max-d must be >= 2, got {args.max_d}")
     rng = np.random.default_rng(args.seed)
     mismatches = 0
     for _ in range(args.instances):

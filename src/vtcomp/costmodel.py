@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import InvalidPlan
+from .errors import EngineError
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class StageConfig:
 
     def __post_init__(self):
         if min(self.layers, self.hidden, self.ffn, self.seq_len) < 1 or self.out_len < 0:
-            raise InvalidPlan(f"StageConfig: non-positive dimension in {self}")
+            raise EngineError(f"StageConfig: non-positive dimension in {self}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def stage_ratio_report(
     savings = None
     if reduced_seq_len is not None:
         if not 1 <= reduced_seq_len <= llm_cfg.seq_len:
-            raise InvalidPlan(
+            raise EngineError(
                 f"stage_ratio_report: reduced length {reduced_seq_len} outside [1, {llm_cfg.seq_len}]")
         reduced = flops_prefill(replace(llm_cfg, seq_len=reduced_seq_len))
         savings = 1.0 - reduced / pre
@@ -132,7 +132,7 @@ def preset_configs(
 ) -> tuple[StageConfig, StageConfig]:
     """Encoder/LLM configs for a named preset, with optional length overrides."""
     if name not in MODEL_PRESETS:
-        raise InvalidPlan(f"unknown preset {name!r}; available: {sorted(MODEL_PRESETS)}")
+        raise EngineError(f"unknown preset {name!r}; available: {sorted(MODEL_PRESETS)}")
     enc, llm = MODEL_PRESETS[name]
     if encoder_seq_len is not None:
         enc = replace(enc, seq_len=encoder_seq_len)

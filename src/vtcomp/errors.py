@@ -1,77 +1,15 @@
-"""Exception hierarchy for the engine.
+"""The engine's two exception classes, one per non-usage CLI exit code.
 
-Every error carries enough context (entry name, row index, ...) for the CLI
-to report it without a traceback. Exit-code mapping lives in the CLI:
-data/validation errors exit 3, internal invariant violations exit 4.
+``EngineError`` (exit 3) is input, a plan or a request that the engine
+cannot serve: a malformed manifest or payload, an invalid plan or flag, an
+oracle asked past its size guard. ``InternalInvariant`` (exit 4) is an
+engine bug. Each message names what went wrong, including the entry, row or
+layer involved, so the CLI reports ``str(e)`` without a traceback.
 """
 
 
 class EngineError(Exception):
-    """Base class for all engine-raised errors (exit code 3 at the CLI)."""
-
-
-class DegenerateVector(EngineError):
-    """A vector whose norm is at or below the degeneracy threshold."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
-class InvalidPlan(EngineError):
-    pass
-
-
-class TooShallow(EngineError):
-    """Layer count too small for the fractional-depth probe schedule."""
-
-
-class InvalidK(EngineError):
-    pass
-
-
-class InstanceTooLarge(EngineError):
-    """Instance exceeds the size guard of an exhaustive/naive oracle."""
-
-
-class EmptyThumbnail(EngineError):
-    pass
-
-
-class EmptyPartition(EngineError):
-    pass
-
-
-class MissingLayer(EngineError):
-    def __init__(self, message: str, layer: int | None = None):
-        super().__init__(message)
-        self.layer = layer
-
-
-class NoDecodeRows(EngineError):
-    pass
-
-
-class OrthogonalityViolated(EngineError):
-    pass
-
-
-class ParseError(EngineError):
-    pass
-
-
-class ShapeMismatch(EngineError):
-    pass
-
-
-class NonFiniteData(EngineError):
-    pass
-
-
-class RowSumViolation(EngineError):
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """Input, plan or request the engine cannot serve (exit code 3 at the CLI)."""
 
 
 class InternalInvariant(Exception):

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InstanceTooLarge, InvalidK
+from .errors import EngineError
 from .tensors import normalize_rows
 
 ORACLE_MAX_N = 512
@@ -48,9 +48,9 @@ class RetentionSet:
 
 def _validate(n: int, pivot: int, k: int) -> None:
     if not 1 <= k <= n:
-        raise InvalidK(f"k={k} outside [1, {n}]")
+        raise EngineError(f"k={k} outside [1, {n}]")
     if not 0 <= pivot < n:
-        raise InvalidK(f"pivot index {pivot} outside [0, {n})")
+        raise EngineError(f"pivot index {pivot} outside [0, {n})")
 
 
 def _pick(values: np.ndarray) -> int:
@@ -122,7 +122,7 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     v = np.asarray(v)
     n = v.shape[0]
     if n > ORACLE_MAX_N:
-        raise InstanceTooLarge(f"oracle_greedy: n={n} exceeds guard {ORACLE_MAX_N}")
+        raise EngineError(f"oracle_greedy: n={n} exceeds guard {ORACLE_MAX_N}")
     _validate(n, pivot, k)
     rows = normalize_rows(v, "oracle_greedy")
 
@@ -166,10 +166,10 @@ def optimal_kcenter_radius(v: np.ndarray, k: int) -> float:
     v = np.asarray(v)
     n = v.shape[0]
     if n > EXHAUSTIVE_MAX_N or k > EXHAUSTIVE_MAX_K:
-        raise InstanceTooLarge(
+        raise EngineError(
             f"optimal_kcenter_radius: n={n}, k={k} exceeds guard (n <= {EXHAUSTIVE_MAX_N}, k <= {EXHAUSTIVE_MAX_K})")
     if not 1 <= k <= n:
-        raise InvalidK(f"k={k} outside [1, {n}]")
+        raise EngineError(f"k={k} outside [1, {n}]")
     if k == n:
         return 0.0
 

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .errors import InvalidPlan, ParseError, TooShallow
+from .errors import EngineError
 
 KIND_IMAGE = "image"
 KIND_ANYRES = "anyres"
@@ -34,10 +34,10 @@ def _is_real(x) -> bool:
 
 def _check_range(r, name: str) -> Range:
     if not isinstance(r, (list, tuple)) or len(r) != 2 or not all(is_int(x) for x in r):
-        raise ParseError(f"{name}: expected a [start, stop] pair of integers, got {r!r}")
+        raise EngineError(f"{name}: expected a [start, stop] pair of integers, got {r!r}")
     start, stop = int(r[0]), int(r[1])
     if start < 0 or stop < start:
-        raise ParseError(f"{name}: invalid range ({start}, {stop})")
+        raise EngineError(f"{name}: invalid range ({start}, {stop})")
     return (start, stop)
 
 
@@ -58,7 +58,7 @@ class InputLayout:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ParseError(f"layout: unknown kind {self.kind!r}")
+            raise EngineError(f"layout: unknown kind {self.kind!r}")
         ranges = {
             "system_range": _check_range(self.system_range, "system_range"),
             "visual_range": _check_range(self.visual_range, "visual_range"),
@@ -73,16 +73,16 @@ class InputLayout:
         pos = 0
         for start, stop in spans:
             if start != pos:
-                raise ParseError("layout: system/visual/text ranges must tile the sequence "
+                raise EngineError("layout: system/visual/text ranges must tile the sequence "
                                  f"without gaps or overlap (break at position {start})")
             pos = stop
         if pos != total:
-            raise ParseError("layout: ranges do not cover the sequence exactly")
+            raise EngineError("layout: ranges do not cover the sequence exactly")
 
         m = self.visual_len
         if self.kind == KIND_ANYRES:
             if self.thumbnail_range is None or not isinstance(self.crop_ranges, (list, tuple)):
-                raise ParseError("layout: anyres requires thumbnail_range and a list of crop_ranges")
+                raise EngineError("layout: anyres requires thumbnail_range and a list of crop_ranges")
             thumb = _check_range(self.thumbnail_range, "thumbnail_range")
             crops = tuple(_check_range(c, "crop_ranges") for c in self.crop_ranges)
             object.__setattr__(self, "thumbnail_range", thumb)
@@ -91,17 +91,17 @@ class InputLayout:
             pos = 0
             for start, stop in pieces:
                 if start != pos:
-                    raise ParseError("layout: thumbnail and crop ranges must tile the "
+                    raise EngineError("layout: thumbnail and crop ranges must tile the "
                                      f"visual tokens (break at {start})")
                 pos = stop
             if pos != m:
-                raise ParseError(f"layout: thumbnail/crop ranges cover {pos} of {m} visual tokens")
+                raise EngineError(f"layout: thumbnail/crop ranges cover {pos} of {m} visual tokens")
         elif self.kind == KIND_VIDEO:
             f, t = self.frames, self.tokens_per_frame
             if not (is_int(f) and is_int(t)) or f < 1 or t < 1:
-                raise ParseError("layout: video requires frames >= 1 and tokens_per_frame >= 1")
+                raise EngineError("layout: video requires frames >= 1 and tokens_per_frame >= 1")
             if f * t != m:
-                raise ParseError(f"layout: frames*tokens_per_frame = {f * t} != visual count {m}")
+                raise EngineError(f"layout: frames*tokens_per_frame = {f * t} != visual count {m}")
 
     @property
     def system_len(self) -> int:
@@ -137,7 +137,7 @@ class InputLayout:
     @classmethod
     def from_dict(cls, d: dict) -> "InputLayout":
         if not isinstance(d, dict):
-            raise ParseError("layout: must be a JSON object")
+            raise EngineError("layout: must be a JSON object")
         try:
             return cls(
                 kind=d["kind"],
@@ -150,7 +150,7 @@ class InputLayout:
                 tokens_per_frame=d.get("tokens_per_frame"),
             )
         except KeyError as e:
-            raise ParseError(f"layout: missing field {e.args[0]!r}") from None
+            raise EngineError(f"layout: missing field {e.args[0]!r}") from None
 
 
 DEFAULT_TAU = 0.03
@@ -176,27 +176,29 @@ class CompressionPlan:
         for name in ("retain_k", "num_layers"):
             value = getattr(self, name)
             if value is not None and not is_int(value):
-                raise InvalidPlan(f"plan: {name} must be an integer, got {value!r}")
+                raise EngineError(f"plan: {name} must be an integer, got {value!r}")
         if self.retain_ratio is not None and not _is_real(self.retain_ratio):
-            raise InvalidPlan(f"plan: retain_ratio must be a number, got {self.retain_ratio!r}")
+            raise EngineError(f"plan: retain_ratio must be a number, got {self.retain_ratio!r}")
         if not _is_real(self.tau):
-            raise InvalidPlan(f"plan: tau must be a number, got {self.tau!r}")
+            raise EngineError(f"plan: tau must be a number, got {self.tau!r}")
         if self.retain_k is not None and self.retain_k < 1:
-            raise InvalidPlan(f"plan: retain_k must be >= 1, got {self.retain_k}")
+            raise EngineError(f"plan: retain_k must be >= 1, got {self.retain_k}")
         if self.retain_ratio is not None and not 0.0 < self.retain_ratio <= 1.0:
-            raise InvalidPlan(f"plan: retain_ratio must be in (0, 1], got {self.retain_ratio}")
+            raise EngineError(f"plan: retain_ratio must be in (0, 1], got {self.retain_ratio}")
         if not 0.0 <= self.tau <= 1.0:
-            raise InvalidPlan(f"plan: tau must be in [0, 1], got {self.tau}")
+            raise EngineError(f"plan: tau must be in [0, 1], got {self.tau}")
         if self.schedule is not None:
             if not isinstance(self.schedule, (list, tuple)) or not all(is_int(x) for x in self.schedule):
-                raise InvalidPlan(f"plan: schedule must be a list of integers, got {self.schedule!r}")
+                raise EngineError(f"plan: schedule must be a list of integers, got {self.schedule!r}")
             sched = tuple(int(x) for x in self.schedule)
+            if not sched:
+                raise EngineError("plan: schedule must list at least one layer")
             if any(b <= a for a, b in zip(sched, sched[1:])):
-                raise InvalidPlan("plan: schedule indices must be strictly increasing")
-            if sched and sched[0] < 0:
-                raise InvalidPlan("plan: schedule indices must be non-negative")
-            if self.num_layers is not None and sched and sched[-1] >= self.num_layers:
-                raise InvalidPlan("plan: schedule index beyond num_layers")
+                raise EngineError("plan: schedule indices must be strictly increasing")
+            if sched[0] < 0:
+                raise EngineError("plan: schedule indices must be non-negative")
+            if self.num_layers is not None and sched[-1] >= self.num_layers:
+                raise EngineError("plan: schedule index beyond num_layers")
             object.__setattr__(self, "schedule", sched)
 
     def to_dict(self) -> dict:
@@ -214,7 +216,7 @@ class CompressionPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "CompressionPlan":
         if not isinstance(d, dict):
-            raise InvalidPlan("plan: must be a JSON object")
+            raise EngineError("plan: must be a JSON object")
         return cls(
             retain_k=d.get("retain_k"),
             retain_ratio=d.get("retain_ratio"),
@@ -228,7 +230,7 @@ class CompressionPlan:
             return self.schedule
         if self.num_layers is not None:
             return tuple(layer_schedule(self.num_layers))
-        raise InvalidPlan("plan: neither schedule nor num_layers given; cannot derive probe layers")
+        raise EngineError("plan: neither schedule nor num_layers given; cannot derive probe layers")
 
 
 def resolve_k(plan: CompressionPlan, m: int) -> int:
@@ -237,9 +239,9 @@ def resolve_k(plan: CompressionPlan, m: int) -> int:
     Ratio resolution uses half-up rounding and is clamped to [1, m].
     """
     if m < 1:
-        raise InvalidPlan(f"resolve_k: need at least one visual token, got M={m}")
+        raise EngineError(f"resolve_k: need at least one visual token, got M={m}")
     if (plan.retain_k is None) == (plan.retain_ratio is None):
-        raise InvalidPlan("plan: exactly one of retain_k / retain_ratio must be set")
+        raise EngineError("plan: exactly one of retain_k / retain_ratio must be set")
     if plan.retain_k is not None:
         return min(plan.retain_k, m)
     return max(1, min(m, math.floor(plan.retain_ratio * m + 0.5)))
@@ -248,6 +250,6 @@ def resolve_k(plan: CompressionPlan, m: int) -> int:
 def layer_schedule(num_layers: int) -> list[int]:
     """Probe layers at fractional depths 1/2, 5/8, 6/8 and 7/8 (0-based, floored)."""
     if num_layers < 8:
-        raise TooShallow(f"layer_schedule: need at least 8 layers, got {num_layers}")
+        raise EngineError(f"layer_schedule: need at least 8 layers, got {num_layers}")
     raw = [num_layers // 2, 5 * num_layers // 8, 6 * num_layers // 8, 7 * num_layers // 8]
     return sorted(set(raw))

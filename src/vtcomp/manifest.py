@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteData, ParseError, RowSumViolation, ShapeMismatch
+from .errors import EngineError
 from .layout import CompressionPlan, InputLayout, is_int
 
 FORMAT_VERSION = 1
@@ -50,36 +50,38 @@ class ManifestData:
 def _read_payload(base: Path, entry: dict, name: str) -> np.ndarray:
     dtype = entry.get("dtype", "f32le")
     if dtype != "f32le":
-        raise ParseError(f"entry {name!r}: unsupported dtype {dtype!r} (only f32le)")
+        raise EngineError(f"entry {name!r}: unsupported dtype {dtype!r} (only f32le)")
     shape = entry.get("shape")
     if not isinstance(shape, list) or not shape or not all(is_int(x) and x >= 0 for x in shape):
-        raise ParseError(f"entry {name!r}: shape must be a non-empty list of non-negative ints")
+        raise EngineError(f"entry {name!r}: shape must be a non-empty list of non-negative ints")
     rel = entry.get("file")
     if not isinstance(rel, str):
-        raise ParseError(f"entry {name!r}: missing file path")
+        raise EngineError(f"entry {name!r}: missing file path")
+    if "\0" in rel:
+        raise EngineError(f"entry {name!r}: file {rel!r} contains a NUL byte")
     if Path(rel).is_absolute():
-        raise ParseError(f"entry {name!r}: file {rel!r} must be relative to the manifest directory")
+        raise EngineError(f"entry {name!r}: file {rel!r} must be relative to the manifest directory")
     path = base / rel
     if not path.resolve().is_relative_to(base.resolve()):
-        raise ParseError(f"entry {name!r}: file {rel!r} resolves outside the manifest directory")
+        raise EngineError(f"entry {name!r}: file {rel!r} resolves outside the manifest directory")
     if not path.is_file():
-        raise ParseError(f"entry {name!r}: file {rel!r} does not exist")
+        raise EngineError(f"entry {name!r}: file {rel!r} does not exist")
     expected = math.prod(shape) * 4
     actual = path.stat().st_size
     if actual != expected:
-        raise ShapeMismatch(
+        raise EngineError(
             f"entry {name!r}: file {rel!r} holds {actual} bytes, shape {shape} requires {expected}")
     data = np.fromfile(path, dtype="<f4").reshape(shape)
     if not np.all(np.isfinite(data)):
-        raise NonFiniteData(f"entry {name!r}: payload contains NaN/Inf")
+        raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
     return data
 
 
 def _validate_attention(a: np.ndarray, seq: int, name: str) -> None:
     if a.ndim != 2 or a.shape != (seq, seq):
-        raise ShapeMismatch(f"entry {name!r}: attention shape {a.shape} != ({seq}, {seq})")
+        raise EngineError(f"entry {name!r}: attention shape {a.shape} != ({seq}, {seq})")
     if np.any(a < 0):
-        raise RowSumViolation(f"entry {name!r}: negative attention weight")
+        raise EngineError(f"entry {name!r}: negative attention weight")
     sums = a.sum(axis=1, dtype=np.float64)
     # Fully masked rows (all exact zeros) are allowed; every other row must
     # be stochastic over its unmasked support.
@@ -87,9 +89,8 @@ def _validate_attention(a: np.ndarray, seq: int, name: str) -> None:
     bad = np.flatnonzero(unmasked & (np.abs(sums - 1.0) > ROW_SUM_TOL))
     if bad.size:
         row = int(bad[0])
-        raise RowSumViolation(
-            f"entry {name!r}: row {row} sums to {sums[row]:.6f}, expected 1 +/- {ROW_SUM_TOL}",
-            row=row)
+        raise EngineError(
+            f"entry {name!r}: row {row} sums to {sums[row]:.6f}, expected 1 +/- {ROW_SUM_TOL}")
 
 
 def load_manifest(path) -> ManifestData:
@@ -97,22 +98,22 @@ def load_manifest(path) -> ManifestData:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"manifest {path}: {e}") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise EngineError(f"manifest {path}: {e}") from None
     if not isinstance(raw, dict):
-        raise ParseError(f"manifest {path}: top level must be a JSON object")
+        raise EngineError(f"manifest {path}: top level must be a JSON object")
     version = raw.get("format_version")
     if not is_int(version) or version != FORMAT_VERSION:
-        raise ParseError(f"manifest {path}: format_version must be {FORMAT_VERSION}")
+        raise EngineError(f"manifest {path}: format_version must be {FORMAT_VERSION}")
 
     if "layout" not in raw:
-        raise ParseError(f"manifest {path}: missing layout")
+        raise EngineError(f"manifest {path}: missing layout")
     layout = InputLayout.from_dict(raw["layout"])
     plan = CompressionPlan.from_dict(raw.get("plan", {}))
 
     entries = raw.get("entries")
     if not isinstance(entries, list):
-        raise ParseError(f"manifest {path}: entries must be a list")
+        raise EngineError(f"manifest {path}: entries must be a list")
 
     base = path.parent
     singletons: dict[str, np.ndarray] = {}
@@ -120,39 +121,39 @@ def load_manifest(path) -> ManifestData:
     decode_rows: dict[int, np.ndarray] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise ParseError(f"entry #{i}: must be a JSON object")
+            raise EngineError(f"entry #{i}: must be a JSON object")
         name = entry.get("name", f"#{i}")
         role = entry.get("role")
         if role not in ROLES:
-            raise ParseError(f"entry {name!r}: unknown role {role!r}")
+            raise EngineError(f"entry {name!r}: unknown role {role!r}")
         data = _read_payload(base, entry, name)
 
         if role in _LAYERED_ROLES:
             layer = entry.get("layer")
             if not is_int(layer):
-                raise ParseError(f"entry {name!r}: role {role} requires an integer layer")
+                raise EngineError(f"entry {name!r}: role {role} requires an integer layer")
             target = attention_layers if role == "attention_layer_k" else decode_rows
             if layer in target:
-                raise ParseError(f"entry {name!r}: duplicate {role} for layer {layer}")
+                raise EngineError(f"entry {name!r}: duplicate {role} for layer {layer}")
             if role == "attention_layer_k":
                 _validate_attention(data, layout.seq_len, name)
             elif data.ndim != 2 or data.shape[1] < layout.seq_len:
-                raise ShapeMismatch(
+                raise EngineError(
                     f"entry {name!r}: decode rows shape {data.shape} narrower than prompt "
                     f"length {layout.seq_len}")
             target[layer] = data
         else:
             if role in singletons:
-                raise ParseError(f"entry {name!r}: duplicate role {role!r}")
+                raise EngineError(f"entry {name!r}: duplicate role {role!r}")
             singletons[role] = data
 
     visual = singletons.get("visual_embeddings")
     if visual is None:
-        raise ParseError(f"manifest {path}: no visual_embeddings entry")
+        raise EngineError(f"manifest {path}: no visual_embeddings entry")
     if visual.ndim != 2:
-        raise ShapeMismatch(f"visual_embeddings: expected 2-D matrix, got shape {visual.shape}")
+        raise EngineError(f"visual_embeddings: expected 2-D matrix, got shape {visual.shape}")
     if visual.shape[0] != layout.visual_len:
-        raise ShapeMismatch(
+        raise EngineError(
             f"visual_embeddings: {visual.shape[0]} rows but layout declares M={layout.visual_len}")
 
     d = visual.shape[1]
@@ -160,11 +161,11 @@ def load_manifest(path) -> ManifestData:
     if cls_vector is not None:
         cls_vector = cls_vector.reshape(-1)
         if cls_vector.shape[0] != d:
-            raise ShapeMismatch(f"cls_vector: length {cls_vector.shape[0]} != token width {d}")
+            raise EngineError(f"cls_vector: length {cls_vector.shape[0]} != token width {d}")
     for role in ("wq", "wk"):
         w = singletons.get(role)
         if w is not None and w.shape != (d, d):
-            raise ShapeMismatch(f"{role}: shape {w.shape} != ({d}, {d})")
+            raise EngineError(f"{role}: shape {w.shape} != ({d}, {d})")
 
     return ManifestData(
         visual_embeddings=visual,

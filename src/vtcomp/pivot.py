@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyThumbnail, ShapeMismatch
+from .errors import EngineError
 from .layout import KIND_ANYRES, KIND_VIDEO, InputLayout
 from .tensors import softmax_row
 
@@ -36,12 +36,12 @@ def cls_attention(
 
     d = z_cls.shape[0]
     if z_v.ndim != 2 or z_v.shape[1] != d:
-        raise ShapeMismatch(f"cls_attention: visual matrix shape {z_v.shape} incompatible with d={d}")
+        raise EngineError(f"cls_attention: visual matrix shape {z_v.shape} incompatible with d={d}")
     if w_q.shape != (d, d) or w_k.shape != (d, d):
-        raise ShapeMismatch(f"cls_attention: projection shapes {w_q.shape}/{w_k.shape} must be ({d}, {d})")
+        raise EngineError(f"cls_attention: projection shapes {w_q.shape}/{w_k.shape} must be ({d}, {d})")
     n = z_v.shape[0]
     if layout is not None and n != layout.visual_len:
-        raise ShapeMismatch(f"cls_attention: {n} visual rows but layout declares M={layout.visual_len}")
+        raise EngineError(f"cls_attention: {n} visual rows but layout declares M={layout.visual_len}")
 
     # Each operand is cast to float64 only at its own product, so at most
     # one d x d float64 copy is alive at a time.
@@ -68,17 +68,17 @@ def select_pivot(scores: np.ndarray, layout: InputLayout) -> int:
     if layout.kind == KIND_VIDEO:
         f, t = layout.frames, layout.tokens_per_frame
         if scores.shape != (f, t):
-            raise ShapeMismatch(
+            raise EngineError(
                 f"select_pivot: scores shape {scores.shape} != (frames, tokens_per_frame) = ({f}, {t})")
         # Row-major flat argmax yields a*t + b with lowest-index tie-break.
         return int(np.argmax(scores))
 
     scores = scores.reshape(-1)
     if scores.shape[0] != m:
-        raise ShapeMismatch(f"select_pivot: {scores.shape[0]} scores for M={m} visual tokens")
+        raise EngineError(f"select_pivot: {scores.shape[0]} scores for M={m} visual tokens")
     if layout.kind == KIND_ANYRES:
         a, b = layout.thumbnail_range
         if b <= a:
-            raise EmptyThumbnail("select_pivot: anyres thumbnail range is empty")
+            raise EngineError("select_pivot: anyres thumbnail range is empty")
         return a + int(np.argmax(scores[a:b]))
     return int(np.argmax(scores))

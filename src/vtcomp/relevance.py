@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPartition, MissingLayer, NoDecodeRows, ShapeMismatch
+from .errors import EngineError
 from .layout import InputLayout
 
 
@@ -38,16 +38,16 @@ def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
     which is the whole row-block because the three ranges tile the prompt.
     Sums accumulate in float64 without copying the matrix. A row-block with
     no attention mass (every row masked) has no ratio and raises
-    EmptyPartition rather than reading as 0, which would pass any tau.
+    EngineError rather than reading as 0, which would pass any tau.
     """
     a = np.asarray(a)
     seq = layout.seq_len
     if a.ndim != 2 or a.shape != (seq, seq):
-        raise ShapeMismatch(f"attention_ratios: matrix shape {a.shape} != ({seq}, {seq})")
+        raise EngineError(f"attention_ratios: matrix shape {a.shape} != ({seq}, {seq})")
     if layout.text_len == 0:
-        raise EmptyPartition("attention_ratios: text partition is empty")
+        raise EngineError("attention_ratios: text partition is empty")
     if layout.visual_len == 0:
-        raise EmptyPartition("attention_ratios: visual partition is empty")
+        raise EngineError("attention_ratios: visual partition is empty")
 
     v0, v1 = layout.visual_range
     t0, t1 = layout.text_range
@@ -60,9 +60,9 @@ def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
     v_total = visual_rows.sum(dtype=np.float64)
 
     if not t_total > 0:
-        raise EmptyPartition("attention_ratios: text rows carry no attention mass (all masked)")
+        raise EngineError("attention_ratios: text rows carry no attention mass (all masked)")
     if not v_total > 0:
-        raise EmptyPartition("attention_ratios: visual rows carry no attention mass (all masked)")
+        raise EngineError("attention_ratios: visual rows carry no attention mass (all masked)")
     return float(t_to_v / t_total), float(v_to_t / v_total)
 
 
@@ -80,15 +80,14 @@ def decide_drop_layer(
     ordered = sorted(int(x) for x in schedule)
     for layer in ordered:
         if layer not in layers:
-            raise MissingLayer(f"decide_drop_layer: no attention matrix for scheduled layer {layer}",
-                               layer=layer)
+            raise EngineError(f"decide_drop_layer: no attention matrix for scheduled layer {layer}")
     probed: list[tuple[int, float, float]] = []
     drop_layer = None
     for layer in ordered:
         try:
             alpha_tv, alpha_vt = attention_ratios(layers[layer], layout)
-        except EmptyPartition as e:
-            raise EmptyPartition(f"decide_drop_layer: layer {layer}: {e}") from None
+        except EngineError as e:
+            raise EngineError(f"decide_drop_layer: layer {layer}: {e}") from None
         probed.append((layer, alpha_tv, alpha_vt))
         if alpha_tv < tau and alpha_vt < tau:
             drop_layer = layer
@@ -105,7 +104,7 @@ def decoding_attention_report(decode_rows: dict[int, np.ndarray], layout: InputL
     previously generated keys, so the three fractions sum to <= 1.
     """
     if not decode_rows:
-        raise NoDecodeRows("decoding_attention_report: no decode rows given")
+        raise EngineError("decoding_attention_report: no decode rows given")
     seq = layout.seq_len
     s0, s1 = layout.system_range
     v0, v1 = layout.visual_range
@@ -117,7 +116,7 @@ def decoding_attention_report(decode_rows: dict[int, np.ndarray], layout: InputL
         if rows.ndim == 1:
             rows = rows[None, :]
         if rows.shape[1] < seq:
-            raise ShapeMismatch(
+            raise EngineError(
                 f"decoding_attention_report: layer {layer} rows of width {rows.shape[1]} "
                 f"shorter than prompt length {seq}")
         report.append({

@@ -14,6 +14,7 @@ from typing import Any
 
 from . import __version__
 from .costmodel import FlopsReport
+from .errors import InternalInvariant
 from .kcenter import RetentionSet
 from .relevance import PruneDecision
 
@@ -46,7 +47,7 @@ def _render(value: Any, out: list[str]) -> None:
             _render(v, out)
         out.append("]")
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        raise InternalInvariant(f"cannot serialize {type(value).__name__}")
 
 
 def canonical_json(obj: Any) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateVector, NonFiniteData, ShapeMismatch
+from .errors import EngineError
 
 # Norms at or below this are treated as degenerate (true zero vectors at
 # 32-bit scale, as opposed to merely small embeddings).
@@ -26,9 +26,7 @@ def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", m64, m64))
     bad = np.flatnonzero(norms <= NORM_EPS)
     if bad.size:
-        raise DegenerateVector(
-            f"{name}: row {int(bad[0])} has near-zero norm", index=int(bad[0])
-        )
+        raise EngineError(f"{name}: row {int(bad[0])} has near-zero norm")
     m64 /= norms[:, None]
     return m64
 
@@ -37,9 +35,9 @@ def softmax_row(scores: np.ndarray) -> np.ndarray:
     """Numerically safe softmax (max-subtraction) over a 1-D score vector."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     if s.size < 1:
-        raise ShapeMismatch("softmax_row: empty score vector")
+        raise EngineError("softmax_row: empty score vector")
     if not np.all(np.isfinite(s)):
-        raise NonFiniteData("softmax_row: non-finite scores")
+        raise EngineError("softmax_row: non-finite scores")
     e = np.exp(s - s.max())
     out = e / e.sum()
     return out.astype(np.float32)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector, InvalidPlan, OrthogonalityViolated
+from .errors import EngineError
 from .tensors import NORM_EPS
 
 ORTHO_TOL = 1e-10
@@ -37,11 +37,13 @@ class LemmaTrial:
 
     def __post_init__(self):
         if self.n_visual < 2 or self.n_text < 1:
-            raise InvalidPlan("LemmaTrial: need n_visual >= 2 and n_text >= 1")
+            raise EngineError("LemmaTrial: need n_visual >= 2 and n_text >= 1")
+        if self.visual_subdim < 1 or self.text_subdim < 1:
+            raise EngineError("LemmaTrial: need visual_subdim >= 1 and text_subdim >= 1")
         if self.visual_subdim + self.text_subdim > self.ambient_dim:
-            raise InvalidPlan("LemmaTrial: sub-space dims exceed ambient dimension")
+            raise EngineError("LemmaTrial: sub-space dims exceed ambient dimension")
         if self.kernel not in KERNELS:
-            raise InvalidPlan(f"LemmaTrial: kernel must be one of {KERNELS}")
+            raise EngineError(f"LemmaTrial: kernel must be one of {KERNELS}")
 
 
 def make_orthogonal_bases(rng: np.random.Generator, ambient_dim: int,
@@ -57,10 +59,10 @@ def check_orthogonality(w_v: np.ndarray, w_t: np.ndarray) -> None:
     for name, w in (("W_V", w_v), ("W_T", w_t)):
         gram = w.T @ w
         if np.max(np.abs(gram - np.eye(w.shape[1]))) > ORTHO_TOL:
-            raise OrthogonalityViolated(f"{name} is not column-orthonormal within {ORTHO_TOL}")
+            raise EngineError(f"{name} is not column-orthonormal within {ORTHO_TOL}")
     cross = np.max(np.abs(w_v.T @ w_t))
     if cross > ORTHO_TOL:
-        raise OrthogonalityViolated(
+        raise EngineError(
             f"bases are not mutually orthogonal: max |W_V^T W_T| = {cross:.3e}")
 
 
@@ -73,7 +75,7 @@ def _kernel(cos: np.ndarray, kernel: str) -> np.ndarray:
 def _normalize(rows: np.ndarray, what: str) -> np.ndarray:
     norms = np.sqrt(np.einsum("...ij,...ij->...i", rows, rows))
     if np.any(norms <= NORM_EPS):
-        raise DegenerateVector(f"{what}: projection collapsed a token to near-zero norm")
+        raise EngineError(f"{what}: projection collapsed a token to near-zero norm")
     return rows / norms[..., None]
 
 
@@ -99,7 +101,7 @@ def diversity_measure(v: np.ndarray, w_v: np.ndarray, kernel: str = "cosine") ->
     """Mean pairwise kernel over projected tokens, diagonal excluded."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape[0] < 2:
-        raise InvalidPlan("diversity_measure: need at least two tokens")
+        raise EngineError("diversity_measure: need at least two tokens")
     return float(_diversity_batch(v[None], w_v, kernel)[0])
 
 
@@ -109,7 +111,7 @@ def cross_redundancy_measure(v: np.ndarray, t_tokens: np.ndarray,
     v = np.asarray(v, dtype=np.float64)
     t_tokens = np.asarray(t_tokens, dtype=np.float64)
     if v.shape[0] < 1 or t_tokens.shape[0] < 1:
-        raise InvalidPlan("cross_redundancy_measure: need at least one token per side")
+        raise EngineError("cross_redundancy_measure: need at least one token per side")
     return float(_redundancy_batch(v[None], t_tokens[None], w_t, kernel)[0])
 
 
@@ -129,17 +131,17 @@ def covariance_experiment(
     projected coordinates.
     """
     if num_trials < 100:
-        raise InvalidPlan(f"covariance_experiment: need >= 100 trials, got {num_trials}")
+        raise EngineError(f"covariance_experiment: need >= 100 trials, got {num_trials}")
     if bootstrap_resamples < 2:
-        raise InvalidPlan("covariance_experiment: need >= 2 bootstrap resamples")
+        raise EngineError("covariance_experiment: need >= 2 bootstrap resamples")
 
     rng = np.random.default_rng(trial.seed)
     w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.visual_subdim, trial.text_subdim)
     if negative_control:
         if trial.text_subdim != trial.visual_subdim:
-            raise InvalidPlan("negative control requires matching sub-space dims")
+            raise EngineError("negative control requires matching sub-space dims")
         if trial.n_text > trial.n_visual:
-            raise InvalidPlan("negative control requires n_text <= n_visual")
+            raise EngineError("negative control requires n_text <= n_visual")
         w_t = w_v
     else:
         check_orthogonality(w_v, w_t)

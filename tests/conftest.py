@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vtcomp.errors import DegenerateVector, ShapeMismatch
+from vtcomp.errors import EngineError
 from vtcomp.manifest import write_tensor
 from vtcomp.tensors import NORM_EPS
 
@@ -13,18 +13,18 @@ def cosine_similarity(a, b) -> float:
     """Cosine similarity of two vectors, clamped to [-1, 1]: the one-pair
     oracle for the engine's batched similarity code.
 
-    Raises DegenerateVector if either norm is <= NORM_EPS.
+    Raises EngineError if either norm is <= NORM_EPS.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
-        raise ShapeMismatch(f"cosine_similarity: dims differ ({a.shape[0]} vs {b.shape[0]})")
+        raise EngineError(f"cosine_similarity: dims differ ({a.shape[0]} vs {b.shape[0]})")
     na = float(np.sqrt(np.dot(a, a)))
     nb = float(np.sqrt(np.dot(b, b)))
     if na <= NORM_EPS:
-        raise DegenerateVector("cosine_similarity: first argument has near-zero norm")
+        raise EngineError("cosine_similarity: first argument has near-zero norm")
     if nb <= NORM_EPS:
-        raise DegenerateVector("cosine_similarity: second argument has near-zero norm")
+        raise EngineError("cosine_similarity: second argument has near-zero norm")
     val = np.dot(a, b) / (na * nb)
     return float(np.float32(min(1.0, max(-1.0, val))))
 

@@ -274,6 +274,11 @@ def _layer_one_as_bool(manifest):
     entry["layer"] = True
 
 
+def _visual_file_with_nul(manifest):
+    entry = next(e for e in manifest["entries"] if e["name"] == "visual")
+    entry["file"] = "visual\u0000.bin"
+
+
 @pytest.mark.parametrize("mutate, named", [
     (_set("plan", "retain_ratio", "0.5"), "retain_ratio"),
     (_set("plan", "tau", "0.1"), "tau"),
@@ -286,8 +291,11 @@ def _layer_one_as_bool(manifest):
     (_set("layout", "system_range", [0, 2.5]), "system_range"),
     (_layer_one_as_bool, "layer"),
     (lambda manifest: manifest.update(format_version=True), "format_version"),
+    (_visual_file_with_nul, "'visual'"),
+    (_set("plan", "schedule", []), "schedule"),
 ], ids=["ratio-str", "tau-str", "k-str", "k-float", "schedule-float", "range-str",
-        "range-short", "range-scalar", "range-float", "layer-bool", "version-bool"])
+        "range-short", "range-scalar", "range-float", "layer-bool", "version-bool",
+        "file-nul", "schedule-empty"])
 def test_malformed_manifest_types_exit_3(tmp_path, rng, capsys, mutate, named):
     layout = small_layout()
     attention = {layer: block_weighted_attention(rng, layout, 1e-4) for layer in (1, 5, 6, 7)}
@@ -308,6 +316,41 @@ def test_json_only_commands_reject_report_flag(command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--report", "csv"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["flops"],
+    ["oracle-check", "--instances", "2", "--max-n", "4"],
+], ids=["flops", "oracle-check"])
+def test_unwritable_out_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "r.json"
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"error: --out {out}: No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--instances", "0"), ("--instances", "-1"),
+    ("--max-n", "1"), ("--max-n", "513"), ("--max-d", "1"),
+])
+def test_oracle_check_bounds_exit_3(capsys, flag, value):
+    code = main(["oracle-check", flag, value])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"error: {flag} must be" in captured.err and f"got {value}" in captured.err
+
+
+@pytest.mark.parametrize("subspace", ["0", "-1"])
+def test_verify_lemma_empty_subspace_exits_3(capsys, subspace):
+    code = main(["verify-lemma", "--subspace", subspace, "--trials", "100", "--bootstrap", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: LemmaTrial: need visual_subdim >= 1 and text_subdim >= 1" in captured.err
 
 
 def test_oracle_check_reports_are_byte_identical(tmp_path):

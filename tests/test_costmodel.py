@@ -8,7 +8,7 @@ from vtcomp.costmodel import (
     preset_configs,
     stage_ratio_report,
 )
-from vtcomp.errors import InvalidPlan
+from vtcomp.errors import EngineError
 
 
 def decode_loop_sum(cfg):
@@ -104,14 +104,14 @@ def test_savings_fraction_monotone():
 
 def test_savings_bounds_checked():
     enc, llm = preset_configs("llava-next-7b", seq_len=3000)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match=r"reduced length 0 outside \[1, 3000\]"):
         stage_ratio_report(enc, llm, reduced_seq_len=0)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match=r"reduced length 3001 outside \[1, 3000\]"):
         stage_ratio_report(enc, llm, reduced_seq_len=3001)
 
 
 def test_unknown_preset():
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="unknown preset 'nope'"):
         preset_configs("nope")
 
 
@@ -123,7 +123,7 @@ def test_presets_are_overridable():
 
 
 def test_stage_config_validation():
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="StageConfig: non-positive dimension"):
         StageConfig(0, 1, 1, 1)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="StageConfig: non-positive dimension"):
         StageConfig(1, 1, 1, 1, out_len=-1)

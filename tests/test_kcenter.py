@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vtcomp.errors import InstanceTooLarge, InvalidK
+from vtcomp.errors import EngineError
 from vtcomp.kcenter import (
     covering_radius,
     greedy_kcenter,
@@ -38,17 +38,17 @@ def test_all_identical_lowest_index_ties():
 
 def test_invalid_k(rng):
     v = rng.standard_normal((4, 2)).astype(np.float32)
-    with pytest.raises(InvalidK):
+    with pytest.raises(EngineError, match=r"^k=0 outside \[1, 4\]$"):
         greedy_kcenter(v, 0, 0)
-    with pytest.raises(InvalidK):
+    with pytest.raises(EngineError, match=r"^k=5 outside \[1, 4\]$"):
         greedy_kcenter(v, 0, 5)
-    with pytest.raises(InvalidK):
+    with pytest.raises(EngineError, match=r"^pivot index 7 outside \[0, 4\)$"):
         greedy_kcenter(v, 7, 2)
 
 
 def test_oracle_guard():
     v = np.ones((513, 2), dtype=np.float32)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(EngineError, match="oracle_greedy: n=513 exceeds guard 512"):
         oracle_greedy(v, 0, 2)
 
 
@@ -115,9 +115,9 @@ def test_optimal_radius_square_on_circle():
 
 def test_optimal_radius_guard():
     v = np.ones((13, 2), dtype=np.float32)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(EngineError, match="optimal_kcenter_radius: n=13, k=2 exceeds guard"):
         optimal_kcenter_radius(v, 2)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(EngineError, match="optimal_kcenter_radius: n=10, k=6 exceeds guard"):
         optimal_kcenter_radius(np.ones((10, 2), dtype=np.float32), 6)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from vtcomp.errors import InvalidPlan, ParseError, TooShallow
+from vtcomp.errors import EngineError
 from vtcomp.layout import CompressionPlan, InputLayout, layer_schedule, resolve_k
 
 
@@ -16,9 +16,9 @@ def test_lengths():
 
 
 def test_ranges_must_tile():
-    with pytest.raises(ParseError):
+    with pytest.raises(EngineError, match=r"tile the sequence without gaps or overlap \(break at position 11\)"):
         make_layout(text_range=(11, 14))
-    with pytest.raises(ParseError):
+    with pytest.raises(EngineError, match=r"tile the sequence without gaps or overlap \(break at position 10\)"):
         make_layout(visual_range=(2, 11))
 
 
@@ -30,16 +30,16 @@ def test_text_before_visual_is_allowed():
 def test_anyres_structure():
     lo = make_layout(kind="anyres", thumbnail_range=(0, 4), crop_ranges=((4, 8),))
     assert lo.thumbnail_range == (0, 4)
-    with pytest.raises(ParseError):
+    with pytest.raises(EngineError, match=r"thumbnail and crop ranges must tile the visual tokens \(break at 5\)"):
         make_layout(kind="anyres", thumbnail_range=(0, 4), crop_ranges=((5, 8),))
-    with pytest.raises(ParseError):
+    with pytest.raises(EngineError, match="anyres requires thumbnail_range and a list of crop_ranges"):
         make_layout(kind="anyres")
 
 
 def test_video_structure():
     lo = make_layout(kind="video", frames=2, tokens_per_frame=4)
     assert lo.frames * lo.tokens_per_frame == lo.visual_len
-    with pytest.raises(ParseError):
+    with pytest.raises(EngineError, match=r"frames\*tokens_per_frame = 9 != visual count 8"):
         make_layout(kind="video", frames=3, tokens_per_frame=3)
 
 
@@ -74,9 +74,9 @@ def test_resolve_k_bounds_property():
 
 
 def test_resolve_k_requires_exactly_one():
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="exactly one of retain_k / retain_ratio must be set"):
         resolve_k(CompressionPlan(), 10)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="exactly one of retain_k / retain_ratio must be set"):
         resolve_k(CompressionPlan(retain_k=2, retain_ratio=0.5), 10)
 
 
@@ -87,7 +87,7 @@ def test_layer_schedule_values():
 
 
 def test_layer_schedule_too_shallow():
-    with pytest.raises(TooShallow):
+    with pytest.raises(EngineError, match="layer_schedule: need at least 8 layers, got 7"):
         layer_schedule(7)
 
 
@@ -100,15 +100,15 @@ def test_layer_schedule_second_half():
 
 
 def test_plan_validation():
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="plan: retain_k must be >= 1, got 0"):
         CompressionPlan(retain_k=0)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match=r"plan: retain_ratio must be in \(0, 1\], got 1.5"):
         CompressionPlan(retain_ratio=1.5)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match=r"plan: tau must be in \[0, 1\], got 1.2"):
         CompressionPlan(tau=1.2)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="plan: schedule indices must be strictly increasing"):
         CompressionPlan(schedule=(4, 4, 8))
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="plan: schedule index beyond num_layers"):
         CompressionPlan(schedule=(4, 40), num_layers=32)
 
 

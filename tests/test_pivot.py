@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vtcomp.errors import EmptyThumbnail, ShapeMismatch
+from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
 from vtcomp.pivot import cls_attention, select_pivot
 
@@ -72,7 +72,7 @@ def test_cls_attention_matches_key_matrix_product(rng):
 
 
 def test_cls_attention_dim_mismatch(rng):
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(EngineError, match=r"cls_attention: visual matrix shape \(4, 4\) incompatible with d=3"):
         cls_attention(rng.standard_normal(3), rng.standard_normal((4, 4)),
                       rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
 
@@ -103,7 +103,7 @@ def test_select_pivot_anyres_restricted_to_thumbnail():
 
 def test_select_pivot_empty_thumbnail():
     lo = image_layout(8, kind="anyres", thumbnail_range=(0, 0), crop_ranges=((0, 8),))
-    with pytest.raises(EmptyThumbnail):
+    with pytest.raises(EngineError, match="select_pivot: anyres thumbnail range is empty"):
         select_pivot(np.full(8, 0.125), lo)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vtcomp.errors import EmptyPartition, MissingLayer, NoDecodeRows
+from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
 from vtcomp.relevance import attention_ratios, decide_drop_layer, decoding_attention_report
 
@@ -70,7 +70,7 @@ def test_denominator_equals_partition_size(rng):
 
 def test_empty_partition():
     lo = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 4), text_range=(4, 4))
-    with pytest.raises(EmptyPartition):
+    with pytest.raises(EngineError, match="attention_ratios: text partition is empty"):
         attention_ratios(np.full((4, 4), 0.25), lo)
 
 
@@ -78,11 +78,11 @@ def test_fully_masked_block_raises():
     lo = layout_for(1, 2, 1)
     a = np.full((4, 4), 0.25)
     a[3] = 0.0  # the only text row is masked
-    with pytest.raises(EmptyPartition, match="text rows"):
+    with pytest.raises(EngineError, match="^attention_ratios: text rows carry no attention mass"):
         attention_ratios(a, lo)
     b = np.full((4, 4), 0.25)
     b[1:3] = 0.0  # both visual rows are masked
-    with pytest.raises(EmptyPartition, match="visual rows"):
+    with pytest.raises(EngineError, match="^attention_ratios: visual rows carry no attention mass"):
         attention_ratios(b, lo)
 
 
@@ -117,7 +117,7 @@ def test_no_drop_when_conjunction_fails():
 def test_missing_layer(rng):
     lo = layout_for(1, 2, 1)
     layers = make_layers(rng, lo, [4, 6])
-    with pytest.raises(MissingLayer):
+    with pytest.raises(EngineError, match="no attention matrix for scheduled layer 5"):
         decide_drop_layer(layers, lo, [4, 5, 6], tau=0.03)
 
 
@@ -127,7 +127,7 @@ def test_masked_probe_raises_naming_layer(rng):
     t0, t1 = lo.text_range
     layers[5][t0:t1] = 0.0
     # tau=0 never drops, so probing reaches layer 5 instead of stopping at 2.
-    with pytest.raises(EmptyPartition, match="layer 5: .*text rows"):
+    with pytest.raises(EngineError, match="^decide_drop_layer: layer 5: attention_ratios: text rows carry no attention mass"):
         decide_drop_layer(layers, lo, [2, 5, 7], tau=0.0)
 
 
@@ -197,5 +197,5 @@ def test_decode_report_deep_layer_visual_fraction(rng):
 
 def test_decode_report_requires_rows():
     lo = layout_for(1, 2, 1)
-    with pytest.raises(NoDecodeRows):
+    with pytest.raises(EngineError, match="decoding_attention_report: no decode rows given"):
         decoding_attention_report({}, lo)

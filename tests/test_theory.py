@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import cosine_similarity
-from vtcomp.errors import InvalidPlan, OrthogonalityViolated
+from vtcomp.errors import EngineError
 from vtcomp.theory import (
     LemmaTrial,
     check_orthogonality,
@@ -21,7 +21,7 @@ def test_bases_satisfy_invariants(rng):
 
 def test_orthogonality_check_rejects_shared_basis(rng):
     w_v, _ = make_orthogonal_bases(rng, 8, 3, 3)
-    with pytest.raises(OrthogonalityViolated):
+    with pytest.raises(EngineError, match="bases are not mutually orthogonal"):
         check_orthogonality(w_v, w_v)
 
 
@@ -120,9 +120,13 @@ def test_standard_error_shrinks_with_trials():
 
 
 def test_trial_guards():
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="need n_visual >= 2 and n_text >= 1"):
         LemmaTrial(n_visual=1)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="sub-space dims exceed ambient dimension"):
         LemmaTrial(ambient_dim=4, visual_subdim=3, text_subdim=3)
-    with pytest.raises(InvalidPlan):
+    with pytest.raises(EngineError, match="need visual_subdim >= 1 and text_subdim >= 1"):
+        LemmaTrial(visual_subdim=0)
+    with pytest.raises(EngineError, match="need visual_subdim >= 1 and text_subdim >= 1"):
+        LemmaTrial(text_subdim=-1)
+    with pytest.raises(EngineError, match="need >= 100 trials, got 50"):
         covariance_experiment(LemmaTrial(), 50)
