@@ -8,8 +8,9 @@ Subcommands:
   verify-lemma  Monte Carlo covariance check of the orthogonality lemma
   oracle-check  greedy k-center vs. brute-force oracle over random instances
 
-Exit codes: 0 success, 2 usage error, 3 data validation error (EngineError),
-4 internal invariant violation (InternalInvariant).
+Exit codes: 0 success, 2 usage error, 3 data validation error (EngineError)
+or a request too large for memory, 4 internal invariant violation
+(InternalInvariant).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .report import build_run_report, canonical_json, report_to_csv
 from .theory import LemmaTrial, covariance_experiment
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
@@ -139,7 +139,7 @@ def cmd_pipeline(args) -> int:
 
     warnings: list[str] = []
     decision = None
-    if md.has_stage2_inputs():
+    if md.attention_layers:
         decision = _run_stage2(md, plan)
     else:
         warnings.append("stage 2 skipped: manifest carries no attention_layer_k entries")
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except EngineError as e:
         print(f"vtcomp {args.command}: error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as e:
+        print(f"vtcomp {args.command}: error: out of memory: {e}", file=sys.stderr)
         return EXIT_DATA
     except InternalInvariant as e:
         print(f"vtcomp {args.command}: internal invariant violated: {e}", file=sys.stderr)

@@ -5,8 +5,8 @@ ratios and savings are the only floating-point outputs. Architecture
 presets are shipped inputs, not hard-coded truths: the published stage
 ratios pin down an effective encoder cost that standard per-crop ViT-L/14
 accounting does not reproduce, so the headline presets carry an effective
-encoder sequence length (804) calibrated to those ratios, while the plain
-per-crop encoder (577 tokens) remains available as its own preset.
+encoder sequence length (804) calibrated to those ratios; the plain
+per-crop encoder (577 tokens) is reached with ``flops --enc-n 577``.
 """
 
 from __future__ import annotations
@@ -101,16 +101,10 @@ def stage_ratio_report(
     )
 
 
-# Effective encoder sequence length that reproduces the published
-# encoding:prefilling:decoding ratios for both the 7B and 13B stacks.
-# Standard per-crop ViT-L/14-336 accounting (577 tokens) does not.
-_EFFECTIVE_ENCODER_SEQ = 804
-
-ENCODER_PRESETS: dict[str, StageConfig] = {
-    "clip-vit-l-14-336": StageConfig(layers=24, hidden=1024, ffn=4096, seq_len=577),
-    "clip-vit-l-14-336-effective": StageConfig(layers=24, hidden=1024, ffn=4096,
-                                               seq_len=_EFFECTIVE_ENCODER_SEQ),
-}
+# CLIP ViT-L/14-336 with the effective sequence length (804) that
+# reproduces the published encoding:prefilling:decoding ratios for both the
+# 7B and 13B stacks. Standard per-crop accounting (577 tokens) does not.
+EFFECTIVE_ENCODER = StageConfig(layers=24, hidden=1024, ffn=4096, seq_len=804)
 
 LLM_PRESETS: dict[str, StageConfig] = {
     "vicuna-7b": StageConfig(layers=32, hidden=4096, ffn=11008, seq_len=3000, out_len=20),
@@ -119,8 +113,8 @@ LLM_PRESETS: dict[str, StageConfig] = {
 
 # Headline presets pair the effective encoder with each LLM stack.
 MODEL_PRESETS: dict[str, tuple[StageConfig, StageConfig]] = {
-    "llava-next-7b": (ENCODER_PRESETS["clip-vit-l-14-336-effective"], LLM_PRESETS["vicuna-7b"]),
-    "llava-next-13b": (ENCODER_PRESETS["clip-vit-l-14-336-effective"], LLM_PRESETS["vicuna-13b"]),
+    "llava-next-7b": (EFFECTIVE_ENCODER, LLM_PRESETS["vicuna-7b"]),
+    "llava-next-13b": (EFFECTIVE_ENCODER, LLM_PRESETS["vicuna-13b"]),
 }
 
 

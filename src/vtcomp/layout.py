@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EngineError
 
@@ -45,6 +45,18 @@ def _length(r: Range) -> int:
     return r[1] - r[0]
 
 
+def _tile_end(spans, message: str) -> int:
+    """End of ``spans`` laid end to end from 0 in sorted order. Raises
+    ``message`` formatted with the start of the first span that leaves a
+    gap or overlaps."""
+    pos = 0
+    for start, stop in sorted(spans):
+        if start != pos:
+            raise EngineError(message.format(start))
+        pos = stop
+    return pos
+
+
 @dataclass(frozen=True)
 class InputLayout:
     kind: str
@@ -68,16 +80,8 @@ class InputLayout:
             object.__setattr__(self, name, r)
 
         # The three partitions must tile [0, L+M+N) exactly, in any order.
-        total = sum(_length(r) for r in ranges.values())
-        spans = sorted(ranges.values())
-        pos = 0
-        for start, stop in spans:
-            if start != pos:
-                raise EngineError("layout: system/visual/text ranges must tile the sequence "
-                                 f"without gaps or overlap (break at position {start})")
-            pos = stop
-        if pos != total:
-            raise EngineError("layout: ranges do not cover the sequence exactly")
+        _tile_end(ranges.values(), "layout: system/visual/text ranges must tile the sequence "
+                                   "without gaps or overlap (break at position {})")
 
         m = self.visual_len
         if self.kind == KIND_ANYRES:
@@ -87,13 +91,8 @@ class InputLayout:
             crops = tuple(_check_range(c, "crop_ranges") for c in self.crop_ranges)
             object.__setattr__(self, "thumbnail_range", thumb)
             object.__setattr__(self, "crop_ranges", crops)
-            pieces = sorted([thumb, *crops])
-            pos = 0
-            for start, stop in pieces:
-                if start != pos:
-                    raise EngineError("layout: thumbnail and crop ranges must tile the "
-                                     f"visual tokens (break at {start})")
-                pos = stop
+            pos = _tile_end([thumb, *crops], "layout: thumbnail and crop ranges must tile the "
+                                             "visual tokens (break at {})")
             if pos != m:
                 raise EngineError(f"layout: thumbnail/crop ranges cover {pos} of {m} visual tokens")
         elif self.kind == KIND_VIDEO:
@@ -118,21 +117,6 @@ class InputLayout:
     @property
     def seq_len(self) -> int:
         return self.system_len + self.visual_len + self.text_len
-
-    def to_dict(self) -> dict:
-        d: dict = {
-            "kind": self.kind,
-            "system_range": list(self.system_range),
-            "visual_range": list(self.visual_range),
-            "text_range": list(self.text_range),
-        }
-        if self.kind == KIND_ANYRES:
-            d["thumbnail_range"] = list(self.thumbnail_range)
-            d["crop_ranges"] = [list(c) for c in self.crop_ranges]
-        elif self.kind == KIND_VIDEO:
-            d["frames"] = self.frames
-            d["tokens_per_frame"] = self.tokens_per_frame
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputLayout":

@@ -43,9 +43,6 @@ class ManifestData:
     def has_stage1_inputs(self) -> bool:
         return self.cls_vector is not None and self.wq is not None and self.wk is not None
 
-    def has_stage2_inputs(self) -> bool:
-        return bool(self.attention_layers)
-
 
 def _read_payload(base: Path, entry: dict, name: str) -> np.ndarray:
     dtype = entry.get("dtype", "f32le")
@@ -98,7 +95,7 @@ def load_manifest(path) -> ManifestData:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise EngineError(f"manifest {path}: {e}") from None
     if not isinstance(raw, dict):
         raise EngineError(f"manifest {path}: top level must be a JSON object")

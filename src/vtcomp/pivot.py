@@ -22,7 +22,7 @@ def cls_attention(
     z_v: np.ndarray,
     w_q: np.ndarray,
     w_k: np.ndarray,
-    layout: InputLayout | None = None,
+    layout: InputLayout,
 ) -> np.ndarray:
     """Scaled dot-product attention from the [CLS] token to all visual tokens.
 
@@ -40,7 +40,7 @@ def cls_attention(
     if w_q.shape != (d, d) or w_k.shape != (d, d):
         raise EngineError(f"cls_attention: projection shapes {w_q.shape}/{w_k.shape} must be ({d}, {d})")
     n = z_v.shape[0]
-    if layout is not None and n != layout.visual_len:
+    if n != layout.visual_len:
         raise EngineError(f"cls_attention: {n} visual rows but layout declares M={layout.visual_len}")
 
     # Each operand is cast to float64 only at its own product, so at most
@@ -49,7 +49,7 @@ def cls_attention(
     kq = np.asarray(w_k, dtype=np.float64) @ q
     logits = (np.asarray(z_v, dtype=np.float64) @ kq) / np.sqrt(d)
 
-    if layout is not None and layout.kind == KIND_VIDEO:
+    if layout.kind == KIND_VIDEO:
         f, t = layout.frames, layout.tokens_per_frame
         per_frame = logits.reshape(f, t)
         return np.stack([softmax_row(per_frame[i]) for i in range(f)])

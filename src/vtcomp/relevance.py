@@ -113,8 +113,6 @@ def decoding_attention_report(decode_rows: dict[int, np.ndarray], layout: InputL
     report = []
     for layer in sorted(decode_rows):
         rows = np.asarray(decode_rows[layer], dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
         if rows.shape[1] < seq:
             raise EngineError(
                 f"decoding_attention_report: layer {layer} rows of width {rows.shape[1]} "

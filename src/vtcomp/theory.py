@@ -21,6 +21,8 @@ from .tensors import NORM_EPS
 
 ORTHO_TOL = 1e-10
 KERNELS = ("cosine", "shifted")
+# Trials drawn and measured per batch.
+TRIAL_CHUNK = 10000
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,6 @@ def covariance_experiment(
     num_trials: int,
     negative_control: bool = False,
     bootstrap_resamples: int = 1000,
-    chunk: int = 10000,
 ) -> dict:
     """Sample covariance of the two measures over independent trials, with a
     bootstrap standard error. Deterministic for a fixed trial seed.
@@ -150,7 +151,7 @@ def covariance_experiment(
     r_all = np.empty(num_trials)
     done = 0
     while done < num_trials:
-        b = min(chunk, num_trials - done)
+        b = min(TRIAL_CHUNK, num_trials - done)
         v = rng.standard_normal((b, trial.n_visual, trial.ambient_dim))
         t_tokens = rng.standard_normal((b, trial.n_text, trial.ambient_dim))
         if negative_control:

@@ -353,6 +353,32 @@ def test_verify_lemma_empty_subspace_exits_3(capsys, subspace):
     assert "error: LemmaTrial: need visual_subdim >= 1 and text_subdim >= 1" in captured.err
 
 
+def test_deeply_nested_manifest_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    code = main(["select", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: manifest" in captured.err and "maximum recursion depth" in captured.err
+    assert "Traceback" not in captured.err
+
+
+# Each first allocation is beyond the 128 TiB user address space, so numpy
+# refuses it without touching memory, whatever the overcommit policy.
+@pytest.mark.parametrize("argv", [
+    ["verify-lemma", "--trials", "1000000000000000", "--bootstrap", "2"],
+    ["verify-lemma", "--dim", "35184372088832", "--trials", "100", "--bootstrap", "2"],
+], ids=["trials", "dim"])
+def test_out_of_memory_exits_3(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("vtcomp verify-lemma: error: out of memory: ")
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_check_reports_are_byte_identical(tmp_path):
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:

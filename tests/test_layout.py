@@ -20,6 +20,8 @@ def test_ranges_must_tile():
         make_layout(text_range=(11, 14))
     with pytest.raises(EngineError, match=r"tile the sequence without gaps or overlap \(break at position 10\)"):
         make_layout(visual_range=(2, 11))
+    with pytest.raises(EngineError, match=r"tile the sequence without gaps or overlap \(break at position 16\)"):
+        make_layout(visual_range=(0, 8), text_range=(8, 14), system_range=(16, 16))
 
 
 def test_text_before_visual_is_allowed():
@@ -32,6 +34,8 @@ def test_anyres_structure():
     assert lo.thumbnail_range == (0, 4)
     with pytest.raises(EngineError, match=r"thumbnail and crop ranges must tile the visual tokens \(break at 5\)"):
         make_layout(kind="anyres", thumbnail_range=(0, 4), crop_ranges=((5, 8),))
+    with pytest.raises(EngineError, match="thumbnail/crop ranges cover 6 of 8 visual tokens"):
+        make_layout(kind="anyres", thumbnail_range=(0, 4), crop_ranges=((4, 6),))
     with pytest.raises(EngineError, match="anyres requires thumbnail_range and a list of crop_ranges"):
         make_layout(kind="anyres")
 
@@ -41,15 +45,6 @@ def test_video_structure():
     assert lo.frames * lo.tokens_per_frame == lo.visual_len
     with pytest.raises(EngineError, match=r"frames\*tokens_per_frame = 9 != visual count 8"):
         make_layout(kind="video", frames=3, tokens_per_frame=3)
-
-
-def test_layout_roundtrip():
-    for lo in (
-        make_layout(),
-        make_layout(kind="anyres", thumbnail_range=(0, 4), crop_ranges=((4, 8),)),
-        make_layout(kind="video", frames=4, tokens_per_frame=2),
-    ):
-        assert InputLayout.from_dict(lo.to_dict()) == lo
 
 
 def test_resolve_k_paper_anchors():

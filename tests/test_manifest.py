@@ -114,6 +114,13 @@ def test_non_utf8_manifest_rejected(tmp_path):
         load_manifest(path)
 
 
+def test_deeply_nested_manifest_rejected(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    with pytest.raises(EngineError, match=r"^manifest .*manifest\.json: maximum recursion depth exceeded"):
+        load_manifest(path)
+
+
 def test_missing_referenced_file(tmp_path):
     path = build_manifest(tmp_path, with_stage1=False)
     (tmp_path / "visual.bin").unlink()

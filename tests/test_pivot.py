@@ -16,7 +16,7 @@ def image_layout(m, system=1, text=2, **kw):
 
 
 def test_cls_attention_analytic_1d():
-    attn = cls_attention([1.0], [[0.0], [math.log(2)]], [[1.0]], [[1.0]])
+    attn = cls_attention([1.0], [[0.0], [math.log(2)]], [[1.0]], [[1.0]], image_layout(2))
     np.testing.assert_allclose(attn, [1 / 3, 2 / 3], atol=1e-6)
 
 
@@ -24,7 +24,7 @@ def test_cls_attention_identical_rows_uniform(rng):
     row = rng.standard_normal(4)
     z_v = np.tile(row, (6, 1))
     attn = cls_attention(rng.standard_normal(4), z_v,
-                         rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
+                         rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), image_layout(6))
     np.testing.assert_allclose(attn, np.full(6, 1 / 6), atol=1e-6)
 
 
@@ -46,7 +46,7 @@ def test_cls_attention_matches_naive_oracle(rng):
     exps = np.exp(logits - logits.max())
     want = exps / exps.sum()
 
-    got = cls_attention(z_cls, z_v, w_q, w_k)
+    got = cls_attention(z_cls, z_v, w_q, w_k, image_layout(n))
     np.testing.assert_allclose(got, want, atol=1e-5)
 
 
@@ -74,7 +74,7 @@ def test_cls_attention_matches_key_matrix_product(rng):
 def test_cls_attention_dim_mismatch(rng):
     with pytest.raises(EngineError, match=r"cls_attention: visual matrix shape \(4, 4\) incompatible with d=3"):
         cls_attention(rng.standard_normal(3), rng.standard_normal((4, 4)),
-                      rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+                      rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), image_layout(4))
 
 
 def test_select_pivot_plain_argmax():

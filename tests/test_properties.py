@@ -1,0 +1,88 @@
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import block_weighted_attention, build_manifest, row_stochastic
+from vtcomp.cli import main
+from vtcomp.layout import InputLayout
+
+LAYOUT = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 10), text_range=(10, 14))
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**63), 10**30, -(10**30)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_manifest(tmp_path_factory):
+    """A manifest with stage-1 inputs, one attention layer, decode rows and
+    a schedule, plus its parsed JSON. The unmutated pipeline runs cleanly."""
+    rng = np.random.default_rng(7)
+    path = build_manifest(
+        tmp_path_factory.mktemp("fuzz"),
+        attention={4: block_weighted_attention(rng, LAYOUT, 1e-4)},
+        decode_rows={4: row_stochastic(rng, LAYOUT.seq_len)[:2]},
+        plan={"retain_ratio": 0.5, "tau": 0.03, "schedule": [4]})
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    assert _run(["pipeline", "--manifest", str(path)])[0] == 0
+    return path, manifest
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _node_paths(node, prefix=()):
+    """Key/index path of every node below ``node``."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _mutated(manifest, path, value, delete):
+    doc = json.loads(json.dumps(manifest))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["pipeline", "decide"]))
+def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
+    # One node of a valid manifest is replaced by an arbitrary JSON value or
+    # deleted. The CLI either serves the result or names the error; it never
+    # raises, and it never succeeds silently.
+    path, manifest = valid_manifest
+    node = data.draw(st.sampled_from(list(_node_paths(manifest))), label="node")
+    delete = data.draw(st.booleans(), label="delete")
+    value = None if delete else data.draw(JSON_VALUES, label="value")
+    path.write_text(json.dumps(_mutated(manifest, node, value, delete)), encoding="utf-8")
+
+    rc, out, err = _run([command, "--manifest", str(path)])
+    assert rc in (0, 3), err
+    if rc == 0:
+        assert json.loads(out)["command"] == command
+    else:
+        assert out == "" and f"vtcomp {command}: error: " in err
