@@ -1,29 +1,27 @@
-"""Greedy k-center token retention and its validation oracles.
+"""Greedy k-center token retention and its validation oracle.
 
 The production path (`greedy_kcenter`) keeps one running max-similarity
 vector and updates it with the cosine row of each newly selected token.
 When n <= d those rows come from one clipped Gram matrix, O(n^2*d) in a
 single matrix-matrix product plus O(n*k) for the updates; otherwise each
 row is a matrix-vector product over the normalised tokens, O(n*k*d) in
-total. The oracles deliberately avoid that incremental state:
-`oracle_greedy` recomputes every candidate/selected similarity from scratch
-at each step, and `optimal_kcenter_radius` enumerates all k-subsets to
-produce the ground-truth covering radius for the 2-approximation check.
+total. The oracle, `oracle_greedy`, deliberately avoids that incremental
+state: it recomputes every candidate/selected similarity from scratch at
+each step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import EngineError
-from .tensors import normalize_rows
 
 ORACLE_MAX_N = 512
-EXHAUSTIVE_MAX_N = 12
-EXHAUSTIVE_MAX_K = 5
+# Norms at or below this are treated as degenerate (true zero vectors at
+# 32-bit scale, as opposed to merely small embeddings).
+NORM_EPS = 1e-12
 # Max similarities within this of the step's minimum tie, so that rounding
 # differences between the incremental and the recomputed path (a few ulps)
 # cannot flip which of two near-duplicate tokens is picked.
@@ -44,6 +42,20 @@ class RetentionSet:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Rows scaled to unit L2 norm, in float64; raises on degenerate rows
+    with the index of the first one."""
+    # Always a copy, so the division can run in place on it without
+    # touching the caller's array.
+    m64 = np.array(m, dtype=np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", m64, m64))
+    bad = np.flatnonzero(norms <= NORM_EPS)
+    if bad.size:
+        raise EngineError(f"{name}: row {int(bad[0])} has near-zero norm")
+    m64 /= norms[:, None]
+    return m64
 
 
 def _validate(n: int, pivot: int, k: int) -> None:
@@ -142,43 +154,3 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
         selected[best_idx] = True
 
     return RetentionSet(indices=tuple(indices), trace=tuple(trace))
-
-
-def covering_radius(v: np.ndarray, centers) -> float:
-    """Max over tokens of the chordal distance to the nearest center.
-
-    Chordal distance is the Euclidean distance between unit-normalized
-    rows; farthest-point order under it matches greedy order under
-    min-max cosine similarity.
-    """
-    rows = normalize_rows(v, "covering_radius")
-    centers = list(centers)
-    diffs = rows[:, None, :] - rows[None, centers, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    return float(dists.min(axis=1).max())
-
-
-def optimal_kcenter_radius(v: np.ndarray, k: int) -> float:
-    """Exact optimum of the k-center covering radius in chordal distance.
-
-    Brute force over all C(n, k) center subsets; guarded to n <= 12, k <= 5.
-    """
-    v = np.asarray(v)
-    n = v.shape[0]
-    if n > EXHAUSTIVE_MAX_N or k > EXHAUSTIVE_MAX_K:
-        raise EngineError(
-            f"optimal_kcenter_radius: n={n}, k={k} exceeds guard (n <= {EXHAUSTIVE_MAX_N}, k <= {EXHAUSTIVE_MAX_K})")
-    if not 1 <= k <= n:
-        raise EngineError(f"k={k} outside [1, {n}]")
-    if k == n:
-        return 0.0
-
-    rows = normalize_rows(v, "optimal_kcenter_radius")
-    diffs = rows[:, None, :] - rows[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    best = np.inf
-    for subset in combinations(range(n), k):
-        r = dist[:, subset].min(axis=1).max()
-        if r < best:
-            best = r
-    return float(best)

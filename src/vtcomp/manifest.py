@@ -59,24 +59,27 @@ def _read_payload(base: Path, entry: dict, name: str) -> np.ndarray:
     if Path(rel).is_absolute():
         raise EngineError(f"entry {name!r}: file {rel!r} must be relative to the manifest directory")
     path = base / rel
-    if not path.resolve().is_relative_to(base.resolve()):
-        raise EngineError(f"entry {name!r}: file {rel!r} resolves outside the manifest directory")
-    if not path.is_file():
-        raise EngineError(f"entry {name!r}: file {rel!r} does not exist")
-    expected = math.prod(shape) * 4
-    actual = path.stat().st_size
-    if actual != expected:
-        raise EngineError(
-            f"entry {name!r}: file {rel!r} holds {actual} bytes, shape {shape} requires {expected}")
-    data = np.fromfile(path, dtype="<f4").reshape(shape)
+    try:
+        if not path.resolve().is_relative_to(base.resolve()):
+            raise EngineError(f"entry {name!r}: file {rel!r} resolves outside the manifest directory")
+        if not path.is_file():
+            raise EngineError(f"entry {name!r}: file {rel!r} does not exist")
+        expected = math.prod(shape) * 4
+        actual = path.stat().st_size
+        if actual != expected:
+            raise EngineError(
+                f"entry {name!r}: file {rel!r} holds {actual} bytes, shape {shape} requires {expected}")
+        data = np.fromfile(path, dtype="<f4").reshape(shape)
+    except OSError as e:
+        raise EngineError(f"entry {name!r}: file {rel!r}: {e.strerror}") from None
     if not np.all(np.isfinite(data)):
         raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
     return data
 
 
-def _validate_attention(a: np.ndarray, seq: int, name: str) -> None:
-    if a.ndim != 2 or a.shape != (seq, seq):
-        raise EngineError(f"entry {name!r}: attention shape {a.shape} != ({seq}, {seq})")
+def _validate_rows(a: np.ndarray, name: str) -> None:
+    """Attention rows, square or decode-step: non-negative weights, and each
+    row that is not fully masked sums to 1 over its full width."""
     if np.any(a < 0):
         raise EngineError(f"entry {name!r}: negative attention weight")
     sums = a.sum(axis=1, dtype=np.float64)
@@ -132,12 +135,14 @@ def load_manifest(path) -> ManifestData:
             target = attention_layers if role == "attention_layer_k" else decode_rows
             if layer in target:
                 raise EngineError(f"entry {name!r}: duplicate {role} for layer {layer}")
+            seq = layout.seq_len
             if role == "attention_layer_k":
-                _validate_attention(data, layout.seq_len, name)
-            elif data.ndim != 2 or data.shape[1] < layout.seq_len:
+                if data.shape != (seq, seq):
+                    raise EngineError(f"entry {name!r}: attention shape {data.shape} != ({seq}, {seq})")
+            elif data.ndim != 2 or data.shape[1] < seq:
                 raise EngineError(
-                    f"entry {name!r}: decode rows shape {data.shape} narrower than prompt "
-                    f"length {layout.seq_len}")
+                    f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
+            _validate_rows(data, name)
             target[layer] = data
         else:
             if role in singletons:
@@ -175,8 +180,3 @@ def load_manifest(path) -> ManifestData:
         decode_rows=decode_rows,
         path=path,
     )
-
-
-def write_tensor(path, data: np.ndarray) -> None:
-    """Write a raw little-endian float32 payload (fixture/export helper)."""
-    np.ascontiguousarray(data, dtype="<f4").tofile(path)

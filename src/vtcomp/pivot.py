@@ -14,7 +14,20 @@ import numpy as np
 
 from .errors import EngineError
 from .layout import KIND_ANYRES, KIND_VIDEO, InputLayout
-from .tensors import softmax_row
+
+
+def softmax_row(scores: np.ndarray) -> np.ndarray:
+    """Numerically safe softmax (max-subtraction) over a 1-D score vector."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if s.size < 1:
+        raise EngineError("softmax_row: empty score vector")
+    if not np.all(np.isfinite(s)):
+        raise EngineError("softmax_row: non-finite scores")
+    e = np.exp(s - s.max())
+    out = e / e.sum()
+    # Kept on purpose: scores equal in float32 tie, so the lowest index wins
+    # the pivot, and the pivot, and so every recorded report, stays as it is.
+    return out.astype(np.float32)
 
 
 def cls_attention(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EngineError
-from .tensors import NORM_EPS
+from .kcenter import NORM_EPS
 
 ORTHO_TOL = 1e-10
 KERNELS = ("cosine", "shifted")
@@ -81,8 +81,9 @@ def _normalize(rows: np.ndarray, what: str) -> np.ndarray:
     return rows / norms[..., None]
 
 
-def _diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
-    """Diversity of each trial in a (trials, n_visual, ambient) batch."""
+def diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
+    """Diversity of each trial in a (trials, n_visual, ambient) batch: the mean
+    pairwise kernel over projected tokens, diagonal excluded."""
     n = v.shape[1]
     pv = _normalize(v @ w_v, "diversity_measure")
     gram = _kernel(np.clip(np.einsum("bik,bjk->bij", pv, pv), -1.0, 1.0), kernel)
@@ -90,31 +91,14 @@ def _diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
     return (gram.sum(axis=(1, 2)) - diag) / (n * (n - 1))
 
 
-def _redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
-                      kernel: str) -> np.ndarray:
-    """Redundancy of each trial in a batch of visual and text token sets."""
+def redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
+                     kernel: str) -> np.ndarray:
+    """Redundancy of each trial in a batch of visual and text token sets: the
+    mean over visual tokens of the mean kernel to all projected text tokens."""
     pvt = _normalize(v @ w_t, "cross_redundancy_measure (visual)")
     pt = _normalize(t_tokens @ w_t, "cross_redundancy_measure (text)")
     cross = _kernel(np.clip(np.einsum("bik,bjk->bij", pvt, pt), -1.0, 1.0), kernel)
     return cross.mean(axis=(1, 2))
-
-
-def diversity_measure(v: np.ndarray, w_v: np.ndarray, kernel: str = "cosine") -> float:
-    """Mean pairwise kernel over projected tokens, diagonal excluded."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] < 2:
-        raise EngineError("diversity_measure: need at least two tokens")
-    return float(_diversity_batch(v[None], w_v, kernel)[0])
-
-
-def cross_redundancy_measure(v: np.ndarray, t_tokens: np.ndarray,
-                             w_t: np.ndarray, kernel: str = "cosine") -> float:
-    """Mean over visual tokens of the mean kernel to all projected text tokens."""
-    v = np.asarray(v, dtype=np.float64)
-    t_tokens = np.asarray(t_tokens, dtype=np.float64)
-    if v.shape[0] < 1 or t_tokens.shape[0] < 1:
-        raise EngineError("cross_redundancy_measure: need at least one token per side")
-    return float(_redundancy_batch(v[None], t_tokens[None], w_t, kernel)[0])
 
 
 def covariance_experiment(
@@ -156,8 +140,8 @@ def covariance_experiment(
         t_tokens = rng.standard_normal((b, trial.n_text, trial.ambient_dim))
         if negative_control:
             t_tokens = v[:, : trial.n_text, :]
-        d_all[done:done + b] = _diversity_batch(v, w_v, trial.kernel)
-        r_all[done:done + b] = _redundancy_batch(v, t_tokens, w_t, trial.kernel)
+        d_all[done:done + b] = diversity_batch(v, w_v, trial.kernel)
+        r_all[done:done + b] = redundancy_batch(v, t_tokens, w_t, trial.kernel)
         done += b
 
     dm = d_all - d_all.mean()

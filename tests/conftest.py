@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from vtcomp.errors import EngineError
-from vtcomp.manifest import write_tensor
-from vtcomp.tensors import NORM_EPS
+from vtcomp.kcenter import NORM_EPS
+
+
+def write_tensor(path, data: np.ndarray) -> None:
+    """Write a raw little-endian float32 payload."""
+    np.ascontiguousarray(data, dtype="<f4").tofile(path)
 
 
 def cosine_similarity(a, b) -> float:

@@ -19,14 +19,10 @@ import numpy as np
 import pytest
 
 from conftest import block_weighted_attention, build_manifest
+from oracles import covering_radius, optimal_kcenter_radius
 from vtcomp.cli import main
 from vtcomp.costmodel import StageConfig, flops_decode, preset_configs, stage_ratio_report
-from vtcomp.kcenter import (
-    covering_radius,
-    greedy_kcenter,
-    optimal_kcenter_radius,
-    oracle_greedy,
-)
+from vtcomp.kcenter import greedy_kcenter, oracle_greedy
 from vtcomp.layout import CompressionPlan, InputLayout, layer_schedule, resolve_k
 from vtcomp.relevance import attention_ratios, decide_drop_layer
 from vtcomp.report import canonical_json

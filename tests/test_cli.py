@@ -274,9 +274,10 @@ def _layer_one_as_bool(manifest):
     entry["layer"] = True
 
 
-def _visual_file_with_nul(manifest):
-    entry = next(e for e in manifest["entries"] if e["name"] == "visual")
-    entry["file"] = "visual\u0000.bin"
+def _visual_file(name):
+    def mutate(manifest):
+        next(e for e in manifest["entries"] if e["name"] == "visual")["file"] = name
+    return mutate
 
 
 @pytest.mark.parametrize("mutate, named", [
@@ -291,11 +292,12 @@ def _visual_file_with_nul(manifest):
     (_set("layout", "system_range", [0, 2.5]), "system_range"),
     (_layer_one_as_bool, "layer"),
     (lambda manifest: manifest.update(format_version=True), "format_version"),
-    (_visual_file_with_nul, "'visual'"),
+    (_visual_file("visual\u0000.bin"), "'visual'"),
     (_set("plan", "schedule", []), "schedule"),
+    (_visual_file("a" * 300), "'visual'"),
 ], ids=["ratio-str", "tau-str", "k-str", "k-float", "schedule-float", "range-str",
         "range-short", "range-scalar", "range-float", "layer-bool", "version-bool",
-        "file-nul", "schedule-empty"])
+        "file-nul", "schedule-empty", "file-too-long"])
 def test_malformed_manifest_types_exit_3(tmp_path, rng, capsys, mutate, named):
     layout = small_layout()
     attention = {layer: block_weighted_attention(rng, layout, 1e-4) for layer in (1, 5, 6, 7)}
@@ -309,6 +311,18 @@ def test_malformed_manifest_types_exit_3(tmp_path, rng, capsys, mutate, named):
     assert code == 3
     assert "error:" in err and named in err
     assert "Traceback" not in err
+
+
+def test_invalid_decode_rows_exit_3(tmp_path, rng, capsys):
+    layout = small_layout()
+    rows = np.zeros((1, layout.seq_len), dtype=np.float32)
+    rows[0, 2], rows[0, 10] = 5.0, -3.0  # a visual and a text key
+    path = build_manifest(tmp_path, attention={4: block_weighted_attention(rng, layout, 1e-4)},
+                          decode_rows={4: rows}, plan={"retain_ratio": 0.5, "schedule": [4]})
+    code = main(["decide", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "vtcomp decide: error: entry 'decode_4': negative attention weight\n"
 
 
 @pytest.mark.parametrize("command", ["verify-lemma", "oracle-check"])

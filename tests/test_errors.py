@@ -1,4 +1,6 @@
-"""The engine raises two exception classes, one per non-usage exit code."""
+"""Static checks over ``src/vtcomp``: the engine raises two exception
+classes, one per non-usage exit code, and every public top-level name it
+defines is used by the package itself, so test-only code lives in tests/."""
 
 import ast
 import builtins
@@ -54,3 +56,21 @@ def test_errors_module_defines_only_the_two_classes():
                                                    or any(map(_is_exception, node.bases))):
                 defined.setdefault(name, set()).add(node.name)
     assert defined == {"errors.py": ALLOWED}
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_every_public_definition_is_used_by_the_package():
+    modules = _modules()
+    loaded = {node.id for tree in modules.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{name}:{defined}" for name, tree in modules.items()
+              for defined in _public_definitions(tree)
+              if not defined.startswith("_") and defined not in loaded]
+    assert unused == []

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import covering_radius, optimal_kcenter_radius
 from vtcomp.errors import EngineError
-from vtcomp.kcenter import (
-    covering_radius,
-    greedy_kcenter,
-    optimal_kcenter_radius,
-    oracle_greedy,
-)
+from vtcomp.kcenter import greedy_kcenter, normalize_rows, oracle_greedy
 
 
 def circle_tokens(*degrees):
@@ -50,6 +46,12 @@ def test_oracle_guard():
     v = np.ones((513, 2), dtype=np.float32)
     with pytest.raises(EngineError, match="oracle_greedy: n=513 exceeds guard 512"):
         oracle_greedy(v, 0, 2)
+
+
+def test_normalize_rows_reports_offending_row():
+    m = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+    with pytest.raises(EngineError, match="^matrix: row 1 has near-zero norm$"):
+        normalize_rows(m)
 
 
 def test_greedy_matches_oracle_random_sample(rng):

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_manifest, row_stochastic
+from conftest import build_manifest, row_stochastic, write_tensor
 from vtcomp.errors import EngineError
-from vtcomp.manifest import load_manifest, write_tensor
+from vtcomp.manifest import load_manifest
 
 
 def test_minimal_manifest_loads(tmp_path):
@@ -132,6 +132,23 @@ def test_decode_rows_width_checked(tmp_path, rng):
     rows = rng.random((2, 5)).astype(np.float32)  # narrower than seq_len 14
     path = build_manifest(tmp_path, decode_rows={3: rows}, with_stage1=False)
     with pytest.raises(EngineError, match=r"entry 'decode_3': decode rows shape \(2, 5\) narrower than prompt length 14"):
+        load_manifest(path)
+
+
+def test_decode_rows_negative_weight_rejected(tmp_path, rng):
+    rows = row_stochastic(rng, 14)[:2]
+    rows[1, 3] = -0.01
+    path = build_manifest(tmp_path, decode_rows={3: rows}, with_stage1=False)
+    with pytest.raises(EngineError, match="^entry 'decode_3': negative attention weight$"):
+        load_manifest(path)
+
+
+def test_decode_rows_sum_violation_names_row(tmp_path, rng):
+    # Rows wider than the prompt: the sum runs over the generated keys too.
+    rows = row_stochastic(rng, 16)[:3]
+    rows[2] *= 2.0
+    path = build_manifest(tmp_path, decode_rows={3: rows}, with_stage1=False)
+    with pytest.raises(EngineError, match=r"^entry 'decode_3': row 2 sums to 2\.0000\d\d, expected 1 \+/- "):
         load_manifest(path)
 
 

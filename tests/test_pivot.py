@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
-from vtcomp.pivot import cls_attention, select_pivot
+from vtcomp.pivot import cls_attention, select_pivot, softmax_row
 
 
 def image_layout(m, system=1, text=2, **kw):
@@ -131,3 +132,39 @@ def test_video_per_frame_normalization(rng):
     np.testing.assert_allclose(attn.sum(axis=1), np.ones(f), atol=1e-6)
     p = select_pivot(attn, lo)
     assert 0 <= p < f * t
+
+
+def test_softmax_symmetry():
+    np.testing.assert_allclose(softmax_row([0.0, 0.0]), [0.5, 0.5], atol=1e-7)
+
+
+def test_softmax_analytic():
+    np.testing.assert_allclose(softmax_row([math.log(2), 0.0]), [2 / 3, 1 / 3], atol=1e-6)
+
+
+def test_softmax_overflow_safety_vs_arbitrary_precision():
+    scores = [1000.0, 1000.0, 999.0]
+    got = softmax_row(scores)
+    assert np.all(np.isfinite(got))
+    assert got.sum() == pytest.approx(1.0, abs=1e-6)
+    with mpmath.workdps(60):
+        exps = [mpmath.exp(s) for s in scores]
+        total = mpmath.fsum(exps)
+        want = [float(e / total) for e in exps]
+    np.testing.assert_allclose(got, want, atol=1e-6)
+
+
+def test_softmax_shift_invariance(rng):
+    s = rng.standard_normal(11)
+    np.testing.assert_allclose(softmax_row(s), softmax_row(s + 37.5), atol=1e-6)
+
+
+def test_float32_scores_tie_to_lowest_index():
+    # Logits 1e-9 apart are distinct in float64 but equal after the float32
+    # cast, so the lower index takes the pivot.
+    logits = np.zeros(8)
+    logits[2], logits[5] = 0.5, 0.5 + 1e-9
+    scores = softmax_row(logits)
+    assert int(np.argmax(logits)) == 5
+    assert scores[2] == scores[5]
+    assert select_pivot(scores, image_layout(8)) == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import block_weighted_attention, build_manifest, row_stochastic
 from vtcomp.cli import main
 from vtcomp.layout import InputLayout
+from vtcomp.manifest import ROW_SUM_TOL
 
 LAYOUT = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 10), text_range=(10, 14))
 
@@ -29,7 +30,8 @@ JSON_VALUES = st.recursive(
 @pytest.fixture(scope="module")
 def valid_manifest(tmp_path_factory):
     """A manifest with stage-1 inputs, one attention layer, decode rows and
-    a schedule, plus its parsed JSON. The unmutated pipeline runs cleanly."""
+    a schedule, plus its parsed JSON and decode-row payload bytes. The
+    unmutated pipeline runs cleanly."""
     rng = np.random.default_rng(7)
     path = build_manifest(
         tmp_path_factory.mktemp("fuzz"),
@@ -38,7 +40,7 @@ def valid_manifest(tmp_path_factory):
         plan={"retain_ratio": 0.5, "tau": 0.03, "schedule": [4]})
     manifest = json.loads(path.read_text(encoding="utf-8"))
     assert _run(["pipeline", "--manifest", str(path)])[0] == 0
-    return path, manifest
+    return path, manifest, (path.parent / "decode_4.bin").read_bytes()
 
 
 def _run(argv):
@@ -68,21 +70,58 @@ def _mutated(manifest, path, value, delete):
     return doc
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def _mutated_payload(data, payload):
+    """Decode rows with one entry made negative or one row scaled by 2."""
+    rows = np.frombuffer(payload, dtype="<f4").reshape(2, LAYOUT.seq_len).copy()
+    r = data.draw(st.integers(0, rows.shape[0] - 1), label="row")
+    if data.draw(st.booleans(), label="negative"):
+        c = data.draw(st.integers(0, rows.shape[1] - 1), label="column")
+        rows[r, c] = -data.draw(st.floats(1e-6, 10.0), label="weight")
+    else:
+        rows[r] *= 2.0
+    return rows.tobytes()
+
+
+def _assert_valid_report(report):
+    """The invariants a served report keeps whatever the manifest said."""
+    for probe in (report.get("prune_decision") or {}).get("probed", []):
+        assert 0.0 <= probe["text_to_visual"] <= 1.0
+        assert 0.0 <= probe["visual_to_text"] <= 1.0
+    for layer in report.get("decoding_attention", []):
+        fractions = [layer["to_system"], layer["to_visual"], layer["to_text"]]
+        assert all(0.0 <= f <= 1.0 for f in fractions)
+        assert sum(fractions) <= 1.0 + ROW_SUM_TOL
+    if report["command"] == "pipeline":
+        indices = report["retention"]["indices"]
+        assert len(set(indices)) == len(indices)
+        assert all(0 <= i < LAYOUT.visual_len for i in indices)
+        sims = [step["max_similarity"] for step in report["retention"]["trace"]]
+        assert sims == sorted(sims)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(data=st.data(), command=st.sampled_from(["pipeline", "decide"]))
 def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
     # One node of a valid manifest is replaced by an arbitrary JSON value or
-    # deleted. The CLI either serves the result or names the error; it never
-    # raises, and it never succeeds silently.
-    path, manifest = valid_manifest
-    node = data.draw(st.sampled_from(list(_node_paths(manifest))), label="node")
-    delete = data.draw(st.booleans(), label="delete")
-    value = None if delete else data.draw(JSON_VALUES, label="value")
-    path.write_text(json.dumps(_mutated(manifest, node, value, delete)), encoding="utf-8")
+    # deleted, or (one draw in three) the decode-row payload is corrupted. The
+    # CLI either serves a valid result or names the error; it never raises,
+    # and it never succeeds silently or with garbage.
+    path, manifest, payload = valid_manifest
+    if data.draw(st.integers(0, 2), label="target") == 0:
+        doc, payload = manifest, _mutated_payload(data, payload)
+    else:
+        node = data.draw(st.sampled_from(list(_node_paths(manifest))), label="node")
+        delete = data.draw(st.booleans(), label="delete")
+        value = None if delete else data.draw(JSON_VALUES, label="value")
+        doc = _mutated(manifest, node, value, delete)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (path.parent / "decode_4.bin").write_bytes(payload)
 
     rc, out, err = _run([command, "--manifest", str(path)])
     assert rc in (0, 3), err
     if rc == 0:
-        assert json.loads(out)["command"] == command
+        report = json.loads(out)
+        assert report["command"] == command
+        _assert_valid_report(report)
     else:
         assert out == "" and f"vtcomp {command}: error: " in err

@@ -7,9 +7,9 @@ from vtcomp.theory import (
     LemmaTrial,
     check_orthogonality,
     covariance_experiment,
-    cross_redundancy_measure,
-    diversity_measure,
+    diversity_batch,
     make_orthogonal_bases,
+    redundancy_batch,
 )
 
 
@@ -28,13 +28,13 @@ def test_orthogonality_check_rejects_shared_basis(rng):
 def test_diversity_identical_tokens():
     w = np.eye(4, 2)
     v = np.tile([1.0, 2.0, 0.0, 0.0], (2, 1))
-    assert diversity_measure(v, w) == pytest.approx(1.0, abs=1e-12)
+    assert diversity_batch(v[None], w, "cosine")[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diversity_orthogonal_projections():
     w = np.eye(4, 2)
     v = np.array([[1.0, 0.0, 5.0, 0.0], [0.0, 1.0, 0.0, -3.0]])
-    assert diversity_measure(v, w) == pytest.approx(0.0, abs=1e-12)
+    assert diversity_batch(v[None], w, "cosine")[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_diversity_matches_double_loop(rng):
@@ -47,7 +47,7 @@ def test_diversity_matches_double_loop(rng):
         for j in range(n):
             if i != j:
                 acc += cosine_similarity(proj[i], proj[j])
-    assert diversity_measure(v, w_v) == pytest.approx(acc / (n * (n - 1)), abs=1e-6)
+    assert diversity_batch(v[None], w_v, "cosine")[0] == pytest.approx(acc / (n * (n - 1)), abs=1e-6)
 
 
 def test_redundancy_aligned_projections(rng):
@@ -57,7 +57,7 @@ def test_redundancy_aligned_projections(rng):
     direction = w_t @ rng.standard_normal(3)
     v = rng.uniform(0.5, 2.0, size=(4, 1)) * direction
     t = rng.uniform(0.5, 2.0, size=(3, 1)) * direction
-    assert cross_redundancy_measure(v, t, w_t) == pytest.approx(1.0, abs=1e-9)
+    assert redundancy_batch(v[None], t[None], w_t, "cosine")[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_redundancy_orthogonal_projection_is_zero(rng):
@@ -66,7 +66,7 @@ def test_redundancy_orthogonal_projection_is_zero(rng):
     v[:, 0] = 1.0
     t = np.zeros((2, 6))
     t[:, 1] = 1.0
-    assert cross_redundancy_measure(v, t, w_t) == pytest.approx(0.0, abs=1e-12)
+    assert redundancy_batch(v[None], t[None], w_t, "cosine")[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_redundancy_matches_double_loop(rng):
@@ -76,7 +76,7 @@ def test_redundancy_matches_double_loop(rng):
     pv = v @ w_t
     pt = t @ w_t
     acc = np.mean([[cosine_similarity(pv[i], pt[j]) for j in range(3)] for i in range(5)])
-    assert cross_redundancy_measure(v, t, w_t) == pytest.approx(acc, abs=1e-6)
+    assert redundancy_batch(v[None], t[None], w_t, "cosine")[0] == pytest.approx(acc, abs=1e-6)
 
 
 def test_measures_stay_in_range(rng):
