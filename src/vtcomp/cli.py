@@ -24,17 +24,19 @@ import numpy as np
 from . import __version__
 from .costmodel import MODEL_PRESETS, preset_configs, stage_ratio_report
 from .errors import EngineError, InternalInvariant
-from .kcenter import ORACLE_MAX_N, greedy_kcenter, oracle_greedy
+from .kcenter import greedy_kcenter, oracle_greedy
 from .layout import CompressionPlan, layer_schedule, resolve_k
 from .manifest import ManifestData, load_manifest
 from .pivot import cls_attention, select_pivot
 from .relevance import decide_drop_layer, decoding_attention_report
 from .report import build_run_report, canonical_json, report_to_csv
-from .theory import LemmaTrial, covariance_experiment
+from .theory import KERNELS, LemmaTrial, covariance_experiment
 
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
+# oracle-check runs the oracle at k = n: n^2 Python-level steps, ~2 s per instance at 512.
+ORACLE_MAX_N = 512
 
 
 def _add_common_flags(p: argparse.ArgumentParser, with_plan: bool = True) -> None:
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-m", type=int, default=4)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--subspace", type=int, default=4)
-    p.add_argument("--kernel", choices=("cosine", "shifted"), default="cosine")
+    p.add_argument("--kernel", choices=KERNELS, default="cosine")
     p.add_argument("--bootstrap", type=int, default=1000)
     p.add_argument("--negative-control", action="store_true",
                    help="break orthogonality on purpose (shared basis + shared tokens)")

@@ -125,8 +125,6 @@ def preset_configs(
     encoder_seq_len: int | None = None,
 ) -> tuple[StageConfig, StageConfig]:
     """Encoder/LLM configs for a named preset, with optional length overrides."""
-    if name not in MODEL_PRESETS:
-        raise EngineError(f"unknown preset {name!r}; available: {sorted(MODEL_PRESETS)}")
     enc, llm = MODEL_PRESETS[name]
     if encoder_seq_len is not None:
         enc = replace(enc, seq_len=encoder_seq_len)

@@ -7,7 +7,7 @@ single matrix-matrix product plus O(n*k) for the updates; otherwise each
 row is a matrix-vector product over the normalised tokens, O(n*k*d) in
 total. The oracle, `oracle_greedy`, deliberately avoids that incremental
 state: it recomputes every candidate/selected similarity from scratch at
-each step.
+each step. Its size guard lives in `oracle-check`, its only CLI caller.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import EngineError
 
-ORACLE_MAX_N = 512
 # Norms at or below this are treated as degenerate (true zero vectors at
 # 32-bit scale, as opposed to merely small embeddings).
 NORM_EPS = 1e-12
@@ -129,12 +128,10 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     """Same contract as greedy_kcenter, recomputed without incremental state.
 
     At every step the max similarity of each remaining candidate to each
-    already-selected token is evaluated afresh. Guarded to n <= 512.
+    already-selected token is evaluated afresh, O(n*k^2*d) in total.
     """
     v = np.asarray(v)
     n = v.shape[0]
-    if n > ORACLE_MAX_N:
-        raise EngineError(f"oracle_greedy: n={n} exceeds guard {ORACLE_MAX_N}")
     _validate(n, pivot, k)
     rows = normalize_rows(v, "oracle_greedy")
 

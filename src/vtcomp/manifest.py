@@ -142,6 +142,8 @@ def load_manifest(path) -> ManifestData:
             elif data.ndim != 2 or data.shape[1] < seq:
                 raise EngineError(
                     f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
+            elif data.shape[0] < 1:
+                raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
             _validate_rows(data, name)
             target[layer] = data
         else:
@@ -159,6 +161,8 @@ def load_manifest(path) -> ManifestData:
             f"visual_embeddings: {visual.shape[0]} rows but layout declares M={layout.visual_len}")
 
     d = visual.shape[1]
+    if d < 1:
+        raise EngineError(f"visual_embeddings: token width must be >= 1, got {d}")
     cls_vector = singletons.get("cls_vector")
     if cls_vector is not None:
         cls_vector = cls_vector.reshape(-1)

@@ -6,6 +6,7 @@ re-associated as ``z_v @ (w_k @ (z_cls @ w_q))``: two d x d matrix-vector
 products and one n x d, O(d^2 + n*d), instead of forming the n x d keys in
 O(n*d^2). For video inputs the softmax is applied per frame so that
 frame-wise candidates are comparable before the cross-frame argmax.
+The inputs are arrays whose shapes ``load_manifest`` has already validated.
 """
 
 from __future__ import annotations
@@ -43,18 +44,7 @@ def cls_attention(
     (frames, tokens_per_frame) with one softmax row per frame for video.
     """
     z_cls = np.asarray(z_cls, dtype=np.float64).reshape(-1)
-    z_v = np.asarray(z_v)
-    w_q = np.asarray(w_q)
-    w_k = np.asarray(w_k)
-
     d = z_cls.shape[0]
-    if z_v.ndim != 2 or z_v.shape[1] != d:
-        raise EngineError(f"cls_attention: visual matrix shape {z_v.shape} incompatible with d={d}")
-    if w_q.shape != (d, d) or w_k.shape != (d, d):
-        raise EngineError(f"cls_attention: projection shapes {w_q.shape}/{w_k.shape} must be ({d}, {d})")
-    n = z_v.shape[0]
-    if n != layout.visual_len:
-        raise EngineError(f"cls_attention: {n} visual rows but layout declares M={layout.visual_len}")
 
     # Each operand is cast to float64 only at its own product, so at most
     # one d x d float64 copy is alive at a time.
@@ -76,22 +66,10 @@ def select_pivot(scores: np.ndarray, layout: InputLayout) -> int:
     video takes the best (frame, token) cell and flattens it. Ties break to
     the lowest index.
     """
-    m = layout.visual_len
-    scores = np.asarray(scores)
-    if layout.kind == KIND_VIDEO:
-        f, t = layout.frames, layout.tokens_per_frame
-        if scores.shape != (f, t):
-            raise EngineError(
-                f"select_pivot: scores shape {scores.shape} != (frames, tokens_per_frame) = ({f}, {t})")
-        # Row-major flat argmax yields a*t + b with lowest-index tie-break.
-        return int(np.argmax(scores))
-
-    scores = scores.reshape(-1)
-    if scores.shape[0] != m:
-        raise EngineError(f"select_pivot: {scores.shape[0]} scores for M={m} visual tokens")
     if layout.kind == KIND_ANYRES:
         a, b = layout.thumbnail_range
         if b <= a:
             raise EngineError("select_pivot: anyres thumbnail range is empty")
         return a + int(np.argmax(scores[a:b]))
+    # Video scores flatten row-major to a*t + b; argmax keeps the lowest index.
     return int(np.argmax(scores))

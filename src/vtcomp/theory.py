@@ -44,8 +44,6 @@ class LemmaTrial:
             raise EngineError("LemmaTrial: need visual_subdim >= 1 and text_subdim >= 1")
         if self.visual_subdim + self.text_subdim > self.ambient_dim:
             raise EngineError("LemmaTrial: sub-space dims exceed ambient dimension")
-        if self.kernel not in KERNELS:
-            raise EngineError(f"LemmaTrial: kernel must be one of {KERNELS}")
 
 
 def make_orthogonal_bases(rng: np.random.Generator, ambient_dim: int,

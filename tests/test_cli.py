@@ -325,6 +325,47 @@ def test_invalid_decode_rows_exit_3(tmp_path, rng, capsys):
     assert captured.err == "vtcomp decide: error: entry 'decode_4': negative attention weight\n"
 
 
+# Each case rewrites one payload of the 8 x 6 image fixture (seq 14) with
+# data whose file size matches its declared shape but whose shape is wrong.
+# load_manifest is the only check of these rules.
+@pytest.mark.parametrize("name, shape, named", [
+    ("cls", [7], "cls_vector: length 7 != token width 6"),
+    ("wq", [6, 7], "wq: shape (6, 7) != (6, 6)"),
+    ("wk", [7, 7], "wk: shape (7, 7) != (6, 6)"),
+    ("attn_4", [14, 15], "entry 'attn_4': attention shape (14, 15) != (14, 14)"),
+    ("visual", [8, 2, 3], "visual_embeddings: expected 2-D matrix, got shape (8, 2, 3)"),
+    ("decode_4", [0, 14], "entry 'decode_4': decode rows need at least one row, got 0"),
+    ("visual", [8, 0], "visual_embeddings: token width must be >= 1, got 0"),
+], ids=["cls-long", "wq-wide", "wk-square", "attention-wide", "visual-3d", "decode-no-rows",
+        "visual-no-width"])
+def test_wrong_payload_shape_exits_3(tmp_path, rng, capsys, recwarn, name, shape, named):
+    layout = small_layout()
+    path = build_manifest(tmp_path, attention={4: block_weighted_attention(rng, layout, 1e-4)},
+                          decode_rows={4: row_stochastic(rng, layout.seq_len)[:2]},
+                          plan={"retain_ratio": 0.5, "schedule": [4]})
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    next(e for e in manifest["entries"] if e["name"] == name)["shape"] = shape
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    (tmp_path / f"{name}.bin").write_bytes(rng.random(shape, dtype=np.float32).tobytes())
+    code = main(["pipeline", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"vtcomp pipeline: error: {named}\n"
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("argv", [
+    ["flops", "--preset", "nope"],
+    ["pipeline", "--manifest", "m.json", "--preset", "nope"],
+    ["verify-lemma", "--kernel", "bogus"],
+], ids=["flops-preset", "pipeline-preset", "lemma-kernel"])
+def test_flag_outside_choices_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify-lemma", "oracle-check"])
 def test_json_only_commands_reject_report_flag(command):
     with pytest.raises(SystemExit) as exc:

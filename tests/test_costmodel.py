@@ -110,11 +110,6 @@ def test_savings_bounds_checked():
         stage_ratio_report(enc, llm, reduced_seq_len=3001)
 
 
-def test_unknown_preset():
-    with pytest.raises(EngineError, match="unknown preset 'nope'"):
-        preset_configs("nope")
-
-
 def test_presets_are_overridable():
     enc, llm = preset_configs("llava-next-7b", seq_len=1234, out_len=7, encoder_seq_len=577)
     assert llm.seq_len == 1234 and llm.out_len == 7

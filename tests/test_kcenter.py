@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import covering_radius, optimal_kcenter_radius
 from vtcomp.errors import EngineError
@@ -40,12 +42,6 @@ def test_invalid_k(rng):
         greedy_kcenter(v, 0, 5)
     with pytest.raises(EngineError, match=r"^pivot index 7 outside \[0, 4\)$"):
         greedy_kcenter(v, 7, 2)
-
-
-def test_oracle_guard():
-    v = np.ones((513, 2), dtype=np.float32)
-    with pytest.raises(EngineError, match="oracle_greedy: n=513 exceeds guard 512"):
-        oracle_greedy(v, 0, 2)
 
 
 def test_normalize_rows_reports_offending_row():
@@ -166,6 +162,20 @@ def test_gram_regime_matches_oracle_on_near_duplicates():
         pivot = int(rng.integers(0, n))
         mismatches += greedy_kcenter(v, pivot, n).indices != oracle_greedy(v, pivot, n).indices
     assert mismatches == 0
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(4, 40), gram=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_greedy_matches_oracle_on_drawn_near_duplicates(data, n, gram, seed):
+    # n <= d takes the Gram branch of greedy_kcenter, n > d the GEMV branch.
+    d = data.draw(st.integers(n, n + 24) if gram else st.integers(2, n - 1), label="d")
+    rng = np.random.default_rng(seed)
+    v = near_duplicates(rng, n, d)
+    pivot = data.draw(st.integers(0, n - 1), label="pivot")
+    fast, slow = greedy_kcenter(v, pivot, n), oracle_greedy(v, pivot, n)
+    assert fast.indices == slow.indices
+    for (_, a), (_, b) in zip(fast.trace, slow.trace):
+        assert abs(a - b) <= 1e-12
 
 
 def test_zero_padding_crosses_regimes_without_changing_picks():

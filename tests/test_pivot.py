@@ -72,12 +72,6 @@ def test_cls_attention_matches_key_matrix_product(rng):
     assert select_pivot(got, lo) == int(np.argmax(want))
 
 
-def test_cls_attention_dim_mismatch(rng):
-    with pytest.raises(EngineError, match=r"cls_attention: visual matrix shape \(4, 4\) incompatible with d=3"):
-        cls_attention(rng.standard_normal(3), rng.standard_normal((4, 4)),
-                      rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), image_layout(4))
-
-
 def test_select_pivot_plain_argmax():
     lo = image_layout(3)
     assert select_pivot(np.array([0.1, 0.7, 0.2]), lo) == 1

@@ -30,8 +30,8 @@ JSON_VALUES = st.recursive(
 @pytest.fixture(scope="module")
 def valid_manifest(tmp_path_factory):
     """A manifest with stage-1 inputs, one attention layer, decode rows and
-    a schedule, plus its parsed JSON and decode-row payload bytes. The
-    unmutated pipeline runs cleanly."""
+    a schedule, plus its parsed JSON and its attention and decode-row
+    payload bytes. The unmutated pipeline runs cleanly."""
     rng = np.random.default_rng(7)
     path = build_manifest(
         tmp_path_factory.mktemp("fuzz"),
@@ -40,7 +40,8 @@ def valid_manifest(tmp_path_factory):
         plan={"retain_ratio": 0.5, "tau": 0.03, "schedule": [4]})
     manifest = json.loads(path.read_text(encoding="utf-8"))
     assert _run(["pipeline", "--manifest", str(path)])[0] == 0
-    return path, manifest, (path.parent / "decode_4.bin").read_bytes()
+    payloads = {name: (path.parent / name).read_bytes() for name in ("attn_4.bin", "decode_4.bin")}
+    return path, manifest, payloads
 
 
 def _run(argv):
@@ -71,14 +72,20 @@ def _mutated(manifest, path, value, delete):
 
 
 def _mutated_payload(data, payload):
-    """Decode rows with one entry made negative or one row scaled by 2."""
-    rows = np.frombuffer(payload, dtype="<f4").reshape(2, LAYOUT.seq_len).copy()
+    """Attention or decode rows with one entry made NaN or negative, one row
+    scaled by 2, or the file cut short by one float."""
+    rows = np.frombuffer(payload, dtype="<f4").reshape(-1, LAYOUT.seq_len).copy()
     r = data.draw(st.integers(0, rows.shape[0] - 1), label="row")
-    if data.draw(st.booleans(), label="negative"):
-        c = data.draw(st.integers(0, rows.shape[1] - 1), label="column")
+    c = data.draw(st.integers(0, rows.shape[1] - 1), label="column")
+    kind = data.draw(st.sampled_from(["nan", "negative", "scaled", "truncated"]), label="kind")
+    if kind == "nan":
+        rows[r, c] = np.nan
+    elif kind == "negative":
         rows[r, c] = -data.draw(st.floats(1e-6, 10.0), label="weight")
-    else:
+    elif kind == "scaled":
         rows[r] *= 2.0
+    else:
+        return rows.tobytes()[:-4]
     return rows.tobytes()
 
 
@@ -99,23 +106,31 @@ def _assert_valid_report(report):
         assert sims == sorted(sims)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(data=st.data(), command=st.sampled_from(["pipeline", "decide"]))
 def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
     # One node of a valid manifest is replaced by an arbitrary JSON value or
-    # deleted, or (one draw in three) the decode-row payload is corrupted. The
-    # CLI either serves a valid result or names the error; it never raises,
-    # and it never succeeds silently or with garbage.
-    path, manifest, payload = valid_manifest
-    if data.draw(st.integers(0, 2), label="target") == 0:
-        doc, payload = manifest, _mutated_payload(data, payload)
+    # deleted, or (one draw in two) the attention or decode-row payload is
+    # corrupted, or the decode entry declares zero rows. The CLI either
+    # serves a valid result or names the error; it never raises, and it never
+    # succeeds silently or with garbage.
+    path, manifest, payloads = valid_manifest
+    doc, payloads = manifest, dict(payloads)
+    if data.draw(st.booleans(), label="payload"):
+        target = data.draw(st.sampled_from(["attn_4.bin", "decode_4.bin", "no rows"]), label="target")
+        if target == "no rows":
+            i = next(i for i, e in enumerate(manifest["entries"]) if e["role"] == "decode_rows")
+            doc, payloads["decode_4.bin"] = _mutated(manifest, ("entries", i, "shape", 0), 0, False), b""
+        else:
+            payloads[target] = _mutated_payload(data, payloads[target])
     else:
         node = data.draw(st.sampled_from(list(_node_paths(manifest))), label="node")
         delete = data.draw(st.booleans(), label="delete")
         value = None if delete else data.draw(JSON_VALUES, label="value")
         doc = _mutated(manifest, node, value, delete)
     path.write_text(json.dumps(doc), encoding="utf-8")
-    (path.parent / "decode_4.bin").write_bytes(payload)
+    for name, payload in payloads.items():
+        (path.parent / name).write_bytes(payload)
 
     rc, out, err = _run([command, "--manifest", str(path)])
     assert rc in (0, 3), err

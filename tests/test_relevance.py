@@ -193,9 +193,3 @@ def test_decode_report_deep_layer_visual_fraction(rng):
         # Direct summation cross-check on the raw rows.
         direct = rows[entry["layer"]][:, 4:14].sum(axis=1).mean()
         assert entry["to_visual"] == pytest.approx(direct, abs=1e-12)
-
-
-def test_decode_report_requires_rows():
-    lo = layout_for(1, 2, 1)
-    with pytest.raises(EngineError, match="decoding_attention_report: no decode rows given"):
-        decoding_attention_report({}, lo)
