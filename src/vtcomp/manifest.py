@@ -5,12 +5,18 @@ payloads (raw little-endian IEEE-754 float32, row-major), the input
 layout, and the compression plan. Payload files are named relative to the
 manifest directory and must resolve inside it. Every validation failure
 names the offending entry.
+
+Each payload is mapped read-only, not copied, and every array the loader
+returns is read-only. A payload must not be truncated or rewritten while a
+command runs: a read past the end of a truncated mapping ends the process
+with SIGBUS, not an error message.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +50,11 @@ class ManifestData:
         return self.cls_vector is not None and self.wq is not None and self.wk is not None
 
 
-def _read_payload(base: Path, entry: dict, name: str) -> np.ndarray:
+def _read_payload(base: Path, entry: dict, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Map one payload read-only; return it with its float64 sums (per row
+    for a 2-D payload, else the total). Finite float32 values cannot
+    overflow a float64 sum, and a NaN or an inf of each sign gives a NaN,
+    so the sums are finite exactly when every entry is."""
     dtype = entry.get("dtype", "f32le")
     if dtype != "f32le":
         raise EngineError(f"entry {name!r}: unsupported dtype {dtype!r} (only f32le)")
@@ -69,20 +79,26 @@ def _read_payload(base: Path, entry: dict, name: str) -> np.ndarray:
         if actual != expected:
             raise EngineError(
                 f"entry {name!r}: file {rel!r} holds {actual} bytes, shape {shape} requires {expected}")
-        data = np.fromfile(path, dtype="<f4").reshape(shape)
+        buf = b""  # mmap rejects an empty file
+        if expected:
+            with open(path, "rb") as f:
+                buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as e:
         raise EngineError(f"entry {name!r}: file {rel!r}: {e.strerror}") from None
-    if not np.all(np.isfinite(data)):
+    data = np.frombuffer(buf, dtype="<f4").reshape(shape)
+    with np.errstate(invalid="ignore"):  # +inf + -inf in one sum
+        sums = data.sum(axis=1, dtype=np.float64) if data.ndim == 2 else data.sum(dtype=np.float64)
+    if not np.isfinite(sums).all():
         raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
-    return data
+    return data, sums
 
 
-def _validate_rows(a: np.ndarray, name: str) -> None:
-    """Attention rows, square or decode-step: non-negative weights, and each
-    row that is not fully masked sums to 1 over its full width."""
-    if np.any(a < 0):
+def _validate_rows(a: np.ndarray, sums: np.ndarray, name: str) -> None:
+    """Attention rows, square or decode-step, with their float64 row sums:
+    non-negative weights, and each row that is not fully masked sums to 1
+    over its full width."""
+    if a.size and a.min() < 0:
         raise EngineError(f"entry {name!r}: negative attention weight")
-    sums = a.sum(axis=1, dtype=np.float64)
     # Fully masked rows (all exact zeros) are allowed; every other row must
     # be stochastic over its unmasked support.
     unmasked = sums > 0
@@ -126,7 +142,7 @@ def load_manifest(path) -> ManifestData:
         role = entry.get("role")
         if role not in ROLES:
             raise EngineError(f"entry {name!r}: unknown role {role!r}")
-        data = _read_payload(base, entry, name)
+        data, sums = _read_payload(base, entry, name)
 
         if role in _LAYERED_ROLES:
             layer = entry.get("layer")
@@ -144,7 +160,7 @@ def load_manifest(path) -> ManifestData:
                     f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
             elif data.shape[0] < 1:
                 raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
-            _validate_rows(data, name)
+            _validate_rows(data, sums, name)
             target[layer] = data
         else:
             if role in singletons:

@@ -1,4 +1,8 @@
+import errno
+import hashlib
 import json
+import mmap
+import os
 import re
 import shlex
 from pathlib import Path
@@ -323,6 +327,50 @@ def test_invalid_decode_rows_exit_3(tmp_path, rng, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "vtcomp decide: error: entry 'decode_4': negative attention weight\n"
+
+
+# Values by flat index into the payload; attention rows are 14 wide, so
+# indices 43 and 49 are both in row 3, whose float64 sum is inf - inf = NaN.
+@pytest.mark.parametrize("name, values", [
+    ("attn_4", {43: np.inf, 49: -np.inf}), ("attn_4", {43: np.inf}), ("cls", {2: np.nan}),
+], ids=["attention-inf-pair", "attention-inf", "cls-nan"])
+def test_non_finite_payload_exits_3_without_warning(tmp_path, rng, capsys, recwarn, name, values):
+    layout = small_layout()
+    path = build_manifest(tmp_path, attention={4: block_weighted_attention(rng, layout, 1e-4)},
+                          plan={"retain_ratio": 0.5, "schedule": [4]})
+    payload = tmp_path / f"{name}.bin"
+    a = np.fromfile(payload, dtype="<f4")
+    a[list(values)] = list(values.values())
+    payload.write_bytes(a.tobytes())
+    code = main(["pipeline", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"vtcomp pipeline: error: entry {name!r}: payload contains NaN/Inf\n"
+    assert "Warning" not in captured.err
+    assert not recwarn.list
+
+
+def test_pipeline_leaves_payload_files_unchanged(tmp_path, rng, capsys):
+    path = fixture_with_trace(tmp_path, rng)
+    before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.bin")}
+    assert len(before) == 8
+    assert main(["pipeline", "--manifest", str(path)]) == 0
+    after = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.bin")}
+    assert after == before
+
+
+def test_failed_payload_map_exits_3(tmp_path, monkeypatch, capsys):
+    path = build_manifest(tmp_path)
+
+    def no_map(*args, **kwargs):
+        raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
+
+    monkeypatch.setattr(mmap, "mmap", no_map)
+    code = main(["select", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (f"vtcomp select: error: entry 'visual': file 'visual.bin': "
+                            f"{os.strerror(errno.ENODEV)}\n")
 
 
 # Each case rewrites one payload of the 8 x 6 image fixture (seq 14) with

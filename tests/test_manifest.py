@@ -43,6 +43,43 @@ def test_nonfinite_payload(tmp_path):
         load_manifest(path)
 
 
+def test_nan_reported_before_negative_weight(tmp_path, rng):
+    attn = row_stochastic(rng, 14)
+    attn[2, 3] = -0.5
+    attn[9, 1] = np.nan
+    path = build_manifest(tmp_path, attention={4: attn}, with_stage1=False)
+    with pytest.raises(EngineError, match="^entry 'attn_4': payload contains NaN/Inf$"):
+        load_manifest(path)
+
+
+def test_nan_reported_before_wrong_shape(tmp_path, rng):
+    attn = rng.random((14, 15)).astype(np.float32)
+    attn[0, 14] = np.nan
+    path = build_manifest(tmp_path, attention={4: attn}, with_stage1=False)
+    with pytest.raises(EngineError, match="^entry 'attn_4': payload contains NaN/Inf$"):
+        load_manifest(path)
+
+
+def test_float32_max_row_sums_finite_in_float64(tmp_path, rng):
+    # 14 x float32 max is about 4.8e39: far past float32, finite in float64,
+    # so the row fails the sum check and not the NaN/Inf check.
+    attn = row_stochastic(rng, 14)
+    attn[0] = np.finfo(np.float32).max
+    path = build_manifest(tmp_path, attention={4: attn}, with_stage1=False)
+    with pytest.raises(EngineError, match=r"^entry 'attn_4': row 0 sums to 4763\d{36}\.000000, expected 1 "):
+        load_manifest(path)
+
+
+def test_loaded_arrays_are_read_only(tmp_path, rng):
+    path = build_manifest(tmp_path, attention={4: row_stochastic(rng, 14)},
+                          decode_rows={4: row_stochastic(rng, 14)[:2]})
+    md = load_manifest(path)
+    arrays = [md.visual_embeddings, md.cls_vector, md.wq, md.wk,
+              *md.attention_layers.values(), *md.decode_rows.values()]
+    assert len(arrays) == 6
+    assert not any(a.flags.writeable for a in arrays)
+
+
 def test_row_sum_violation_names_row(tmp_path, rng):
     attn = row_stochastic(rng, 14)
     attn[5] *= 0.8

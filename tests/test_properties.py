@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -45,9 +46,15 @@ def valid_manifest(tmp_path_factory):
 
 
 def _run(argv):
+    """Run the CLI; warnings are appended to stderr as the interpreter would
+    print them."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -72,14 +79,20 @@ def _mutated(manifest, path, value, delete):
 
 
 def _mutated_payload(data, payload):
-    """Attention or decode rows with one entry made NaN or negative, one row
-    scaled by 2, or the file cut short by one float."""
+    """Attention or decode rows with one entry made NaN or negative, a +inf
+    and a -inf in one row, one row scaled by 2 or filled with float32 max,
+    or the file cut short by one float."""
     rows = np.frombuffer(payload, dtype="<f4").reshape(-1, LAYOUT.seq_len).copy()
     r = data.draw(st.integers(0, rows.shape[0] - 1), label="row")
     c = data.draw(st.integers(0, rows.shape[1] - 1), label="column")
-    kind = data.draw(st.sampled_from(["nan", "negative", "scaled", "truncated"]), label="kind")
+    kinds = ["nan", "negative", "inf pair", "scaled", "float32 max", "truncated"]
+    kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "nan":
         rows[r, c] = np.nan
+    elif kind == "inf pair":
+        rows[r, c], rows[r, c - 1] = np.inf, -np.inf
+    elif kind == "float32 max":
+        rows[r] = np.finfo(np.float32).max
     elif kind == "negative":
         rows[r, c] = -data.draw(st.floats(1e-6, 10.0), label="weight")
     elif kind == "scaled":
@@ -134,6 +147,7 @@ def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
 
     rc, out, err = _run([command, "--manifest", str(path)])
     assert rc in (0, 3), err
+    assert "Warning" not in err
     if rc == 0:
         report = json.loads(out)
         assert report["command"] == command
