@@ -93,7 +93,7 @@ def _run_stage1(md: ManifestData, plan: CompressionPlan):
 
 def _run_stage2(md: ManifestData, plan: CompressionPlan):
     schedule = plan.resolved_schedule()
-    return decide_drop_layer(md.attention_layers, md.layout, schedule, plan.tau)
+    return decide_drop_layer(md.attention_layers, md.attention_row_sums, md.layout, schedule, plan.tau)
 
 
 def _emit(report: dict, args) -> None:

@@ -108,17 +108,17 @@ def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     cosine_row = _cosine_rows(v)
 
     # A copy: the Gram path hands out views into its matrix.
+    # Selected tokens hold +inf, so _pick never takes one again.
     s = cosine_row(pivot).copy()
-    selected = np.zeros(n, dtype=bool)
-    selected[pivot] = True
+    s[pivot] = np.inf
     indices = [pivot]
     trace = [(pivot, -1.0)]
 
     for _ in range(k - 1):
-        c = _pick(np.where(selected, np.inf, s))
+        c = _pick(s)
         trace.append((c, float(s[c])))
         indices.append(c)
-        selected[c] = True
+        s[c] = np.inf
         np.maximum(s, cosine_row(c), out=s)
 
     return RetentionSet(indices=tuple(indices), trace=tuple(trace))

@@ -7,9 +7,10 @@ manifest directory and must resolve inside it. Every validation failure
 names the offending entry.
 
 Each payload is mapped read-only, not copied, and every array the loader
-returns is read-only. A payload must not be truncated or rewritten while a
-command runs: a read past the end of a truncated mapping ends the process
-with SIGBUS, not an error message.
+returns is read-only. The float64 row sums of each attention payload are
+kept, so stage 2 need not read the matrix again. A payload must not be
+truncated or rewritten while a command runs: a read past the end of a
+truncated mapping ends the process with SIGBUS, not an error message.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class ManifestData:
     wq: np.ndarray | None = None
     wk: np.ndarray | None = None
     attention_layers: dict[int, np.ndarray] = field(default_factory=dict)
+    attention_row_sums: dict[int, np.ndarray] = field(default_factory=dict)
     decode_rows: dict[int, np.ndarray] = field(default_factory=dict)
     path: Path | None = None
 
@@ -134,6 +136,7 @@ def load_manifest(path) -> ManifestData:
     base = path.parent
     singletons: dict[str, np.ndarray] = {}
     attention_layers: dict[int, np.ndarray] = {}
+    attention_row_sums: dict[int, np.ndarray] = {}
     decode_rows: dict[int, np.ndarray] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -162,6 +165,9 @@ def load_manifest(path) -> ManifestData:
                 raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
             _validate_rows(data, sums, name)
             target[layer] = data
+            if role == "attention_layer_k":
+                sums.flags.writeable = False
+                attention_row_sums[layer] = sums
         else:
             if role in singletons:
                 raise EngineError(f"entry {name!r}: duplicate role {role!r}")
@@ -197,6 +203,7 @@ def load_manifest(path) -> ManifestData:
         wq=singletons.get("wq"),
         wk=singletons.get("wk"),
         attention_layers=attention_layers,
+        attention_row_sums=attention_row_sums,
         decode_rows=decode_rows,
         path=path,
     )

@@ -32,14 +32,15 @@ class PruneDecision:
     tau: float
 
 
-def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
+def attention_ratios(a: np.ndarray, row_sums: np.ndarray, layout: InputLayout) -> tuple[float, float]:
     """Fraction of text-query attention mass on visual keys, and vice versa.
 
-    Denominators are restricted to prompt keys (system, visual, text),
-    which is the whole row-block because the three ranges tile the prompt.
-    Sums accumulate in float64 without copying the matrix. A row-block with
-    no attention mass (every row masked) has no ratio and raises
-    EngineError rather than reading as 0, which would pass any tau.
+    ``row_sums`` holds the float64 row sums of ``a`` that ``load_manifest``
+    computed while validating it. The totals add those sums over the text
+    and the visual rows, so only the two cross-modal blocks of ``a`` are
+    read, accumulated in float64 without copying. A row-block with no
+    attention mass (every row masked) has no ratio and raises EngineError
+    rather than reading as 0, which would pass any tau.
     """
     if layout.text_len == 0:
         raise EngineError("attention_ratios: text partition is empty")
@@ -49,12 +50,10 @@ def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
     v0, v1 = layout.visual_range
     t0, t1 = layout.text_range
 
-    text_rows = a[t0:t1]
-    visual_rows = a[v0:v1]
-    t_to_v = text_rows[:, v0:v1].sum(dtype=np.float64)
-    t_total = text_rows.sum(dtype=np.float64)
-    v_to_t = visual_rows[:, t0:t1].sum(dtype=np.float64)
-    v_total = visual_rows.sum(dtype=np.float64)
+    t_to_v = a[t0:t1, v0:v1].sum(dtype=np.float64)
+    t_total = row_sums[t0:t1].sum()
+    v_to_t = a[v0:v1, t0:t1].sum(dtype=np.float64)
+    v_total = row_sums[v0:v1].sum()
 
     if not t_total > 0:
         raise EngineError("attention_ratios: text rows carry no attention mass (all masked)")
@@ -65,6 +64,7 @@ def attention_ratios(a: np.ndarray, layout: InputLayout) -> tuple[float, float]:
 
 def decide_drop_layer(
     layers: dict[int, np.ndarray],
+    row_sums: dict[int, np.ndarray],
     layout: InputLayout,
     schedule,
     tau: float,
@@ -72,7 +72,8 @@ def decide_drop_layer(
     """Probe scheduled layers in ascending order; drop at the first layer
     where both cross-modal ratios fall below tau, else None.
 
-    ``layers`` maps a layer index to its head-averaged prompt attention.
+    ``layers`` maps a layer index to its head-averaged prompt attention,
+    and ``row_sums`` maps it to that matrix's float64 row sums.
     """
     ordered = sorted(int(x) for x in schedule)
     for layer in ordered:
@@ -82,7 +83,7 @@ def decide_drop_layer(
     drop_layer = None
     for layer in ordered:
         try:
-            alpha_tv, alpha_vt = attention_ratios(layers[layer], layout)
+            alpha_tv, alpha_vt = attention_ratios(layers[layer], row_sums[layer], layout)
         except EngineError as e:
             raise EngineError(f"decide_drop_layer: layer {layer}: {e}") from None
         probed.append((layer, alpha_tv, alpha_vt))

@@ -33,6 +33,14 @@ def cosine_similarity(a, b) -> float:
     return float(np.float32(min(1.0, max(-1.0, val))))
 
 
+def row_sums(a):
+    """Float64 row sums, as load_manifest keeps them for each attention
+    payload: of one matrix, or of each matrix in a layer -> matrix dict."""
+    if isinstance(a, dict):
+        return {layer: row_sums(m) for layer, m in a.items()}
+    return a.sum(axis=1, dtype=np.float64)
+
+
 def row_stochastic(rng, seq):
     a = rng.random((seq, seq)) + 1e-3
     return (a / a.sum(axis=1, keepdims=True)).astype(np.float32)

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import block_weighted_attention, build_manifest
+from conftest import block_weighted_attention, build_manifest, row_sums
 from oracles import covering_radius, optimal_kcenter_radius
 from vtcomp.cli import main
 from vtcomp.costmodel import StageConfig, flops_decode, preset_configs, stage_ratio_report
@@ -131,7 +131,7 @@ def test_criterion_6_attention_ratio_correctness():
                          text_range=(s + m, s + m + n))
         a = rng.random((lo.seq_len, lo.seq_len)) + 1e-3
         a /= a.sum(axis=1, keepdims=True)
-        got = attention_ratios(a, lo)
+        got = attention_ratios(a, row_sums(a), lo)
         t_idx = range(s + m, s + m + n)
         v_idx = range(s, s + m)
         prompt = range(lo.seq_len)
@@ -142,7 +142,8 @@ def test_criterion_6_attention_ratio_correctness():
         ok &= abs(got[0] - tv / td) <= 1e-6 and abs(got[1] - vt / vd) <= 1e-6
 
     lo = InputLayout(kind="image", system_range=(0, 1), visual_range=(1, 3), text_range=(3, 4))
-    tv, vt = attention_ratios(np.full((4, 4), 0.25), lo)
+    a = np.full((4, 4), 0.25)
+    tv, vt = attention_ratios(a, row_sums(a), lo)
     ok &= abs(tv - 0.5) <= 1e-9 and abs(vt - 0.25) <= 1e-9
 
     lo = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 6), text_range=(6, 9))
@@ -151,7 +152,7 @@ def test_criterion_6_attention_ratio_correctness():
                   for l in (2, 5, 7)}
         previous = np.inf
         for tau in (0.0, 0.05, 0.2, 0.5, 1.0):
-            drop = decide_drop_layer(layers, lo, [2, 5, 7], tau=tau).drop_layer
+            drop = decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=tau).drop_layer
             pos = np.inf if drop is None else drop
             ok &= pos <= previous
             previous = pos

@@ -149,6 +149,29 @@ def test_decide_masked_text_rows_exits_3(tmp_path, rng, capsys):
     assert "Traceback" not in err
 
 
+def test_decide_probes_each_layer_with_its_own_row_sums(tmp_path, rng, capsys):
+    # Each layer masks different text rows, so its text total differs: a
+    # probe given another layer's row sums reports a wrong ratio.
+    layout = small_layout()
+    attention = {layer: block_weighted_attention(rng, layout, 0.5) for layer in (4, 5)}
+    t0, t1 = layout.text_range
+    attention[4][t0] = 0.0
+    attention[5][t1 - 2:t1] = 0.0
+    path = build_manifest(tmp_path, attention=attention,
+                          plan={"retain_ratio": 0.5, "schedule": [4, 5]})
+    code, report = run_json(["decide", "--manifest", str(path), "--tau", "0"], capsys)
+    assert code == 0
+    probed = report["prune_decision"]["probed"]
+    assert [p["layer"] for p in probed] == [4, 5]
+    v, t, prompt = range(*layout.visual_range), range(t0, t1), range(layout.seq_len)
+    for p in probed:
+        a = attention[p["layer"]].astype(np.float64)
+        tv = sum(a[i][j] for i in t for j in v) / sum(a[i][j] for i in t for j in prompt)
+        vt = sum(a[i][j] for i in v for j in t) / sum(a[i][j] for i in v for j in prompt)
+        assert p["text_to_visual"] == pytest.approx(tv, abs=1e-9)
+        assert p["visual_to_text"] == pytest.approx(vt, abs=1e-9)
+
+
 def _repoint_visual(path, file):
     manifest = json.loads(path.read_text(encoding="utf-8"))
     for entry in manifest["entries"]:

@@ -75,9 +75,23 @@ def test_loaded_arrays_are_read_only(tmp_path, rng):
                           decode_rows={4: row_stochastic(rng, 14)[:2]})
     md = load_manifest(path)
     arrays = [md.visual_embeddings, md.cls_vector, md.wq, md.wk,
-              *md.attention_layers.values(), *md.decode_rows.values()]
-    assert len(arrays) == 6
+              *md.attention_layers.values(), *md.attention_row_sums.values(),
+              *md.decode_rows.values()]
+    assert len(arrays) == 7
     assert not any(a.flags.writeable for a in arrays)
+
+
+def test_attention_row_sums_kept_per_layer(tmp_path, rng):
+    attn4 = row_stochastic(rng, 14)
+    attn4[3] = 0.0
+    path = build_manifest(tmp_path, attention={4: attn4, 7: row_stochastic(rng, 14)},
+                          with_stage1=False)
+    md = load_manifest(path)
+    assert md.attention_row_sums.keys() == md.attention_layers.keys() == {4, 7}
+    for layer, a in md.attention_layers.items():
+        sums = md.attention_row_sums[layer]
+        assert sums.dtype == np.float64
+        assert np.array_equal(sums, a.sum(axis=1, dtype=np.float64))
 
 
 def test_row_sum_violation_names_row(tmp_path, rng):

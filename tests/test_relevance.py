@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import row_sums
 from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
 from vtcomp.relevance import attention_ratios, decide_drop_layer, decoding_attention_report
@@ -34,7 +35,7 @@ def naive_ratios(a, layout):
 def test_uniform_matrix_analytic():
     lo = layout_for(1, 2, 1)
     a = np.full((4, 4), 0.25)
-    tv, vt = attention_ratios(a, lo)
+    tv, vt = attention_ratios(a, row_sums(a), lo)
     assert tv == pytest.approx(0.5, abs=1e-9)
     assert vt == pytest.approx(0.25, abs=1e-9)
 
@@ -45,14 +46,14 @@ def test_block_diagonal_is_zero():
     a[0, 0] = 1.0
     a[1:3, 1:3] = 0.5
     a[3, 3] = 1.0
-    assert attention_ratios(a, lo) == (0.0, 0.0)
+    assert attention_ratios(a, row_sums(a), lo) == (0.0, 0.0)
 
 
 def test_matches_nested_sum_oracle(rng):
     lo = layout_for(2, 6, 4)
     for _ in range(20):
         a = row_stochastic(rng, 12)
-        got = attention_ratios(a, lo)
+        got = attention_ratios(a, row_sums(a), lo)
         want = naive_ratios(a, lo)
         assert got[0] == pytest.approx(want[0], abs=1e-6)
         assert got[1] == pytest.approx(want[1], abs=1e-6)
@@ -70,8 +71,9 @@ def test_denominator_equals_partition_size(rng):
 
 def test_empty_partition():
     lo = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 4), text_range=(4, 4))
+    a = np.full((4, 4), 0.25)
     with pytest.raises(EngineError, match="attention_ratios: text partition is empty"):
-        attention_ratios(np.full((4, 4), 0.25), lo)
+        attention_ratios(a, row_sums(a), lo)
 
 
 def test_fully_masked_block_raises():
@@ -79,11 +81,11 @@ def test_fully_masked_block_raises():
     a = np.full((4, 4), 0.25)
     a[3] = 0.0  # the only text row is masked
     with pytest.raises(EngineError, match="^attention_ratios: text rows carry no attention mass"):
-        attention_ratios(a, lo)
+        attention_ratios(a, row_sums(a), lo)
     b = np.full((4, 4), 0.25)
     b[1:3] = 0.0  # both visual rows are masked
     with pytest.raises(EngineError, match="^attention_ratios: visual rows carry no attention mass"):
-        attention_ratios(b, lo)
+        attention_ratios(b, row_sums(b), lo)
 
 
 def make_layers(rng, lo, layers):
@@ -95,7 +97,7 @@ def test_drop_at_first_qualifying_layer():
     quiet = np.eye(4)  # block diagonal: ratios (0, 0)
     busy = np.full((4, 4), 0.25)
     layers = {4: busy, 5: quiet, 6: quiet, 7: busy}
-    d = decide_drop_layer(layers, lo, [4, 5, 6, 7], tau=0.03)
+    d = decide_drop_layer(layers, row_sums(layers), lo, [4, 5, 6, 7], tau=0.03)
     assert d.drop_layer == 5
     # Probing stops at the first hit.
     assert [p[0] for p in d.probed] == [4, 5]
@@ -109,7 +111,7 @@ def test_no_drop_when_conjunction_fails():
     a[2, 2] = 1.0
     a[3, 1], a[3, 3] = 0.05, 0.95  # text -> visual exceeds tau
     layers = {4: a}
-    d = decide_drop_layer(layers, lo, [4], tau=0.03)
+    d = decide_drop_layer(layers, row_sums(layers), lo, [4], tau=0.03)
     assert d.drop_layer is None
     assert len(d.probed) == 1
 
@@ -118,7 +120,7 @@ def test_missing_layer(rng):
     lo = layout_for(1, 2, 1)
     layers = make_layers(rng, lo, [4, 6])
     with pytest.raises(EngineError, match="no attention matrix for scheduled layer 5"):
-        decide_drop_layer(layers, lo, [4, 5, 6], tau=0.03)
+        decide_drop_layer(layers, row_sums(layers), lo, [4, 5, 6], tau=0.03)
 
 
 def test_masked_probe_raises_naming_layer(rng):
@@ -128,14 +130,14 @@ def test_masked_probe_raises_naming_layer(rng):
     layers[5][t0:t1] = 0.0
     # tau=0 never drops, so probing reaches layer 5 instead of stopping at 2.
     with pytest.raises(EngineError, match="^decide_drop_layer: layer 5: attention_ratios: text rows carry no attention mass"):
-        decide_drop_layer(layers, lo, [2, 5, 7], tau=0.0)
+        decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=0.0)
 
 
 def test_tau_boundaries(rng):
     lo = layout_for(2, 4, 3)
     layers = make_layers(rng, lo, [2, 5, 7])
-    assert decide_drop_layer(layers, lo, [2, 5, 7], tau=1.0).drop_layer == 2
-    assert decide_drop_layer(layers, lo, [2, 5, 7], tau=0.0).drop_layer is None
+    assert decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=1.0).drop_layer == 2
+    assert decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=0.0).drop_layer is None
 
 
 def test_tau_monotonicity(rng):
@@ -144,7 +146,7 @@ def test_tau_monotonicity(rng):
         layers = make_layers(rng, lo, [2, 5, 7])
         previous = None
         for tau in (0.0, 0.1, 0.3, 0.6, 1.0):
-            d = decide_drop_layer(layers, lo, [2, 5, 7], tau=tau).drop_layer
+            d = decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=tau).drop_layer
             if previous is not None:
                 prev_pos = np.inf if previous is None else previous
                 cur_pos = np.inf if d is None else d
@@ -155,9 +157,9 @@ def test_tau_monotonicity(rng):
 def test_unscheduled_layers_ignored(rng):
     lo = layout_for(2, 4, 3)
     layers = make_layers(rng, lo, [2, 5, 7, 9])
-    base = decide_drop_layer(layers, lo, [2, 5], tau=0.2)
+    base = decide_drop_layer(layers, row_sums(layers), lo, [2, 5], tau=0.2)
     perturbed = {**layers, 9: row_stochastic(rng, lo.seq_len)}
-    again = decide_drop_layer(perturbed, lo, [2, 5], tau=0.2)
+    again = decide_drop_layer(perturbed, row_sums(perturbed), lo, [2, 5], tau=0.2)
     assert base == again
 
 
