@@ -6,8 +6,9 @@ When n <= d those rows come from one clipped Gram matrix, O(n^2*d) in a
 single matrix-matrix product plus O(n*k) for the updates; otherwise each
 row is a matrix-vector product over the normalised tokens, O(n*k*d) in
 total. The oracle, `oracle_greedy`, deliberately avoids that incremental
-state: it recomputes every candidate/selected similarity from scratch at
-each step. Its size guard lives in `oracle-check`, its only CLI caller.
+state: at each step it recomputes every selected/candidate similarity from
+scratch as one (selected x n) matrix product. Its size guard lives in
+`oracle-check`, its only CLI caller.
 """
 
 from __future__ import annotations
@@ -127,8 +128,10 @@ def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
 def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     """Same contract as greedy_kcenter, recomputed without incremental state.
 
-    At every step the max similarity of each remaining candidate to each
-    already-selected token is evaluated afresh, O(n*k^2*d) in total.
+    At every step the similarities of all selected tokens to all tokens are
+    evaluated afresh as one (selected x n) matrix product, and each
+    candidate's maximum is taken over its column: O(n*k^2*d) in total, with
+    nothing carried from one step to the next but the selected indices.
     """
     v = np.asarray(v)
     n = v.shape[0]
@@ -137,17 +140,13 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
 
     indices = [pivot]
     trace = [(pivot, -1.0)]
-    selected = np.zeros(n, dtype=bool)
-    selected[pivot] = True
     for _ in range(k - 1):
-        chosen = np.flatnonzero(selected)
-        max_sims = np.full(n, np.inf)
-        for cand in range(n):
-            if not selected[cand]:
-                max_sims[cand] = float(np.max(np.clip(rows[chosen] @ rows[cand], -1.0, 1.0)))
+        # Clipping is monotone, so clipping the n column maxima equals
+        # taking the maxima of the clipped matrix.
+        max_sims = np.clip((rows[indices] @ rows.T).max(axis=0), -1.0, 1.0)
+        max_sims[indices] = np.inf
         best_idx = _pick(max_sims)
         indices.append(best_idx)
         trace.append((best_idx, float(max_sims[best_idx])))
-        selected[best_idx] = True
 
     return RetentionSet(indices=tuple(indices), trace=tuple(trace))

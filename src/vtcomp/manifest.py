@@ -3,8 +3,8 @@
 A manifest is a UTF-8 JSON file describing headerless binary tensor
 payloads (raw little-endian IEEE-754 float32, row-major), the input
 layout, and the compression plan. Payload files are named relative to the
-manifest directory and must resolve inside it. Every validation failure
-names the offending entry.
+manifest directory and must resolve inside it. No JSON object may give a
+key twice. Every validation failure names the offending entry or key.
 
 Each payload is mapped read-only, not copied, and every array the loader
 returns is read-only. The float64 row sums of each attention payload are
@@ -111,12 +111,22 @@ def _validate_rows(a: np.ndarray, sums: np.ndarray, name: str) -> None:
             f"entry {name!r}: row {row} sums to {sums[row]:.6f}, expected 1 +/- {ROW_SUM_TOL}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a key given twice is an error, not "last one wins"."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise EngineError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_manifest(path) -> ManifestData:
     """Parse and fully validate a manifest plus all referenced payloads."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, EngineError) as e:
         raise EngineError(f"manifest {path}: {e}") from None
     if not isinstance(raw, dict):
         raise EngineError(f"manifest {path}: top level must be a JSON object")

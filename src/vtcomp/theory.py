@@ -84,7 +84,7 @@ def diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
     pairwise kernel over projected tokens, diagonal excluded."""
     n = v.shape[1]
     pv = _normalize(v @ w_v, "diversity_measure")
-    gram = _kernel(np.clip(np.einsum("bik,bjk->bij", pv, pv), -1.0, 1.0), kernel)
+    gram = _kernel(np.clip(pv @ pv.transpose(0, 2, 1), -1.0, 1.0), kernel)
     diag = np.einsum("bii->b", gram)
     return (gram.sum(axis=(1, 2)) - diag) / (n * (n - 1))
 
@@ -95,7 +95,7 @@ def redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
     mean over visual tokens of the mean kernel to all projected text tokens."""
     pvt = _normalize(v @ w_t, "cross_redundancy_measure (visual)")
     pt = _normalize(t_tokens @ w_t, "cross_redundancy_measure (text)")
-    cross = _kernel(np.clip(np.einsum("bik,bjk->bij", pvt, pt), -1.0, 1.0), kernel)
+    cross = _kernel(np.clip(pvt @ pt.transpose(0, 2, 1), -1.0, 1.0), kernel)
     return cross.mean(axis=(1, 2))
 
 
@@ -146,12 +146,19 @@ def covariance_experiment(
     rm = r_all - r_all.mean()
     sample_cov = float((dm * rm).sum() / (num_trials - 1))
 
+    # A resample that takes trial j w_j times has covariance
+    #   (sum w*dm*rm - (sum w*dm)(sum w*rm)/N) / (N - 1),
+    # so each resample needs only its counts w and one (3 x N) @ N product,
+    # not two gathers of length N. The covariance is shift-invariant, so the
+    # centred measures give the same value with less cancellation. Each
+    # resample still draws its N indices with one rng.integers call, so the
+    # random stream, and with it the standard error, is unchanged.
+    weighted = np.stack((dm, rm, dm * rm))
     boot = np.empty(bootstrap_resamples)
     for i in range(bootstrap_resamples):
-        idx = rng.integers(0, num_trials, size=num_trials)
-        db = d_all[idx]
-        rb = r_all[idx]
-        boot[i] = ((db - db.mean()) * (rb - rb.mean())).sum() / (num_trials - 1)
+        counts = np.bincount(rng.integers(0, num_trials, size=num_trials), minlength=num_trials)
+        sum_d, sum_r, sum_dr = weighted @ counts
+        boot[i] = (sum_dr - sum_d * sum_r / num_trials) / (num_trials - 1)
     standard_error = float(boot.std(ddof=1))
 
     return {

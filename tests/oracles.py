@@ -1,6 +1,7 @@
-"""Exhaustive referees for greedy k-center: the covering radius of a
+"""Referees for the array-at-a-time code: the covering radius of a
 center set and the brute-force optimum it is compared against in the
-2-approximation check (Gonzalez 1985).
+2-approximation check (Gonzalez 1985), plus loop-at-a-time versions of
+`oracle_greedy` and of the lemma's bootstrap.
 """
 
 from itertools import combinations
@@ -8,7 +9,8 @@ from itertools import combinations
 import numpy as np
 
 from vtcomp.errors import EngineError
-from vtcomp.kcenter import normalize_rows
+from vtcomp.kcenter import TIE_EPS, RetentionSet, normalize_rows
+from vtcomp.theory import TRIAL_CHUNK, diversity_batch, make_orthogonal_bases, redundancy_batch
 
 EXHAUSTIVE_MAX_N = 12
 EXHAUSTIVE_MAX_K = 5
@@ -52,3 +54,54 @@ def optimal_kcenter_radius(v: np.ndarray, k: int) -> float:
         if r < best:
             best = r
     return float(best)
+
+
+def nested_loop_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
+    """oracle_greedy one candidate at a time: each remaining candidate's max
+    similarity to the selected set comes from its own matrix-vector product."""
+    rows = normalize_rows(v, "nested_loop_greedy")
+    n = rows.shape[0]
+    indices = [pivot]
+    trace = [(pivot, -1.0)]
+    selected = np.zeros(n, dtype=bool)
+    selected[pivot] = True
+    for _ in range(k - 1):
+        chosen = np.flatnonzero(selected)
+        max_sims = np.full(n, np.inf)
+        for cand in range(n):
+            if not selected[cand]:
+                max_sims[cand] = float(np.max(np.clip(rows[chosen] @ rows[cand], -1.0, 1.0)))
+        best_idx = int(np.argmax(max_sims <= max_sims.min() + TIE_EPS))
+        indices.append(best_idx)
+        trace.append((best_idx, float(max_sims[best_idx])))
+        selected[best_idx] = True
+    return RetentionSet(indices=tuple(indices), trace=tuple(trace))
+
+
+def gather_bootstrap_experiment(trial, num_trials: int, negative_control: bool,
+                                resamples: int) -> tuple[float, float]:
+    """(sample covariance, standard error) of covariance_experiment, replayed
+    on the same random stream with each bootstrap resample gathered by index."""
+    rng = np.random.default_rng(trial.seed)
+    w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.visual_subdim, trial.text_subdim)
+    if negative_control:
+        w_t = w_v
+    d_parts, r_parts = [], []
+    for done in range(0, num_trials, TRIAL_CHUNK):
+        b = min(TRIAL_CHUNK, num_trials - done)
+        v = rng.standard_normal((b, trial.n_visual, trial.ambient_dim))
+        t_tokens = rng.standard_normal((b, trial.n_text, trial.ambient_dim))
+        if negative_control:
+            t_tokens = v[:, : trial.n_text, :]
+        d_parts.append(diversity_batch(v, w_v, trial.kernel))
+        r_parts.append(redundancy_batch(v, t_tokens, w_t, trial.kernel))
+    d_all, r_all = np.concatenate(d_parts), np.concatenate(r_parts)
+    sample_cov = float(((d_all - d_all.mean()) * (r_all - r_all.mean())).sum() / (num_trials - 1))
+
+    boot = np.empty(resamples)
+    for i in range(resamples):
+        idx = rng.integers(0, num_trials, size=num_trials)
+        db = d_all[idx]
+        rb = r_all[idx]
+        boot[i] = ((db - db.mean()) * (rb - rb.mean())).sum() / (num_trials - 1)
+    return sample_cov, float(boot.std(ddof=1))

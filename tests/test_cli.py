@@ -340,6 +340,18 @@ def test_malformed_manifest_types_exit_3(tmp_path, rng, capsys, mutate, named):
     assert "Traceback" not in err
 
 
+def test_duplicate_manifest_key_exits_3(tmp_path, rng, capsys):
+    # json.loads alone keeps the last value: this would run as layer 99.
+    path = build_manifest(tmp_path, attention={4: block_weighted_attention(rng, small_layout(), 1e-4)},
+                          plan={"retain_ratio": 0.5, "schedule": [4]})
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"layer": 4', '"layer": 4, "layer": 99'), encoding="utf-8")
+    code = main(["decide", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"vtcomp decide: error: manifest {path}: duplicate key 'layer'\n"
+
+
 def test_invalid_decode_rows_exit_3(tmp_path, rng, capsys):
     layout = small_layout()
     rows = np.zeros((1, layout.seq_len), dtype=np.float32)
@@ -503,6 +515,15 @@ def test_out_of_memory_exits_3(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("vtcomp verify-lemma: error: out of memory: ")
     assert "Traceback" not in captured.err
+
+
+def test_oracle_check_at_size_bound(capsys):
+    # Seed 757 draws n = 512, the largest instance oracle-check accepts.
+    code, report = run_json(
+        ["oracle-check", "--instances", "1", "--max-n", "512", "--max-d", "4", "--seed", "757"],
+        capsys)
+    assert code == 0
+    assert report["ok"] is True
 
 
 def test_oracle_check_reports_are_byte_identical(tmp_path):

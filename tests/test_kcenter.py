@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covering_radius, optimal_kcenter_radius
+from oracles import covering_radius, nested_loop_greedy, optimal_kcenter_radius
 from vtcomp.errors import EngineError
 from vtcomp.kcenter import greedy_kcenter, normalize_rows, oracle_greedy
 
@@ -196,4 +196,20 @@ def test_zero_padding_crosses_regimes_without_changing_picks():
         wide = greedy_kcenter(np.pad(v, ((0, 0), (0, n))), pivot, k)
         assert wide.indices == narrow.indices
         for (_, a), (_, b) in zip(wide.trace, narrow.trace):
+            assert abs(a - b) <= 1e-12
+
+
+def test_oracle_matches_nested_loop_referee():
+    # Exact and near duplicates, with n <= d and n > d: the one-product-per-
+    # step oracle must pick what the per-candidate loop picks.
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 33))
+        d = int(rng.integers(n, n + 20)) if seed % 2 else int(rng.integers(2, n))
+        v = near_duplicates(rng, n, d) if seed % 3 else rng.standard_normal((n, d)).astype(np.float32)
+        pivot = int(rng.integers(0, n))
+        k = int(rng.integers(1, n + 1))
+        fast, slow = oracle_greedy(v, pivot, k), nested_loop_greedy(v, pivot, k)
+        assert fast.indices == slow.indices
+        for (_, a), (_, b) in zip(fast.trace, slow.trace):
             assert abs(a - b) <= 1e-12

@@ -15,6 +15,9 @@ from vtcomp.manifest import ROW_SUM_TOL
 
 LAYOUT = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 10), text_range=(10, 14))
 
+# A key no manifest uses, renamed to the duplicated key after serialising.
+DUPLICATE_SENTINEL = "\0duplicate"
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -66,16 +69,28 @@ def _node_paths(node, prefix=()):
         yield from _node_paths(child, prefix + (key,))
 
 
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _mutated(manifest, path, value, delete):
     doc = json.loads(json.dumps(manifest))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _node(doc, path[:-1])
     if delete:
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
     return doc
+
+
+def _with_duplicate_key(manifest, path, key, value):
+    """Manifest JSON text in which the object at ``path`` gives ``key`` a
+    second time, with ``value``, after its other keys."""
+    doc = json.loads(json.dumps(manifest))
+    _node(doc, path)[DUPLICATE_SENTINEL] = value
+    return json.dumps(doc).replace(json.dumps(DUPLICATE_SENTINEL), json.dumps(key), 1)
 
 
 def _mutated_payload(data, payload):
@@ -123,30 +138,40 @@ def _assert_valid_report(report):
 @given(data=st.data(), command=st.sampled_from(["pipeline", "decide"]))
 def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
     # One node of a valid manifest is replaced by an arbitrary JSON value or
-    # deleted, or (one draw in two) the attention or decode-row payload is
-    # corrupted, or the decode entry declares zero rows. The CLI either
-    # serves a valid result or names the error; it never raises, and it never
-    # succeeds silently or with garbage.
+    # deleted, or one object gives one of its keys a second time, or (one
+    # draw in two) the attention or decode-row payload is corrupted, or the
+    # decode entry declares zero rows. The CLI either serves a valid result
+    # or names the error; it never raises, and it never succeeds silently or
+    # with garbage.
     path, manifest, payloads = valid_manifest
-    doc, payloads = manifest, dict(payloads)
+    text, payloads, duplicate = json.dumps(manifest), dict(payloads), None
     if data.draw(st.booleans(), label="payload"):
         target = data.draw(st.sampled_from(["attn_4.bin", "decode_4.bin", "no rows"]), label="target")
         if target == "no rows":
             i = next(i for i, e in enumerate(manifest["entries"]) if e["role"] == "decode_rows")
-            doc, payloads["decode_4.bin"] = _mutated(manifest, ("entries", i, "shape", 0), 0, False), b""
+            text = json.dumps(_mutated(manifest, ("entries", i, "shape", 0), 0, False))
+            payloads["decode_4.bin"] = b""
         else:
             payloads[target] = _mutated_payload(data, payloads[target])
     else:
-        node = data.draw(st.sampled_from(list(_node_paths(manifest))), label="node")
-        delete = data.draw(st.booleans(), label="delete")
-        value = None if delete else data.draw(JSON_VALUES, label="value")
-        doc = _mutated(manifest, node, value, delete)
-    path.write_text(json.dumps(doc), encoding="utf-8")
+        mutation = data.draw(st.sampled_from(["replace", "delete", "duplicate key"]), label="mutation")
+        value = None if mutation == "delete" else data.draw(JSON_VALUES, label="value")
+        if mutation == "duplicate key":
+            objects = [()] + [p for p in _node_paths(manifest) if isinstance(_node(manifest, p), dict)]
+            node = data.draw(st.sampled_from(objects), label="object")
+            duplicate = data.draw(st.sampled_from(sorted(_node(manifest, node))), label="key")
+            text = _with_duplicate_key(manifest, node, duplicate, value)
+        else:
+            node = data.draw(st.sampled_from(list(_node_paths(manifest))), label="node")
+            text = json.dumps(_mutated(manifest, node, value, mutation == "delete"))
+    path.write_text(text, encoding="utf-8")
     for name, payload in payloads.items():
         (path.parent / name).write_bytes(payload)
 
     rc, out, err = _run([command, "--manifest", str(path)])
     assert rc in (0, 3), err
+    if duplicate is not None:
+        assert rc == 3 and f"duplicate key {duplicate!r}" in err
     assert "Warning" not in err
     if rc == 0:
         report = json.loads(out)

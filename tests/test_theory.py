@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import cosine_similarity
+from oracles import gather_bootstrap_experiment
 from vtcomp.errors import EngineError
 from vtcomp.theory import (
     LemmaTrial,
@@ -130,3 +131,15 @@ def test_trial_guards():
         LemmaTrial(text_subdim=-1)
     with pytest.raises(EngineError, match="need >= 100 trials, got 50"):
         covariance_experiment(LemmaTrial(), 50)
+
+
+@pytest.mark.parametrize("kernel", ["cosine", "shifted"])
+@pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
+def test_standard_error_matches_gather_bootstrap(kernel, negative_control):
+    # 12000 trials cross a TRIAL_CHUNK boundary.
+    trial = LemmaTrial(kernel=kernel, seed=5)
+    res = covariance_experiment(trial, 12000, negative_control=negative_control,
+                                bootstrap_resamples=200)
+    sample_cov, standard_error = gather_bootstrap_experiment(trial, 12000, negative_control, 200)
+    assert res["sample_covariance"] == sample_cov
+    assert res["standard_error"] == pytest.approx(standard_error, rel=1e-12, abs=0.0)
