@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import EngineError
 
@@ -22,10 +22,22 @@ KINDS = (KIND_IMAGE, KIND_ANYRES, KIND_VIDEO)
 
 Range = tuple[int, int]
 
+# Layout keys that only one kind takes; a layout of another kind rejects
+# them, whatever their value.
+_KEY_KIND = {"thumbnail_range": KIND_ANYRES, "crop_ranges": KIND_ANYRES,
+             "frames": KIND_VIDEO, "tokens_per_frame": KIND_VIDEO}
+
 
 def is_int(x) -> bool:
     """An integer value, as opposed to a bool, a float or a string."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_keys(obj: dict, allowed, where: str) -> None:
+    """A closed key set: the first key outside ``allowed`` is an error."""
+    for key in obj:
+        if key not in allowed:
+            raise EngineError(f"{where}: unknown key {key!r}")
 
 
 def _is_real(x) -> bool:
@@ -88,6 +100,8 @@ class InputLayout:
             if self.thumbnail_range is None or not isinstance(self.crop_ranges, (list, tuple)):
                 raise EngineError("layout: anyres requires thumbnail_range and a list of crop_ranges")
             thumb = _check_range(self.thumbnail_range, "thumbnail_range")
+            if thumb[1] == thumb[0]:
+                raise EngineError("layout: anyres thumbnail_range is empty")
             crops = tuple(_check_range(c, "crop_ranges") for c in self.crop_ranges)
             object.__setattr__(self, "thumbnail_range", thumb)
             object.__setattr__(self, "crop_ranges", crops)
@@ -122,6 +136,11 @@ class InputLayout:
     def from_dict(cls, d: dict) -> "InputLayout":
         if not isinstance(d, dict):
             raise EngineError("layout: must be a JSON object")
+        check_keys(d, [f.name for f in fields(cls)], "layout")
+        kind = d.get("kind")
+        for key in d:
+            if kind in KINDS and _KEY_KIND.get(key, kind) != kind:
+                raise EngineError(f"layout: key {key!r} does not apply to kind {kind!r}")
         try:
             return cls(
                 kind=d["kind"],
@@ -201,6 +220,7 @@ class CompressionPlan:
     def from_dict(cls, d: dict) -> "CompressionPlan":
         if not isinstance(d, dict):
             raise EngineError("plan: must be a JSON object")
+        check_keys(d, [f.name for f in fields(cls)], "plan")
         return cls(
             retain_k=d.get("retain_k"),
             retain_ratio=d.get("retain_ratio"),

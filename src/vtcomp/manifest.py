@@ -4,13 +4,17 @@ A manifest is a UTF-8 JSON file describing headerless binary tensor
 payloads (raw little-endian IEEE-754 float32, row-major), the input
 layout, and the compression plan. Payload files are named relative to the
 manifest directory and must resolve inside it. No JSON object may give a
-key twice. Every validation failure names the offending entry or key.
+key twice, and each object takes a closed set of keys: any other key is an
+error. Every validation failure names the offending entry or key.
 
 Each payload is mapped read-only, not copied, and every array the loader
-returns is read-only. The float64 row sums of each attention payload are
-kept, so stage 2 need not read the matrix again. A payload must not be
-truncated or rewritten while a command runs: a read past the end of a
-truncated mapping ends the process with SIGBUS, not an error message.
+returns is read-only. The payloads' float64 sum passes run on one thread
+per CPU the process may use; errors are still reported in entry order, so
+an input fails at the same entry, with the same message, on any number of
+CPUs. The float64 row sums of each attention payload are kept, so stage 2
+need not read the matrix again. A payload must not be truncated or
+rewritten while a command runs: a read past the end of a truncated mapping
+ends the process with SIGBUS, not an error message.
 """
 
 from __future__ import annotations
@@ -18,19 +22,23 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EngineError
-from .layout import CompressionPlan, InputLayout, is_int
+from .layout import CompressionPlan, InputLayout, check_keys, is_int
 
 FORMAT_VERSION = 1
 ROW_SUM_TOL = 1e-4
 
 ROLES = ("visual_embeddings", "cls_vector", "wq", "wk", "attention_layer_k", "decode_rows")
 _LAYERED_ROLES = ("attention_layer_k", "decode_rows")
+MANIFEST_KEYS = ("format_version", "entries", "layout", "plan")
+ENTRY_KEYS = ("name", "role", "dtype", "shape", "file", "layer")  # layer: layered roles only
 
 
 @dataclass(frozen=True)
@@ -52,11 +60,8 @@ class ManifestData:
         return self.cls_vector is not None and self.wq is not None and self.wk is not None
 
 
-def _read_payload(base: Path, entry: dict, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Map one payload read-only; return it with its float64 sums (per row
-    for a 2-D payload, else the total). Finite float32 values cannot
-    overflow a float64 sum, and a NaN or an inf of each sign gives a NaN,
-    so the sums are finite exactly when every entry is."""
+def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
+    """Check one payload's dtype, shape, path and size, and map it read-only."""
     dtype = entry.get("dtype", "f32le")
     if dtype != "f32le":
         raise EngineError(f"entry {name!r}: unsupported dtype {dtype!r} (only f32le)")
@@ -87,19 +92,72 @@ def _read_payload(base: Path, entry: dict, name: str) -> tuple[np.ndarray, np.nd
                 buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as e:
         raise EngineError(f"entry {name!r}: file {rel!r}: {e.strerror}") from None
-    data = np.frombuffer(buf, dtype="<f4").reshape(shape)
+    return np.frombuffer(buf, dtype="<f4").reshape(shape)
+
+
+def _scan(data: np.ndarray, layered: bool) -> tuple[np.ndarray, object]:
+    """The payload's float64 sums (per row for a 2-D payload, else the
+    total) and, for a layered role, its minimum (None when it is empty).
+    Finite float32 values cannot overflow a float64 sum, and a NaN or an
+    inf of each sign gives a NaN, so the sums are finite exactly when every
+    entry is."""
+    # Numpy's error state is per thread, so it is set here, on the worker.
     with np.errstate(invalid="ignore"):  # +inf + -inf in one sum
         sums = data.sum(axis=1, dtype=np.float64) if data.ndim == 2 else data.sum(dtype=np.float64)
-    if not np.isfinite(sums).all():
-        raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
-    return data, sums
+        low = data.min() if layered and data.size else None
+    return sums, low
 
 
-def _validate_rows(a: np.ndarray, sums: np.ndarray, name: str) -> None:
-    """Attention rows, square or decode-step, with their float64 row sums:
-    non-negative weights, and each row that is not fully masked sums to 1
-    over its full width."""
-    if a.size and a.min() < 0:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _Scans:
+    """``_scan`` over each payload on one thread per CPU the process may
+    use, the jobs taken in entry order. ``result(i)`` waits for job i;
+    ``close()`` drops the jobs not yet started and joins the threads."""
+
+    def __init__(self, jobs: list[tuple[np.ndarray, bool]]):
+        self._jobs = jobs
+        self._results: list = [None] * len(jobs)
+        self._done = [threading.Event() for _ in jobs]
+        self._pending = iter(range(len(jobs)))
+        self._lock = threading.Lock()
+        self._threads = [threading.Thread(target=self._work, daemon=True)
+                         for _ in range(min(_usable_cpus(), len(jobs)))]
+        for t in self._threads:
+            t.start()
+
+    def _work(self) -> None:
+        while True:
+            with self._lock:
+                i = next(self._pending, None)
+            if i is None:
+                return
+            try:
+                self._results[i] = _scan(*self._jobs[i])
+            except Exception:
+                pass  # result(i) scans again on the caller's thread, where it raises
+            finally:
+                self._done[i].set()
+
+    def result(self, i: int) -> tuple[np.ndarray, object]:
+        self._done[i].wait()
+        return self._results[i] or _scan(*self._jobs[i])
+
+    def close(self) -> None:
+        with self._lock:
+            self._pending = iter(())
+        for t in self._threads:
+            t.join()
+
+
+def _validate_rows(low, sums: np.ndarray, name: str) -> None:
+    """Attention rows, square or decode-step, from their minimum and float64
+    row sums: non-negative weights, and each row that is not fully masked
+    sums to 1 over its full width."""
+    if low is not None and low < 0:
         raise EngineError(f"entry {name!r}: negative attention weight")
     # Fully masked rows (all exact zeros) are allowed; every other row must
     # be stochastic over its unmasked support.
@@ -121,6 +179,21 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _map_entry(base: Path, i: int, entry) -> tuple[str, str, np.ndarray]:
+    """The checks on one entry that need no payload scan, then its mapped
+    payload: returns the entry's name, role and data."""
+    if not isinstance(entry, dict):
+        raise EngineError(f"entry #{i}: must be a JSON object")
+    name = entry.get("name", f"#{i}")
+    check_keys(entry, ENTRY_KEYS, f"entry {name!r}")
+    role = entry.get("role")
+    if role not in ROLES:
+        raise EngineError(f"entry {name!r}: unknown role {role!r}")
+    if "layer" in entry and role not in _LAYERED_ROLES:
+        raise EngineError(f"entry {name!r}: key 'layer' does not apply to role {role!r}")
+    return name, role, _map_payload(base, entry, name)
+
+
 def load_manifest(path) -> ManifestData:
     """Parse and fully validate a manifest plus all referenced payloads."""
     path = Path(path)
@@ -130,6 +203,7 @@ def load_manifest(path) -> ManifestData:
         raise EngineError(f"manifest {path}: {e}") from None
     if not isinstance(raw, dict):
         raise EngineError(f"manifest {path}: top level must be a JSON object")
+    check_keys(raw, MANIFEST_KEYS, f"manifest {path}")
     version = raw.get("format_version")
     if not is_int(version) or version != FORMAT_VERSION:
         raise EngineError(f"manifest {path}: format_version must be {FORMAT_VERSION}")
@@ -143,45 +217,58 @@ def load_manifest(path) -> ManifestData:
     if not isinstance(entries, list):
         raise EngineError(f"manifest {path}: entries must be a list")
 
-    base = path.parent
+    # Map in order up to the first entry that fails; scan the mapped
+    # payloads in parallel; check them in order. The map failure is raised
+    # only once every earlier entry has passed, so each input fails at the
+    # same entry, with the same message, as one pass in entry order would.
+    mapped: list[tuple[str, str, np.ndarray]] = []
+    map_failure = None
+    for i, entry in enumerate(entries):
+        try:
+            mapped.append(_map_entry(path.parent, i, entry))
+        except EngineError as e:
+            map_failure = str(e)
+            break
+
     singletons: dict[str, np.ndarray] = {}
     attention_layers: dict[int, np.ndarray] = {}
     attention_row_sums: dict[int, np.ndarray] = {}
     decode_rows: dict[int, np.ndarray] = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise EngineError(f"entry #{i}: must be a JSON object")
-        name = entry.get("name", f"#{i}")
-        role = entry.get("role")
-        if role not in ROLES:
-            raise EngineError(f"entry {name!r}: unknown role {role!r}")
-        data, sums = _read_payload(base, entry, name)
-
-        if role in _LAYERED_ROLES:
-            layer = entry.get("layer")
-            if not is_int(layer):
-                raise EngineError(f"entry {name!r}: role {role} requires an integer layer")
-            target = attention_layers if role == "attention_layer_k" else decode_rows
-            if layer in target:
-                raise EngineError(f"entry {name!r}: duplicate {role} for layer {layer}")
-            seq = layout.seq_len
-            if role == "attention_layer_k":
-                if data.shape != (seq, seq):
-                    raise EngineError(f"entry {name!r}: attention shape {data.shape} != ({seq}, {seq})")
-            elif data.ndim != 2 or data.shape[1] < seq:
-                raise EngineError(
-                    f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
-            elif data.shape[0] < 1:
-                raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
-            _validate_rows(data, sums, name)
-            target[layer] = data
-            if role == "attention_layer_k":
-                sums.flags.writeable = False
-                attention_row_sums[layer] = sums
-        else:
-            if role in singletons:
-                raise EngineError(f"entry {name!r}: duplicate role {role!r}")
-            singletons[role] = data
+    scans = _Scans([(data, role in _LAYERED_ROLES) for _, role, data in mapped])
+    try:
+        for i, (name, role, data) in enumerate(mapped):
+            sums, low = scans.result(i)
+            if not np.isfinite(sums).all():
+                raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
+            if role in _LAYERED_ROLES:
+                layer = entries[i].get("layer")
+                if not is_int(layer):
+                    raise EngineError(f"entry {name!r}: role {role} requires an integer layer")
+                target = attention_layers if role == "attention_layer_k" else decode_rows
+                if layer in target:
+                    raise EngineError(f"entry {name!r}: duplicate {role} for layer {layer}")
+                seq = layout.seq_len
+                if role == "attention_layer_k":
+                    if data.shape != (seq, seq):
+                        raise EngineError(f"entry {name!r}: attention shape {data.shape} != ({seq}, {seq})")
+                elif data.ndim != 2 or data.shape[1] < seq:
+                    raise EngineError(
+                        f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
+                elif data.shape[0] < 1:
+                    raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
+                _validate_rows(low, sums, name)
+                target[layer] = data
+                if role == "attention_layer_k":
+                    sums.flags.writeable = False
+                    attention_row_sums[layer] = sums
+            else:
+                if role in singletons:
+                    raise EngineError(f"entry {name!r}: duplicate role {role!r}")
+                singletons[role] = data
+    finally:
+        scans.close()
+    if map_failure is not None:
+        raise EngineError(map_failure)
 
     visual = singletons.get("visual_embeddings")
     if visual is None:

@@ -67,9 +67,7 @@ def select_pivot(scores: np.ndarray, layout: InputLayout) -> int:
     the lowest index.
     """
     if layout.kind == KIND_ANYRES:
-        a, b = layout.thumbnail_range
-        if b <= a:
-            raise EngineError("select_pivot: anyres thumbnail range is empty")
+        a, b = layout.thumbnail_range  # non-empty: InputLayout checks it
         return a + int(np.argmax(scores[a:b]))
     # Video scores flatten row-major to a*t + b; argmax keeps the lowest index.
     return int(np.argmax(scores))

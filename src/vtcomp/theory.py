@@ -152,11 +152,14 @@ def covariance_experiment(
     # not two gathers of length N. The covariance is shift-invariant, so the
     # centred measures give the same value with less cancellation. Each
     # resample still draws its N indices with one rng.integers call, so the
-    # random stream, and with it the standard error, is unchanged.
+    # random stream, and with it the standard error, is unchanged. The counts
+    # are taken as float64 (exact integers), so the product casts nothing.
     weighted = np.stack((dm, rm, dm * rm))
+    ones = np.ones(num_trials)
     boot = np.empty(bootstrap_resamples)
     for i in range(bootstrap_resamples):
-        counts = np.bincount(rng.integers(0, num_trials, size=num_trials), minlength=num_trials)
+        counts = np.bincount(rng.integers(0, num_trials, size=num_trials), weights=ones,
+                             minlength=num_trials)
         sum_d, sum_r, sum_dr = weighted @ counts
         boot[i] = (sum_dr - sum_d * sum_r / num_trials) / (num_trials - 1)
     standard_error = float(boot.std(ddof=1))

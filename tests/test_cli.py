@@ -283,6 +283,29 @@ def test_anyres_manifest_pivot_in_thumbnail(tmp_path, rng, capsys):
     assert 0 <= report["retention"]["pivot"] < 3
 
 
+def test_decide_on_empty_thumbnail_exits_3(tmp_path, rng, capsys):
+    # decide picks no pivot, but the layout is checked where it enters.
+    layout = small_layout()
+    path = build_manifest(
+        tmp_path, kind="anyres", attention={4: block_weighted_attention(rng, layout, 1e-4)},
+        layout_extra={"thumbnail_range": [0, 0], "crop_ranges": [[0, 8]]},
+        plan={"retain_ratio": 0.5, "schedule": [4]})
+    code = main(["decide", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "vtcomp decide: error: layout: anyres thumbnail_range is empty\n"
+
+
+def test_misspelled_plan_key_exits_3(tmp_path, rng, capsys):
+    # Ignored, "Tau" would leave tau at its default and move the drop layer.
+    path = build_manifest(tmp_path, attention={4: block_weighted_attention(rng, small_layout(), 1e-4)},
+                          plan={"retain_ratio": 0.5, "schedule": [4], "Tau": 0.99})
+    code = main(["decide", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "vtcomp decide: error: plan: unknown key 'Tau'\n"
+
+
 def _set(section, key, value):
     def mutate(manifest):
         manifest[section][key] = value

@@ -40,6 +40,13 @@ def test_anyres_structure():
         make_layout(kind="anyres")
 
 
+def test_anyres_empty_thumbnail_rejected():
+    # The crops alone tile the visual tokens, so only the empty-thumbnail
+    # rule rejects this layout.
+    with pytest.raises(EngineError, match="^layout: anyres thumbnail_range is empty$"):
+        make_layout(kind="anyres", thumbnail_range=(0, 0), crop_ranges=((0, 8),))
+
+
 def test_video_structure():
     lo = make_layout(kind="video", frames=2, tokens_per_frame=4)
     assert lo.frames * lo.tokens_per_frame == lo.visual_len

@@ -1,9 +1,13 @@
 import json
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import build_manifest, row_stochastic, write_tensor
+from vtcomp import manifest
 from vtcomp.errors import EngineError
 from vtcomp.manifest import load_manifest
 
@@ -200,6 +204,149 @@ def test_decode_rows_sum_violation_names_row(tmp_path, rng):
     rows[2] *= 2.0
     path = build_manifest(tmp_path, decode_rows={3: rows}, with_stage1=False)
     with pytest.raises(EngineError, match=r"^entry 'decode_3': row 2 sums to 2\.0000\d\d, expected 1 \+/- "):
+        load_manifest(path)
+
+
+def _rewrite(path, edit):
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    edit(raw)
+    path.write_text(json.dumps(raw), encoding="utf-8")
+
+
+def test_nan_reported_before_later_missing_file(tmp_path, rng):
+    # The payloads are scanned in parallel after the map pass, which stops
+    # at the missing file; the earlier NaN is still the error.
+    visual = rng.standard_normal((8, 6)).astype(np.float32)
+    visual[4, 2] = np.nan
+    path = build_manifest(tmp_path, visual=visual, attention={4: row_stochastic(rng, 14)})
+    (tmp_path / "attn_4.bin").unlink()
+    with pytest.raises(EngineError, match="^entry 'visual': payload contains NaN/Inf$"):
+        load_manifest(path)
+
+
+def test_unknown_role_reported_before_later_nan(tmp_path, rng):
+    attn = row_stochastic(rng, 14)
+    attn[6, 6] = np.nan
+    path = build_manifest(tmp_path, attention={4: attn})
+    _rewrite(path, lambda raw: raw["entries"][1].update(role="mystery"))
+    with pytest.raises(EngineError, match="^entry 'cls': unknown role 'mystery'$"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("first, second, named", [
+    ("negative", "sum", "^entry 'attn_16': negative attention weight$"),
+    ("sum", "negative", "^entry 'attn_16': row 3 sums to "),
+], ids=["negative-then-sum", "sum-then-negative"])
+def test_layer_errors_reported_in_entry_order(tmp_path, rng, first, second, named):
+    def corrupt(a, how):
+        if how == "negative":
+            a[7, 2] = -0.25
+        else:
+            a[3] *= 0.5
+        return a
+
+    path = build_manifest(tmp_path, attention={16: corrupt(row_stochastic(rng, 14), first),
+                                               20: corrupt(row_stochastic(rng, 14), second)},
+                          with_stage1=False)
+    with pytest.raises(EngineError, match=named):
+        load_manifest(path)
+
+
+def test_load_joins_its_scan_threads(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(manifest, "_usable_cpus", lambda: 4)
+    attention = {layer: row_stochastic(rng, 14) for layer in (4, 5, 6, 7)}
+    path = build_manifest(tmp_path, attention=attention)
+    before = threading.active_count()
+    load_manifest(path)
+    assert threading.active_count() == before
+    # The NaN layer fails while the next, larger layer may still be in its
+    # scan, and the layers behind it are not started.
+    seq = 1500
+    attention = {layer: row_stochastic(rng, seq) for layer in (4, 5, 6, 7)}
+    attention[4][0, 0] = np.nan
+    path = build_manifest(tmp_path / "bad", text_len=seq - 10, attention=attention,
+                          with_stage1=False)
+    with pytest.raises(EngineError, match="^entry 'attn_4': payload contains NaN/Inf$"):
+        load_manifest(path)
+    assert threading.active_count() == before
+
+
+def test_scan_error_is_raised_on_the_calling_thread(tmp_path, rng, monkeypatch):
+    path = build_manifest(tmp_path, attention={4: row_stochastic(rng, 14)})
+    caller = threading.current_thread()
+    scan = manifest._scan
+
+    def scan_fails_off_caller(data, layered):
+        if threading.current_thread() is not caller:
+            raise MemoryError("worker")
+        return scan(data, layered)
+
+    monkeypatch.setattr(manifest, "_scan", scan_fails_off_caller)
+    assert 4 in load_manifest(path).attention_layers
+
+    def scan_fails(data, layered):
+        raise MemoryError("scan")
+
+    monkeypatch.setattr(manifest, "_scan", scan_fails)
+    with pytest.raises(MemoryError, match="^scan$"):
+        load_manifest(path)
+
+
+def test_each_payload_scanned_once_by_more_threads_than_cores(tmp_path, rng, monkeypatch):
+    attention = {layer: row_stochastic(rng, 14) for layer in range(24)}
+    path = build_manifest(tmp_path, attention=attention)
+    calls, lock, scan = Counter(), threading.Lock(), manifest._scan
+
+    def counted_scan(data, layered):
+        with lock:
+            calls[id(data)] += 1
+        return scan(data, layered)
+
+    monkeypatch.setattr(manifest, "_scan", counted_scan)
+    monkeypatch.setattr(manifest, "_usable_cpus", lambda: 8)
+    loaded = {}
+    caller = threading.Thread(target=lambda: loaded.update(md=load_manifest(path)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert sorted(calls.values()) == [1] * 28  # visual, cls, wq, wk and 24 layers
+    md = loaded["md"]
+    assert md.attention_row_sums.keys() == set(range(24))
+    for layer, a in attention.items():
+        assert np.array_equal(md.attention_row_sums[layer], a.sum(axis=1, dtype=np.float64))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(Entries=[]), r"^manifest .*manifest\.json: unknown key 'Entries'$"),
+    (lambda raw: raw["entries"][0].update(Shape=[8, 6]), "^entry 'visual': unknown key 'Shape'$"),
+    (lambda raw: raw["entries"][0].update(layer=4),
+     "^entry 'visual': key 'layer' does not apply to role 'visual_embeddings'$"),
+    (lambda raw: raw["layout"].update(frame=2), "^layout: unknown key 'frame'$"),
+    (lambda raw: raw["layout"].update(frames=None),
+     "^layout: key 'frames' does not apply to kind 'image'$"),
+    (lambda raw: raw["plan"].update(Tau=0.99), "^plan: unknown key 'Tau'$"),
+], ids=["top-level", "entry", "layer-on-singleton", "layout", "layout-other-kind", "plan"])
+def test_unknown_keys_rejected(tmp_path, edit, message):
+    path = build_manifest(tmp_path)
+    _rewrite(path, edit)
+    with pytest.raises(EngineError, match=message):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("kind, extra, named", [
+    ("video", {"frames": 2, "tokens_per_frame": 4, "thumbnail_range": [0, 4]}, "thumbnail_range"),
+    ("anyres", {"thumbnail_range": [0, 4], "crop_ranges": [[4, 8]], "frames": 1}, "frames"),
+], ids=["video", "anyres"])
+def test_key_of_another_kind_rejected(tmp_path, kind, extra, named):
+    # A key another kind takes is an error, not ignored: a video layout with
+    # a thumbnail_range means two things.
+    path = build_manifest(tmp_path, kind=kind, layout_extra=extra)
+    with pytest.raises(EngineError, match=f"^layout: key '{named}' does not apply to kind '{kind}'$"):
         load_manifest(path)
 
 

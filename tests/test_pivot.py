@@ -96,12 +96,6 @@ def test_select_pivot_anyres_restricted_to_thumbnail():
     assert select_pivot(scores, lo) == 2
 
 
-def test_select_pivot_empty_thumbnail():
-    lo = image_layout(8, kind="anyres", thumbnail_range=(0, 0), crop_ranges=((0, 8),))
-    with pytest.raises(EngineError, match="select_pivot: anyres thumbnail range is empty"):
-        select_pivot(np.full(8, 0.125), lo)
-
-
 def test_pivot_invariant_under_logit_shift(rng):
     d, n = 5, 12
     lo = image_layout(n)

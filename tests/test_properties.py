@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 from conftest import block_weighted_attention, build_manifest, row_stochastic
 from vtcomp.cli import main
-from vtcomp.layout import InputLayout
-from vtcomp.manifest import ROW_SUM_TOL
+from vtcomp.layout import CompressionPlan, InputLayout
+from vtcomp.manifest import ENTRY_KEYS, MANIFEST_KEYS, ROW_SUM_TOL
 
 LAYOUT = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 10), text_range=(10, 14))
 
 # A key no manifest uses, renamed to the duplicated key after serialising.
 DUPLICATE_SENTINEL = "\0duplicate"
+
+# Every key some manifest object may hold.
+KNOWN_KEYS = {*MANIFEST_KEYS, *ENTRY_KEYS, *InputLayout.__dataclass_fields__,
+              *CompressionPlan.__dataclass_fields__}
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -93,6 +97,17 @@ def _with_duplicate_key(manifest, path, key, value):
     return json.dumps(doc).replace(json.dumps(DUPLICATE_SENTINEL), json.dumps(key), 1)
 
 
+def _with_renamed_key(manifest, path, key, new):
+    """Manifest JSON text in which the object at ``path`` calls ``key``
+    ``new`` instead, in the same place among its keys."""
+    doc = json.loads(json.dumps(manifest))
+    obj = _node(doc, path)
+    items = [(new if k == key else k, v) for k, v in obj.items()]
+    obj.clear()
+    obj.update(items)
+    return json.dumps(doc)
+
+
 def _mutated_payload(data, payload):
     """Attention or decode rows with one entry made NaN or negative, a +inf
     and a -inf in one row, one row scaled by 2 or filled with float32 max,
@@ -138,13 +153,14 @@ def _assert_valid_report(report):
 @given(data=st.data(), command=st.sampled_from(["pipeline", "decide"]))
 def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
     # One node of a valid manifest is replaced by an arbitrary JSON value or
-    # deleted, or one object gives one of its keys a second time, or (one
-    # draw in two) the attention or decode-row payload is corrupted, or the
-    # decode entry declares zero rows. The CLI either serves a valid result
+    # deleted, or one object gives one of its keys a second time or renames
+    # it to a key no manifest object takes, or (one draw in two) the
+    # attention or decode-row payload is corrupted, or the decode entry
+    # declares zero rows. The CLI either serves a valid result
     # or names the error; it never raises, and it never succeeds silently or
     # with garbage.
     path, manifest, payloads = valid_manifest
-    text, payloads, duplicate = json.dumps(manifest), dict(payloads), None
+    text, payloads, duplicate, renamed = json.dumps(manifest), dict(payloads), None, None
     if data.draw(st.booleans(), label="payload"):
         target = data.draw(st.sampled_from(["attn_4.bin", "decode_4.bin", "no rows"]), label="target")
         if target == "no rows":
@@ -154,14 +170,21 @@ def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
         else:
             payloads[target] = _mutated_payload(data, payloads[target])
     else:
-        mutation = data.draw(st.sampled_from(["replace", "delete", "duplicate key"]), label="mutation")
-        value = None if mutation == "delete" else data.draw(JSON_VALUES, label="value")
-        if mutation == "duplicate key":
+        mutation = data.draw(st.sampled_from(["replace", "delete", "duplicate key", "rename key"]),
+                             label="mutation")
+        if mutation in ("duplicate key", "rename key"):
             objects = [()] + [p for p in _node_paths(manifest) if isinstance(_node(manifest, p), dict)]
             node = data.draw(st.sampled_from(objects), label="object")
-            duplicate = data.draw(st.sampled_from(sorted(_node(manifest, node))), label="key")
-            text = _with_duplicate_key(manifest, node, duplicate, value)
+            key = data.draw(st.sampled_from(sorted(_node(manifest, node))), label="key")
+        if mutation == "duplicate key":
+            duplicate = key
+            text = _with_duplicate_key(manifest, node, key, data.draw(JSON_VALUES, label="value"))
+        elif mutation == "rename key":
+            renamed = data.draw((st.sampled_from([key.title(), key + "s"]) | st.text(max_size=8))
+                                .filter(lambda k: k not in KNOWN_KEYS), label="renamed")
+            text = _with_renamed_key(manifest, node, key, renamed)
         else:
+            value = None if mutation == "delete" else data.draw(JSON_VALUES, label="value")
             node = data.draw(st.sampled_from(list(_node_paths(manifest))), label="node")
             text = json.dumps(_mutated(manifest, node, value, mutation == "delete"))
     path.write_text(text, encoding="utf-8")
@@ -172,6 +195,8 @@ def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
     assert rc in (0, 3), err
     if duplicate is not None:
         assert rc == 3 and f"duplicate key {duplicate!r}" in err
+    if renamed is not None:
+        assert rc == 3 and f"unknown key {renamed!r}" in err
     assert "Warning" not in err
     if rc == 0:
         report = json.loads(out)
