@@ -221,13 +221,7 @@ class CompressionPlan:
         if not isinstance(d, dict):
             raise EngineError("plan: must be a JSON object")
         check_keys(d, [f.name for f in fields(cls)], "plan")
-        return cls(
-            retain_k=d.get("retain_k"),
-            retain_ratio=d.get("retain_ratio"),
-            tau=d.get("tau", DEFAULT_TAU),
-            schedule=d.get("schedule"),
-            num_layers=d.get("num_layers"),
-        )
+        return cls(**d)
 
     def resolved_schedule(self) -> tuple[int, ...]:
         if self.schedule is not None:

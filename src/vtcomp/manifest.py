@@ -8,22 +8,24 @@ key twice, and each object takes a closed set of keys: any other key is an
 error. Every validation failure names the offending entry or key.
 
 Each payload is mapped read-only, not copied, and every array the loader
-returns is read-only. The payloads' float64 sum passes run on one thread
-per CPU the process may use; errors are still reported in entry order, so
-an input fails at the same entry, with the same message, on any number of
-CPUs. The float64 row sums of each attention payload are kept, so stage 2
-need not read the matrix again. A payload must not be truncated or
-rewritten while a command runs: a read past the end of a truncated mapping
-ends the process with SIGBUS, not an error message.
+returns is read-only. The payloads' float64 sum passes run on a thread
+pool with one worker per CPU the process may use; errors are still
+reported in entry order, so an input fails at the same entry, with the same
+message, on any number of CPUs. An error raised inside a scan (such as
+``MemoryError``) surfaces with its own type. The float64 row sums of each
+attention payload are kept, so stage 2 need not read the matrix again. A
+payload must not be truncated or rewritten while a command runs: a read
+past the end of a truncated mapping ends the process with SIGBUS, not an
+error message.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import mmap
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +94,8 @@ def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
                 buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as e:
         raise EngineError(f"entry {name!r}: file {rel!r}: {e.strerror}") from None
+    except RuntimeError:  # a symlink loop, as resolve() reports it before Python 3.13
+        raise EngineError(f"entry {name!r}: file {rel!r}: {os.strerror(errno.ELOOP)}") from None
     return np.frombuffer(buf, dtype="<f4").reshape(shape)
 
 
@@ -111,46 +115,6 @@ def _scan(data: np.ndarray, layered: bool) -> tuple[np.ndarray, object]:
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the OS has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-class _Scans:
-    """``_scan`` over each payload on one thread per CPU the process may
-    use, the jobs taken in entry order. ``result(i)`` waits for job i;
-    ``close()`` drops the jobs not yet started and joins the threads."""
-
-    def __init__(self, jobs: list[tuple[np.ndarray, bool]]):
-        self._jobs = jobs
-        self._results: list = [None] * len(jobs)
-        self._done = [threading.Event() for _ in jobs]
-        self._pending = iter(range(len(jobs)))
-        self._lock = threading.Lock()
-        self._threads = [threading.Thread(target=self._work, daemon=True)
-                         for _ in range(min(_usable_cpus(), len(jobs)))]
-        for t in self._threads:
-            t.start()
-
-    def _work(self) -> None:
-        while True:
-            with self._lock:
-                i = next(self._pending, None)
-            if i is None:
-                return
-            try:
-                self._results[i] = _scan(*self._jobs[i])
-            except Exception:
-                pass  # result(i) scans again on the caller's thread, where it raises
-            finally:
-                self._done[i].set()
-
-    def result(self, i: int) -> tuple[np.ndarray, object]:
-        self._done[i].wait()
-        return self._results[i] or _scan(*self._jobs[i])
-
-    def close(self) -> None:
-        with self._lock:
-            self._pending = iter(())
-        for t in self._threads:
-            t.join()
 
 
 def _validate_rows(low, sums: np.ndarray, name: str) -> None:
@@ -217,10 +181,11 @@ def load_manifest(path) -> ManifestData:
     if not isinstance(entries, list):
         raise EngineError(f"manifest {path}: entries must be a list")
 
-    # Map in order up to the first entry that fails; scan the mapped
-    # payloads in parallel; check them in order. The map failure is raised
-    # only once every earlier entry has passed, so each input fails at the
-    # same entry, with the same message, as one pass in entry order would.
+    # Three steps. Map the entries in order, on this thread, up to the first
+    # that fails. Scan the mapped payloads on the pool. Check the scans in
+    # entry order. The map failure is raised only after every earlier entry
+    # has passed, so each input fails at the same entry, with the same
+    # message, as one pass in entry order would.
     mapped: list[tuple[str, str, np.ndarray]] = []
     map_failure = None
     for i, entry in enumerate(entries):
@@ -234,10 +199,14 @@ def load_manifest(path) -> ManifestData:
     attention_layers: dict[int, np.ndarray] = {}
     attention_row_sums: dict[int, np.ndarray] = {}
     decode_rows: dict[int, np.ndarray] = {}
-    scans = _Scans([(data, role in _LAYERED_ROLES) for _, role, data in mapped])
+    # Imported here: the import costs every command about 10 ms at startup.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(_usable_cpus())
     try:
-        for i, (name, role, data) in enumerate(mapped):
-            sums, low = scans.result(i)
+        scans = pool.map(_scan, [data for _, _, data in mapped],
+                         [role in _LAYERED_ROLES for _, role, _ in mapped])
+        for i, ((name, role, data), (sums, low)) in enumerate(zip(mapped, scans)):
             if not np.isfinite(sums).all():
                 raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
             if role in _LAYERED_ROLES:
@@ -266,7 +235,7 @@ def load_manifest(path) -> ManifestData:
                     raise EngineError(f"entry {name!r}: duplicate role {role!r}")
                 singletons[role] = data
     finally:
-        scans.close()
+        pool.shutdown(cancel_futures=True)
     if map_failure is not None:
         raise EngineError(map_failure)
 

@@ -5,12 +5,15 @@ import mmap
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import block_weighted_attention, build_manifest, row_stochastic
+from vtcomp import manifest
 from vtcomp.cli import main
 from vtcomp.layout import InputLayout
 from vtcomp.report import canonical_json
@@ -199,6 +202,18 @@ def test_absolute_payload_path_exits_3(tmp_path, capsys):
     assert code == 3
     assert captured.out == ""
     assert "'visual'" in captured.err and "must be relative" in captured.err
+
+
+def test_payload_symlink_loop_exits_3(tmp_path, capsys):
+    path = build_manifest(tmp_path)
+    (tmp_path / "visual.bin").unlink()
+    os.symlink("visual.bin", tmp_path / "visual.bin")
+    code = main(["select", "--manifest", str(path), "--ratio", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("vtcomp select: error: entry 'visual': file 'visual.bin': "
+                            f"{os.strerror(errno.ELOOP)}\n")
 
 
 def test_select_without_stage1_inputs_exits_3(tmp_path, capsys):
@@ -538,6 +553,31 @@ def test_out_of_memory_exits_3(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("vtcomp verify-lemma: error: out of memory: ")
     assert "Traceback" not in captured.err
+
+
+def test_scan_out_of_memory_during_select_exits_3(tmp_path, monkeypatch, capsys):
+    path = build_manifest(tmp_path)
+
+    def scan_fails(data, layered):
+        raise MemoryError("scan")
+
+    monkeypatch.setattr(manifest, "_scan", scan_fails)
+    code = main(["select", "--manifest", str(path), "--ratio", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "vtcomp select: error: out of memory: scan\n"
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    # concurrent.futures and the logging it imports add about 10 ms to every
+    # command's startup, so only the manifest load imports them.
+    probe = ("import sys, vtcomp.cli; "
+             "print('vtcomp.manifest' in sys.modules, 'concurrent.futures' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "True False\n"
 
 
 def test_oracle_check_at_size_bound(capsys):

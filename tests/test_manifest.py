@@ -269,27 +269,29 @@ def test_load_joins_its_scan_threads(tmp_path, rng, monkeypatch):
     with pytest.raises(EngineError, match="^entry 'attn_4': payload contains NaN/Inf$"):
         load_manifest(path)
     assert threading.active_count() == before
+    # The last layer's file is missing: the map pass stops there, the layers
+    # before it are scanned and pass, and then the map failure is raised.
+    attention = {layer: row_stochastic(rng, seq) for layer in (4, 5, 6, 7)}
+    path = build_manifest(tmp_path / "missing", text_len=seq - 10, attention=attention,
+                          with_stage1=False)
+    (tmp_path / "missing" / "attn_7.bin").unlink()
+    with pytest.raises(EngineError, match="^entry 'attn_7': file 'attn_7.bin' does not exist$"):
+        load_manifest(path)
+    assert threading.active_count() == before
 
 
-def test_scan_error_is_raised_on_the_calling_thread(tmp_path, rng, monkeypatch):
+def test_scan_error_reaches_the_caller_with_its_type(tmp_path, rng, monkeypatch):
     path = build_manifest(tmp_path, attention={4: row_stochastic(rng, 14)})
-    caller = threading.current_thread()
-    scan = manifest._scan
-
-    def scan_fails_off_caller(data, layered):
-        if threading.current_thread() is not caller:
-            raise MemoryError("worker")
-        return scan(data, layered)
-
-    monkeypatch.setattr(manifest, "_scan", scan_fails_off_caller)
-    assert 4 in load_manifest(path).attention_layers
+    raised_on = []
 
     def scan_fails(data, layered):
+        raised_on.append(threading.current_thread())
         raise MemoryError("scan")
 
     monkeypatch.setattr(manifest, "_scan", scan_fails)
     with pytest.raises(MemoryError, match="^scan$"):
         load_manifest(path)
+    assert raised_on and threading.current_thread() not in raised_on
 
 
 def test_each_payload_scanned_once_by_more_threads_than_cores(tmp_path, rng, monkeypatch):
