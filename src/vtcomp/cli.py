@@ -1,9 +1,10 @@
 """Command-line pipeline.
 
 Subcommands:
-  select        stage 1 only: pivot selection + greedy k-center retention
-  decide        stage 2 only: cross-modal ratio probes + drop decision
-  pipeline      both stages plus the FLOPs savings report
+  select        stage 1: pivot selection + greedy k-center retention
+  decide        stage 2: cross-modal ratio probes + drop decision + decode report
+  pipeline      select + decide + the FLOPs savings report; without attention
+                layers it skips stage 2 with a warning (decide exits 3)
   flops         stage-ratio cost model with named presets
   verify-lemma  Monte Carlo covariance check of the orthogonality lemma
   oracle-check  greedy k-center vs. brute-force oracle over random instances
@@ -30,7 +31,7 @@ from .manifest import ManifestData, load_manifest
 from .pivot import cls_attention, select_pivot
 from .relevance import decide_drop_layer, decoding_attention_report
 from .report import build_run_report, canonical_json, report_to_csv
-from .theory import KERNELS, LemmaTrial, covariance_experiment
+from .theory import KERNELS, TRIAL_CHUNK, LemmaTrial, covariance_experiment
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -71,12 +72,9 @@ def _parse_schedule(spec: str, plan: CompressionPlan) -> tuple[int, ...]:
 def _effective_plan(md: ManifestData, args) -> CompressionPlan:
     plan = md.plan
     updates: dict = {}
-    if getattr(args, "ratio", None) is not None:
-        updates["retain_ratio"] = args.ratio
-        updates["retain_k"] = None
-    if getattr(args, "k", None) is not None:
-        updates["retain_k"] = args.k
-        updates["retain_ratio"] = None
+    # --ratio and --k exclude each other; either one replaces the plan's pair.
+    if getattr(args, "ratio", None) is not None or getattr(args, "k", None) is not None:
+        updates.update(retain_ratio=args.ratio, retain_k=args.k)
     if args.tau is not None:
         updates["tau"] = args.tau
     if args.schedule is not None:
@@ -84,18 +82,13 @@ def _effective_plan(md: ManifestData, args) -> CompressionPlan:
     return replace(plan, **updates) if updates else plan
 
 
-def _run_stage1(md: ManifestData, plan: CompressionPlan):
-    if not md.has_stage1_inputs():
-        raise EngineError("stage 1 requires cls_vector, wq and wk entries in the manifest")
-    scores = cls_attention(md.cls_vector, md.visual_embeddings, md.wq, md.wk, md.layout)
-    pivot = select_pivot(scores, md.layout)
-    k = resolve_k(plan, md.layout.visual_len)
-    return greedy_kcenter(md.visual_embeddings, pivot, k)
-
-
-def _run_stage2(md: ManifestData, plan: CompressionPlan):
-    schedule = plan.resolved_schedule()
-    return decide_drop_layer(md.attention_layers, md.attention_row_sums, md.layout, schedule, plan.tau)
+def _refuse_beyond_address_space(*arrays: tuple[str, int]) -> None:
+    """Refuse, as out of memory, the first float64 array (flags, element count)
+    beyond the address space, on which numpy would raise ValueError instead."""
+    for flags, count in arrays:
+        if 8 * count > sys.maxsize:
+            raise EngineError(f"out of memory: {flags}: a float64 array of {count} elements "
+                              "exceeds the address space")
 
 
 def _emit(report: dict, args) -> None:
@@ -111,55 +104,37 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def cmd_select(args) -> int:
+def cmd_run(args) -> int:
+    """Run the subcommand's ``stages`` on one manifest and emit one report."""
     md = load_manifest(args.manifest)
     plan = _effective_plan(md, args)
-    retention = _run_stage1(md, plan)
-    report = build_run_report(
-        command="select", seed=args.seed,
-        config={"manifest": str(md.path), "plan": plan.to_dict()},
-        retention=retention)
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_decide(args) -> int:
-    md = load_manifest(args.manifest)
-    plan = _effective_plan(md, args)
-    decision = _run_stage2(md, plan)
-    decode_report = decoding_attention_report(md.decode_rows, md.layout) if md.decode_rows else None
-    report = build_run_report(
-        command="decide", seed=args.seed,
-        config={"manifest": str(md.path), "plan": plan.to_dict()},
-        decision=decision, decode_report=decode_report)
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_pipeline(args) -> int:
-    md = load_manifest(args.manifest)
-    plan = _effective_plan(md, args)
-    retention = _run_stage1(md, plan)
-
-    warnings: list[str] = []
-    decision = None
-    if md.attention_layers:
-        decision = _run_stage2(md, plan)
-    else:
-        warnings.append("stage 2 skipped: manifest carries no attention_layer_k entries")
-
     layout = md.layout
-    reduced = layout.system_len + len(retention) + layout.text_len
-    enc_cfg, llm_cfg = preset_configs(args.preset, seq_len=layout.seq_len, out_len=args.decode_len)
-    flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=reduced)
-
-    decode_report = decoding_attention_report(md.decode_rows, layout) if md.decode_rows else None
+    config = {"manifest": str(md.path), "plan": plan.to_dict()}
+    retention = decision = flops = decode_report = None
+    warnings: list[str] = []
+    if "stage1" in args.stages:
+        if md.cls_vector is None or md.wq is None or md.wk is None:
+            raise EngineError("stage 1 requires cls_vector, wq and wk entries in the manifest")
+        scores = cls_attention(md.cls_vector, md.visual_embeddings, md.wq, md.wk, layout)
+        pivot = select_pivot(scores, layout)
+        retention = greedy_kcenter(md.visual_embeddings, pivot, resolve_k(plan, layout.visual_len))
+    if "stage2" in args.stages:
+        # A run that has retained tokens still reports them without stage 2.
+        if md.attention_layers or retention is None:
+            decision = decide_drop_layer(md.attention_layers, md.attention_row_sums, layout,
+                                         plan.resolved_schedule(), plan.tau)
+        else:
+            warnings.append("stage 2 skipped: manifest carries no attention_layer_k entries")
+    if "flops" in args.stages:
+        reduced = layout.system_len + len(retention) + layout.text_len
+        enc_cfg, llm_cfg = preset_configs(args.preset, seq_len=layout.seq_len, out_len=args.decode_len)
+        flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=reduced)
+        config.update(preset=args.preset, decode_len=args.decode_len)
+    if "decode" in args.stages and md.decode_rows:
+        decode_report = decoding_attention_report(md.decode_rows, layout)
     report = build_run_report(
-        command="pipeline", seed=args.seed,
-        config={"manifest": str(md.path), "plan": plan.to_dict(), "preset": args.preset,
-                "decode_len": args.decode_len},
-        retention=retention, decision=decision, flops=flops,
-        decode_report=decode_report, warnings=warnings)
+        command=args.command, seed=args.seed, config=config, retention=retention,
+        decision=decision, flops=flops, decode_report=decode_report, warnings=warnings)
     _emit(report, args)
     return EXIT_OK
 
@@ -184,10 +159,20 @@ def cmd_flops(args) -> int:
 
 
 def cmd_verify_lemma(args) -> int:
+    if args.seed < 0:  # numpy's SeedSequence takes only non-negative seeds
+        raise EngineError(f"--seed must be >= 0, got {args.seed}")
     trial = LemmaTrial(
         n_visual=args.visual_n, n_text=args.text_m, ambient_dim=args.dim,
         visual_subdim=args.subspace, text_subdim=args.subspace,
         kernel=args.kernel, seed=args.seed)
+    # covariance_experiment's first array sized by each flag, in its order.
+    chunk = min(TRIAL_CHUNK, args.trials)
+    _refuse_beyond_address_space(
+        ("--dim, --subspace", args.dim * 2 * args.subspace),
+        ("--trials", args.trials),
+        ("--visual-n, --dim", chunk * args.visual_n * args.dim),
+        ("--text-m, --dim", chunk * args.text_m * args.dim),
+        ("--bootstrap", args.bootstrap))
     result = covariance_experiment(
         trial, args.trials,
         negative_control=args.negative_control,
@@ -204,6 +189,9 @@ def cmd_oracle_check(args) -> int:
         raise EngineError(f"--max-n must be in [2, {ORACLE_MAX_N}], got {args.max_n}")
     if args.max_d < 2:
         raise EngineError(f"--max-d must be >= 2, got {args.max_d}")
+    if args.seed < 0:
+        raise EngineError(f"--seed must be >= 0, got {args.seed}")
+    _refuse_beyond_address_space(("--max-n, --max-d", args.max_n * args.max_d))
     rng = np.random.default_rng(args.seed)
     mismatches = 0
     for _ in range(args.instances):
@@ -241,17 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="stage 1: diversity-driven token retention")
     _add_common_flags(p)
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=cmd_run, stages=("stage1",))
 
     p = sub.add_parser("decide", help="stage 2: relevance-driven drop decision")
     _add_common_flags(p, with_plan=False)
-    p.set_defaults(func=cmd_decide)
+    p.set_defaults(func=cmd_run, stages=("stage2", "decode"))
 
     p = sub.add_parser("pipeline", help="both stages plus the FLOPs savings report")
     _add_common_flags(p)
     p.add_argument("--preset", default="llava-next-7b", choices=sorted(MODEL_PRESETS))
     p.add_argument("--decode-len", type=int, default=20)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_run, stages=("stage1", "stage2", "decode", "flops"))
 
     p = sub.add_parser("flops", help="stage-ratio cost model with presets")
     p.add_argument("--preset", default="llava-next-7b", choices=sorted(MODEL_PRESETS))

@@ -96,6 +96,8 @@ class InputLayout:
                                    "without gaps or overlap (break at position {})")
 
         m = self.visual_len
+        if m == 0:
+            raise EngineError("layout: visual_range is empty")
         if self.kind == KIND_ANYRES:
             if self.thumbnail_range is None or not isinstance(self.crop_ranges, (list, tuple)):
                 raise EngineError("layout: anyres requires thumbnail_range and a list of crop_ranges")
@@ -234,10 +236,9 @@ class CompressionPlan:
 def resolve_k(plan: CompressionPlan, m: int) -> int:
     """Number of tokens to retain out of ``m`` visual tokens.
 
-    Ratio resolution uses half-up rounding and is clamped to [1, m].
+    Ratio resolution uses half-up rounding and is clamped to [1, m]; ``m`` is
+    at least 1, as ``InputLayout`` checks.
     """
-    if m < 1:
-        raise EngineError(f"resolve_k: need at least one visual token, got M={m}")
     if (plan.retain_k is None) == (plan.retain_ratio is None):
         raise EngineError("plan: exactly one of retain_k / retain_ratio must be set")
     if plan.retain_k is not None:

@@ -58,9 +58,6 @@ class ManifestData:
     decode_rows: dict[int, np.ndarray] = field(default_factory=dict)
     path: Path | None = None
 
-    def has_stage1_inputs(self) -> bool:
-        return self.cls_vector is not None and self.wq is not None and self.wk is not None
-
 
 def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
     """Check one payload's dtype, shape, path and size, and map it read-only."""

@@ -20,8 +20,6 @@ from .layout import KIND_ANYRES, KIND_VIDEO, InputLayout
 def softmax_row(scores: np.ndarray) -> np.ndarray:
     """Numerically safe softmax (max-subtraction) over a 1-D score vector."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if s.size < 1:
-        raise EngineError("softmax_row: empty score vector")
     if not np.all(np.isfinite(s)):
         raise EngineError("softmax_row: non-finite scores")
     e = np.exp(s - s.max())

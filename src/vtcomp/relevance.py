@@ -44,8 +44,6 @@ def attention_ratios(a: np.ndarray, row_sums: np.ndarray, layout: InputLayout) -
     """
     if layout.text_len == 0:
         raise EngineError("attention_ratios: text partition is empty")
-    if layout.visual_len == 0:
-        raise EngineError("attention_ratios: visual partition is empty")
 
     v0, v1 = layout.visual_range
     t0, t1 = layout.text_range

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import block_weighted_attention, build_manifest, row_stochastic
-from vtcomp import manifest
+from vtcomp import cli, manifest
 from vtcomp.cli import main
 from vtcomp.layout import InputLayout
 from vtcomp.report import canonical_json
@@ -102,6 +102,44 @@ def test_pipeline_stage1_only_warns(tmp_path, rng, capsys):
     assert "retention" in report
     assert "prune_decision" not in report
     assert report["warnings"]
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("image", {}),
+    ("anyres", {"thumbnail_range": [0, 4], "crop_ranges": [[4, 8]]}),
+    ("video", {"frames": 2, "tokens_per_frame": 4}),
+])
+def test_pipeline_is_select_plus_decide(tmp_path, rng, capsys, kind, extra):
+    layout = InputLayout.from_dict({"kind": kind, "system_range": [0, 2], "visual_range": [2, 10],
+                                    "text_range": [10, 14], **extra})
+    path = build_manifest(
+        tmp_path, kind=kind, layout_extra=extra,
+        attention={4: block_weighted_attention(rng, layout, 1.0),
+                   5: block_weighted_attention(rng, layout, 1e-4)},
+        decode_rows={4: row_stochastic(rng, layout.seq_len)[:2]},
+        plan={"retain_ratio": 0.5, "schedule": [4, 5]})
+    reports = {}
+    for command in ("select", "decide", "pipeline"):
+        code, reports[command] = run_json([command, "--manifest", str(path)], capsys)
+        assert code == 0
+    select, decide, pipeline = reports.values()
+    assert pipeline["retention"] == select["retention"]
+    assert pipeline["prune_decision"] == decide["prune_decision"]
+    assert pipeline["prune_decision"]["drop_layer"] == 5
+    assert pipeline["decoding_attention"] == decide["decoding_attention"]
+    assert select["config"]["plan"] == decide["config"]["plan"] == pipeline["config"]["plan"]
+    assert set(pipeline) == set(select) | set(decide) | {"flops"}
+
+
+@pytest.mark.parametrize("command", ["select", "decide", "pipeline"])
+def test_empty_visual_range_exits_3(tmp_path, rng, capsys, command):
+    path = build_manifest(tmp_path, visual=np.zeros((0, 6), dtype=np.float32),
+                          attention={4: row_stochastic(rng, 6)},
+                          plan={"retain_ratio": 0.5, "schedule": [4]})
+    code = main([command, "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"vtcomp {command}: error: layout: visual_range is empty\n"
 
 
 def test_pipeline_determinism(tmp_path, rng):
@@ -510,7 +548,7 @@ def test_unwritable_out_exits_3(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("flag, value", [
     ("--instances", "0"), ("--instances", "-1"),
-    ("--max-n", "1"), ("--max-n", "513"), ("--max-d", "1"),
+    ("--max-n", "1"), ("--max-n", "513"), ("--max-d", "1"), ("--seed", "-1"),
 ])
 def test_oracle_check_bounds_exit_3(capsys, flag, value):
     code = main(["oracle-check", flag, value])
@@ -529,6 +567,13 @@ def test_verify_lemma_empty_subspace_exits_3(capsys, subspace):
     assert "error: LemmaTrial: need visual_subdim >= 1 and text_subdim >= 1" in captured.err
 
 
+def test_verify_lemma_negative_seed_exits_3(capsys):
+    code = main(["verify-lemma", "--trials", "100", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "vtcomp verify-lemma: error: --seed must be >= 0, got -1\n"
+
+
 def test_deeply_nested_manifest_exits_3(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
@@ -540,18 +585,46 @@ def test_deeply_nested_manifest_exits_3(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+BIG = "100000000000000000000"
+
+
 # Each first allocation is beyond the 128 TiB user address space, so numpy
-# refuses it without touching memory, whatever the overcommit policy.
-@pytest.mark.parametrize("argv", [
-    ["verify-lemma", "--trials", "1000000000000000", "--bootstrap", "2"],
-    ["verify-lemma", "--dim", "35184372088832", "--trials", "100", "--bootstrap", "2"],
-], ids=["trials", "dim"])
-def test_out_of_memory_exits_3(capsys, argv):
+# refuses it without touching memory, whatever the overcommit policy. The
+# arrays of the cases with a message are beyond the int64 address range
+# itself, so the CLI refuses them before it allocates anything.
+@pytest.mark.parametrize("argv, message", [
+    (["verify-lemma", "--trials", "1000000000000000", "--bootstrap", "2"], None),
+    (["verify-lemma", "--dim", "35184372088832", "--trials", "100", "--bootstrap", "2"], None),
+    (["oracle-check", "--instances", "1", "--max-d", "4611686018427387904"],
+     "--max-n, --max-d: a float64 array of 295147905179352825856 elements"),
+    (["oracle-check", "--max-d", BIG],
+     f"--max-n, --max-d: a float64 array of {64 * int(BIG)} elements"),
+    (["verify-lemma", "--trials", "100", "--dim", BIG],
+     f"--dim, --subspace: a float64 array of {8 * int(BIG)} elements"),
+    (["verify-lemma", "--trials", "100", "--visual-n", BIG],
+     f"--visual-n, --dim: a float64 array of {1600 * int(BIG)} elements"),
+    (["verify-lemma", "--trials", "100", "--text-m", BIG],
+     f"--text-m, --dim: a float64 array of {1600 * int(BIG)} elements"),
+    (["verify-lemma", "--trials", "100", "--bootstrap", BIG],
+     f"--bootstrap: a float64 array of {BIG} elements"),
+    (["verify-lemma", "--trials", BIG], f"--trials: a float64 array of {BIG} elements"),
+], ids=["trials", "dim", "oracle-max-d", "oracle-max-d-int64", "lemma-dim", "lemma-visual-n",
+        "lemma-text-m", "lemma-bootstrap", "lemma-trials"])
+def test_out_of_memory_exits_3(monkeypatch, capsys, argv, message):
+    if message is not None:
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before refusing")
+        monkeypatch.setattr(cli, "covariance_experiment", no_allocation)
+        monkeypatch.setattr(cli.np.random, "default_rng", no_allocation)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.startswith("vtcomp verify-lemma: error: out of memory: ")
+    prefix = f"vtcomp {argv[0]}: error: out of memory: "
+    if message is None:
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    else:
+        assert captured.err == f"{prefix}{message} exceeds the address space\n"
     assert "Traceback" not in captured.err
 
 
@@ -607,6 +680,7 @@ def _readme_commands(heading):
 
 
 def test_readme_cli_flags_exist(capsys):
+    # Two-way: every README flag exists, and every flag is in the README.
     lines = _readme_commands("## CLI")
     assert len(lines) == 6
     for line in lines:
@@ -614,10 +688,10 @@ def test_readme_cli_flags_exist(capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        help_text = capsys.readouterr().out
-        for flag in re.findall(r"--[a-z][a-z-]*", line):
-            assert re.search(re.escape(flag) + r"(?![a-z-])", help_text), \
-                f"README: {command} has no {flag}"
+        help_flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        readme_flags = set(re.findall(r"--[a-z][a-z-]*", line))
+        assert readme_flags - help_flags == set(), f"README: {command} has no such flags"
+        assert help_flags - readme_flags == set(), f"README: {command} line omits these flags"
 
 
 def test_readme_flops_example_runs(capsys):

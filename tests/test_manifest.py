@@ -19,13 +19,12 @@ def test_minimal_manifest_loads(tmp_path):
     md = load_manifest(path)
     assert md.visual_embeddings.shape == (2, 2)
     assert md.layout.visual_len == 2
-    assert not md.has_stage1_inputs()
+    assert md.cls_vector is None and md.wq is None and md.wk is None
 
 
 def test_stage1_inputs_detected(tmp_path):
     path = build_manifest(tmp_path)
     md = load_manifest(path)
-    assert md.has_stage1_inputs()
     assert md.wq.shape == md.wk.shape == (6, 6)
     assert md.cls_vector.shape == (6,)
 
