@@ -31,15 +31,18 @@ from .manifest import ManifestData, load_manifest
 from .pivot import cls_attention, select_pivot
 from .relevance import decide_drop_layer, decoding_attention_report
 from .report import build_run_report, canonical_json, report_to_csv
-from .theory import KERNELS, TRIAL_CHUNK, LemmaTrial, covariance_experiment
+from .theory import KERNELS, LemmaTrial, covariance_experiment
 
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 # oracle-check runs the oracle at k = n: n - 1 steps, each one (step x n)
-# matrix product. At n = 512, d = 16 an instance takes about 0.15 s warm on a
-# 2-core Xeon with OpenBLAS, and up to 1.5 s as the first call of a process.
+# matrix product. Warm on a 2-core Xeon with OpenBLAS, the default 200
+# instances take about 0.26 s, one at n = 512, d = 16 about 0.12 s (1.5 s as a
+# process's first call), and one at --max-n 512 about 0.05 s on average, so
+# the instance cap bounds a run to about 8 min.
 ORACLE_MAX_N = 512
+ORACLE_MAX_INSTANCES = 10_000
 
 
 def _add_common_flags(p: argparse.ArgumentParser, with_plan: bool = True) -> None:
@@ -80,15 +83,6 @@ def _effective_plan(md: ManifestData, args) -> CompressionPlan:
     if args.schedule is not None:
         updates["schedule"] = _parse_schedule(args.schedule, plan)
     return replace(plan, **updates) if updates else plan
-
-
-def _refuse_beyond_address_space(*arrays: tuple[str, int]) -> None:
-    """Refuse, as out of memory, the first float64 array (flags, element count)
-    beyond the address space, on which numpy would raise ValueError instead."""
-    for flags, count in arrays:
-        if 8 * count > sys.maxsize:
-            raise EngineError(f"out of memory: {flags}: a float64 array of {count} elements "
-                              "exceeds the address space")
 
 
 def _emit(report: dict, args) -> None:
@@ -142,8 +136,7 @@ def cmd_run(args) -> int:
 def cmd_flops(args) -> int:
     enc_cfg, llm_cfg = preset_configs(
         args.preset, seq_len=args.n, out_len=args.decode_len, encoder_seq_len=args.enc_n)
-    reduced = args.reduced_n
-    flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=reduced)
+    flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=args.reduced_n)
     report = build_run_report(
         command="flops", seed=args.seed,
         config={
@@ -163,20 +156,9 @@ def cmd_verify_lemma(args) -> int:
         raise EngineError(f"--seed must be >= 0, got {args.seed}")
     trial = LemmaTrial(
         n_visual=args.visual_n, n_text=args.text_m, ambient_dim=args.dim,
-        visual_subdim=args.subspace, text_subdim=args.subspace,
-        kernel=args.kernel, seed=args.seed)
-    # covariance_experiment's first array sized by each flag, in its order.
-    chunk = min(TRIAL_CHUNK, args.trials)
-    _refuse_beyond_address_space(
-        ("--dim, --subspace", args.dim * 2 * args.subspace),
-        ("--trials", args.trials),
-        ("--visual-n, --dim", chunk * args.visual_n * args.dim),
-        ("--text-m, --dim", chunk * args.text_m * args.dim),
-        ("--bootstrap", args.bootstrap))
-    result = covariance_experiment(
-        trial, args.trials,
-        negative_control=args.negative_control,
-        bootstrap_resamples=args.bootstrap)
+        subdim=args.subspace, kernel=args.kernel, seed=args.seed)
+    result = covariance_experiment(trial, args.trials, negative_control=args.negative_control,
+                                   bootstrap_resamples=args.bootstrap)
     report = {"engine_version": __version__, "command": "verify-lemma", **result}
     _emit(report, args)
     return EXIT_OK
@@ -185,13 +167,18 @@ def cmd_verify_lemma(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.instances < 1:
         raise EngineError(f"--instances must be >= 1, got {args.instances}")
+    if args.instances > ORACLE_MAX_INSTANCES:
+        raise EngineError(f"--instances must be <= {ORACLE_MAX_INSTANCES}, got {args.instances}")
     if not 2 <= args.max_n <= ORACLE_MAX_N:
         raise EngineError(f"--max-n must be in [2, {ORACLE_MAX_N}], got {args.max_n}")
     if args.max_d < 2:
         raise EngineError(f"--max-d must be >= 2, got {args.max_d}")
     if args.seed < 0:
         raise EngineError(f"--seed must be >= 0, got {args.seed}")
-    _refuse_beyond_address_space(("--max-n, --max-d", args.max_n * args.max_d))
+    # numpy would raise ValueError, not MemoryError, on the largest instance.
+    if 8 * args.max_n * args.max_d > sys.maxsize:
+        raise EngineError(f"out of memory: --max-n, --max-d: a float64 array of "
+                          f"{args.max_n * args.max_d} elements exceeds the address space")
     rng = np.random.default_rng(args.seed)
     mismatches = 0
     for _ in range(args.instances):

@@ -1,12 +1,13 @@
 """FLOPs cost model for the encoding / prefilling / decoding stages.
 
 All formula evaluation happens in Python integers (exact at any scale);
-ratios and savings are the only floating-point outputs. Architecture
-presets are shipped inputs, not hard-coded truths: the published stage
-ratios pin down an effective encoder cost that standard per-crop ViT-L/14
-accounting does not reproduce, so the headline presets carry an effective
-encoder sequence length (804) calibrated to those ratios; the plain
-per-crop encoder (577 tokens) is reached with ``flops --enc-n 577``.
+ratios and savings are the only floating-point outputs, and a ratio beyond
+float64 is refused. ``stage_ratio_report`` returns the report's ``flops``
+section. Architecture presets are shipped inputs, not hard-coded truths:
+the published stage ratios pin down an effective encoder cost that standard
+per-crop ViT-L/14 accounting does not reproduce, so the headline presets
+carry an effective encoder sequence length (804) calibrated to those ratios;
+the plain per-crop encoder (577 tokens) is reached with ``flops --enc-n 577``.
 """
 
 from __future__ import annotations
@@ -31,28 +32,6 @@ class StageConfig:
             raise EngineError(f"StageConfig: non-positive dimension in {self}")
 
 
-@dataclass(frozen=True)
-class FlopsReport:
-    encoding: int
-    prefilling: int
-    decoding: int
-    prefill_ratio: float
-    decode_ratio: float
-    savings: float | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "encoding": self.encoding,
-            "prefilling": self.prefilling,
-            "decoding": self.decoding,
-            "prefill_ratio": self.prefill_ratio,
-            "decode_ratio": self.decode_ratio,
-        }
-        if self.savings is not None:
-            d["savings"] = self.savings
-        return d
-
-
 def flops_prefill(cfg: StageConfig) -> int:
     """Full-sequence pass: T * (4*n*d^2 + 2*n^2*d + 2*n*d*m).
 
@@ -75,30 +54,27 @@ def stage_ratio_report(
     encoder_cfg: StageConfig,
     llm_cfg: StageConfig,
     reduced_seq_len: int | None = None,
-) -> FlopsReport:
+) -> dict:
     """Stage FLOPs with ratios normalized to encoding = 1.
 
     When ``reduced_seq_len`` is given, ``savings`` is the fraction of
     prefill FLOPs removed by shrinking the LLM input to that length.
     """
+    if reduced_seq_len is not None and not 1 <= reduced_seq_len <= llm_cfg.seq_len:
+        raise EngineError(
+            f"stage_ratio_report: reduced length {reduced_seq_len} outside [1, {llm_cfg.seq_len}]")
     enc = flops_prefill(encoder_cfg)
     pre = flops_prefill(llm_cfg)
-    dec = flops_decode(llm_cfg)
-    savings = None
+    report = {"encoding": enc, "prefilling": pre, "decoding": flops_decode(llm_cfg)}
+    for ratio, stage in (("prefill_ratio", "prefilling"), ("decode_ratio", "decoding")):
+        try:
+            report[ratio] = report[stage] / enc
+        except OverflowError:
+            raise EngineError(f"stage_ratio_report: {ratio} is beyond float64") from None
     if reduced_seq_len is not None:
-        if not 1 <= reduced_seq_len <= llm_cfg.seq_len:
-            raise EngineError(
-                f"stage_ratio_report: reduced length {reduced_seq_len} outside [1, {llm_cfg.seq_len}]")
         reduced = flops_prefill(replace(llm_cfg, seq_len=reduced_seq_len))
-        savings = 1.0 - reduced / pre
-    return FlopsReport(
-        encoding=enc,
-        prefilling=pre,
-        decoding=dec,
-        prefill_ratio=pre / enc,
-        decode_ratio=dec / enc,
-        savings=savings,
-    )
+        report["savings"] = 1.0 - reduced / pre
+    return report
 
 
 # CLIP ViT-L/14-336 with the effective sequence length (804) that

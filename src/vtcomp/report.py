@@ -13,7 +13,6 @@ import json
 from typing import Any
 
 from . import __version__
-from .costmodel import FlopsReport
 from .errors import InternalInvariant
 from .kcenter import RetentionSet
 from .relevance import PruneDecision
@@ -64,7 +63,7 @@ def build_run_report(
     config: dict,
     retention: RetentionSet | None = None,
     decision: PruneDecision | None = None,
-    flops: FlopsReport | None = None,
+    flops: dict | None = None,
     decode_report: list[dict] | None = None,
     warnings: list[str] | None = None,
 ) -> dict:
@@ -92,7 +91,7 @@ def build_run_report(
             ],
         }
     if flops is not None:
-        report["flops"] = flops.to_dict()
+        report["flops"] = flops
     if decode_report is not None:
         report["decoding_attention"] = decode_report
     if warnings:

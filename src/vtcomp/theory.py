@@ -7,11 +7,15 @@ projection bases are column-orthonormal and mutually orthogonal, which
 makes the projected coordinates independent and the sample covariance of
 the two measures statistically indistinguishable from zero. A negative
 control reuses the visual basis for both measures and feeds the visual
-tokens back in as text, forcing shared variance.
+tokens back in as text, forcing shared variance. Both bases have dimension
+``LemmaTrial.subdim``. Before it draws anything, ``covariance_experiment``
+refuses as out of memory, naming the parameters, an array beyond the
+address space.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +36,16 @@ class LemmaTrial:
     n_visual: int = 8
     n_text: int = 4
     ambient_dim: int = 16
-    visual_subdim: int = 4
-    text_subdim: int = 4
+    subdim: int = 4
     kernel: str = "cosine"
     seed: int = 0
 
     def __post_init__(self):
         if self.n_visual < 2 or self.n_text < 1:
             raise EngineError("LemmaTrial: need n_visual >= 2 and n_text >= 1")
-        if self.visual_subdim < 1 or self.text_subdim < 1:
-            raise EngineError("LemmaTrial: need visual_subdim >= 1 and text_subdim >= 1")
-        if self.visual_subdim + self.text_subdim > self.ambient_dim:
+        if self.subdim < 1:
+            raise EngineError("LemmaTrial: need subdim >= 1")
+        if 2 * self.subdim > self.ambient_dim:
             raise EngineError("LemmaTrial: sub-space dims exceed ambient dimension")
 
 
@@ -113,16 +116,25 @@ def covariance_experiment(
     first tokens of the visual set, so both measures are driven by the same
     projected coordinates.
     """
+    # Each array's first allocation, in order, checked in Python ints: numpy
+    # would raise ValueError, not MemoryError, on one beyond the address space.
+    chunk = min(TRIAL_CHUNK, num_trials)
+    for names, count in (("ambient_dim, subdim", trial.ambient_dim * 2 * trial.subdim),
+                         ("num_trials", num_trials),
+                         ("n_visual, ambient_dim", chunk * trial.n_visual * trial.ambient_dim),
+                         ("n_text, ambient_dim", chunk * trial.n_text * trial.ambient_dim),
+                         ("bootstrap_resamples", bootstrap_resamples)):
+        if 8 * count > sys.maxsize:
+            raise EngineError(f"out of memory: {names}: a float64 array of {count} elements "
+                              "exceeds the address space")
     if num_trials < 100:
         raise EngineError(f"covariance_experiment: need >= 100 trials, got {num_trials}")
     if bootstrap_resamples < 2:
         raise EngineError("covariance_experiment: need >= 2 bootstrap resamples")
 
     rng = np.random.default_rng(trial.seed)
-    w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.visual_subdim, trial.text_subdim)
+    w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.subdim, trial.subdim)
     if negative_control:
-        if trial.text_subdim != trial.visual_subdim:
-            raise EngineError("negative control requires matching sub-space dims")
         if trial.n_text > trial.n_visual:
             raise EngineError("negative control requires n_text <= n_visual")
         w_t = w_v

@@ -83,7 +83,7 @@ def gather_bootstrap_experiment(trial, num_trials: int, negative_control: bool,
     """(sample covariance, standard error) of covariance_experiment, replayed
     on the same random stream with each bootstrap resample gathered by index."""
     rng = np.random.default_rng(trial.seed)
-    w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.visual_subdim, trial.text_subdim)
+    w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.subdim, trial.subdim)
     if negative_control:
         w_t = w_v
     d_parts, r_parts = [], []

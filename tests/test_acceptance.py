@@ -79,9 +79,9 @@ def test_criterion_3_flops_ratios_and_decode_form():
     r7 = stage_ratio_report(enc7, llm7)
     enc13, llm13 = preset_configs("llava-next-13b", seq_len=3000, out_len=20)
     r13 = stage_ratio_report(enc13, llm13)
-    ok = 57.2 <= r7.prefill_ratio <= 70.0
-    ok &= 0.3 <= r7.decode_ratio <= 0.5
-    ok &= 109.0 <= r13.prefill_ratio <= 133.0
+    ok = 57.2 <= r7["prefill_ratio"] <= 70.0
+    ok &= 0.3 <= r7["decode_ratio"] <= 0.5
+    ok &= 109.0 <= r13["prefill_ratio"] <= 133.0
 
     rng = np.random.default_rng(99)
     for _ in range(100):
@@ -96,8 +96,8 @@ def test_criterion_3_flops_ratios_and_decode_form():
             4 * cfg.hidden ** 2 + 2 * cfg.hidden * (cfg.seq_len + t - 1) + 2 * cfg.hidden * cfg.ffn
             for t in range(1, cfg.out_len + 1))
         ok &= flops_decode(cfg) == loop
-    _verdict(f"3 flops-ratios (7B {r7.prefill_ratio:.1f}:{r7.decode_ratio:.2f}, "
-             f"13B {r13.prefill_ratio:.1f}) + decode closed form", ok)
+    _verdict(f"3 flops-ratios (7B {r7['prefill_ratio']:.1f}:{r7['decode_ratio']:.2f}, "
+             f"13B {r13['prefill_ratio']:.1f}) + decode closed form", ok)
 
 
 def test_criterion_4_covariance_lemma():

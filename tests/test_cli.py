@@ -548,6 +548,7 @@ def test_unwritable_out_exits_3(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("flag, value", [
     ("--instances", "0"), ("--instances", "-1"),
+    ("--instances", "10001"), ("--instances", "100000000000000000000"),
     ("--max-n", "1"), ("--max-n", "513"), ("--max-d", "1"), ("--seed", "-1"),
 ])
 def test_oracle_check_bounds_exit_3(capsys, flag, value):
@@ -558,13 +559,29 @@ def test_oracle_check_bounds_exit_3(capsys, flag, value):
     assert f"error: {flag} must be" in captured.err and f"got {value}" in captured.err
 
 
-@pytest.mark.parametrize("subspace", ["0", "-1"])
-def test_verify_lemma_empty_subspace_exits_3(capsys, subspace):
-    code = main(["verify-lemma", "--subspace", subspace, "--trials", "100", "--bootstrap", "2"])
+@pytest.mark.parametrize("argv, message", [
+    (["--subspace", "0"], "LemmaTrial: need subdim >= 1"),
+    (["--subspace", "-1"], "LemmaTrial: need subdim >= 1"),
+    (["--negative-control", "--text-m", "9", "--visual-n", "8"],
+     "negative control requires n_text <= n_visual"),
+    (["--bootstrap", "1"], "covariance_experiment: need >= 2 bootstrap resamples"),
+], ids=["subspace-0", "subspace--1", "negative-control-text-m", "bootstrap-1"])
+def test_verify_lemma_bounds_exit_3(capsys, argv, message):
+    code = main(["verify-lemma", "--trials", "100", "--bootstrap", "2", *argv])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "error: LemmaTrial: need visual_subdim >= 1 and text_subdim >= 1" in captured.err
+    assert captured.err == f"vtcomp verify-lemma: error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, ratio", [("--n", "prefill_ratio"), ("--decode-len", "decode_ratio")])
+def test_flops_ratio_beyond_float64_exits_3(capsys, flag, ratio):
+    # 10**157 still gives a finite ratio.
+    code = main(["flops", flag, str(10**158)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"vtcomp flops: error: stage_ratio_report: {ratio} is beyond float64\n"
 
 
 def test_verify_lemma_negative_seed_exits_3(capsys):
@@ -591,7 +608,7 @@ BIG = "100000000000000000000"
 # Each first allocation is beyond the 128 TiB user address space, so numpy
 # refuses it without touching memory, whatever the overcommit policy. The
 # arrays of the cases with a message are beyond the int64 address range
-# itself, so the CLI refuses them before it allocates anything.
+# itself, so the engine refuses them before it allocates anything.
 @pytest.mark.parametrize("argv, message", [
     (["verify-lemma", "--trials", "1000000000000000", "--bootstrap", "2"], None),
     (["verify-lemma", "--dim", "35184372088832", "--trials", "100", "--bootstrap", "2"], None),
@@ -600,21 +617,20 @@ BIG = "100000000000000000000"
     (["oracle-check", "--max-d", BIG],
      f"--max-n, --max-d: a float64 array of {64 * int(BIG)} elements"),
     (["verify-lemma", "--trials", "100", "--dim", BIG],
-     f"--dim, --subspace: a float64 array of {8 * int(BIG)} elements"),
+     f"ambient_dim, subdim: a float64 array of {8 * int(BIG)} elements"),
     (["verify-lemma", "--trials", "100", "--visual-n", BIG],
-     f"--visual-n, --dim: a float64 array of {1600 * int(BIG)} elements"),
+     f"n_visual, ambient_dim: a float64 array of {1600 * int(BIG)} elements"),
     (["verify-lemma", "--trials", "100", "--text-m", BIG],
-     f"--text-m, --dim: a float64 array of {1600 * int(BIG)} elements"),
+     f"n_text, ambient_dim: a float64 array of {1600 * int(BIG)} elements"),
     (["verify-lemma", "--trials", "100", "--bootstrap", BIG],
-     f"--bootstrap: a float64 array of {BIG} elements"),
-    (["verify-lemma", "--trials", BIG], f"--trials: a float64 array of {BIG} elements"),
+     f"bootstrap_resamples: a float64 array of {BIG} elements"),
+    (["verify-lemma", "--trials", BIG], f"num_trials: a float64 array of {BIG} elements"),
 ], ids=["trials", "dim", "oracle-max-d", "oracle-max-d-int64", "lemma-dim", "lemma-visual-n",
         "lemma-text-m", "lemma-bootstrap", "lemma-trials"])
 def test_out_of_memory_exits_3(monkeypatch, capsys, argv, message):
     if message is not None:
         def no_allocation(*args, **kwargs):
             raise AssertionError("allocated before refusing")
-        monkeypatch.setattr(cli, "covariance_experiment", no_allocation)
         monkeypatch.setattr(cli.np.random, "default_rng", no_allocation)
     code = main(argv)
     captured = capsys.readouterr()

@@ -69,27 +69,27 @@ def test_prefill_monotone_in_each_dimension():
 def test_stage_ratio_identity():
     cfg = StageConfig(layers=4, hidden=32, ffn=64, seq_len=128)
     r = stage_ratio_report(cfg, cfg)
-    assert r.prefill_ratio == 1.0
+    assert r["prefill_ratio"] == 1.0
 
 
 def test_headline_7b_ratios():
     enc, llm = preset_configs("llava-next-7b", seq_len=3000, out_len=20)
     r = stage_ratio_report(enc, llm)
-    assert 57.2 <= r.prefill_ratio <= 70.0
-    assert 0.3 <= r.decode_ratio <= 0.5
+    assert 57.2 <= r["prefill_ratio"] <= 70.0
+    assert 0.3 <= r["decode_ratio"] <= 0.5
 
 
 def test_headline_13b_ratios():
     enc, llm = preset_configs("llava-next-13b", seq_len=3000, out_len=20)
     r = stage_ratio_report(enc, llm)
-    assert 109.0 <= r.prefill_ratio <= 133.0
+    assert 109.0 <= r["prefill_ratio"] <= 133.0
 
 
 def test_ratio_consistency_with_raw_values():
     enc, llm = preset_configs("llava-next-7b")
     r = stage_ratio_report(enc, llm)
-    assert r.prefill_ratio == pytest.approx(r.prefilling / r.encoding, rel=1e-9)
-    assert r.decode_ratio == pytest.approx(r.decoding / r.encoding, rel=1e-9)
+    assert r["prefill_ratio"] == pytest.approx(r["prefilling"] / r["encoding"], rel=1e-9)
+    assert r["decode_ratio"] == pytest.approx(r["decoding"] / r["encoding"], rel=1e-9)
 
 
 def test_savings_fraction_monotone():
@@ -97,9 +97,9 @@ def test_savings_fraction_monotone():
     previous = -1.0
     for reduced in (3000, 2500, 1500, 500, 100):
         r = stage_ratio_report(enc, llm, reduced_seq_len=reduced)
-        assert 0.0 <= r.savings < 1.0
-        assert r.savings > previous or reduced == 3000
-        previous = r.savings
+        assert 0.0 <= r["savings"] < 1.0
+        assert r["savings"] > previous or reduced == 3000
+        previous = r["savings"]
 
 
 def test_savings_bounds_checked():

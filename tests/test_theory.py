@@ -124,11 +124,11 @@ def test_trial_guards():
     with pytest.raises(EngineError, match="need n_visual >= 2 and n_text >= 1"):
         LemmaTrial(n_visual=1)
     with pytest.raises(EngineError, match="sub-space dims exceed ambient dimension"):
-        LemmaTrial(ambient_dim=4, visual_subdim=3, text_subdim=3)
-    with pytest.raises(EngineError, match="need visual_subdim >= 1 and text_subdim >= 1"):
-        LemmaTrial(visual_subdim=0)
-    with pytest.raises(EngineError, match="need visual_subdim >= 1 and text_subdim >= 1"):
-        LemmaTrial(text_subdim=-1)
+        LemmaTrial(ambient_dim=5, subdim=3)
+    with pytest.raises(EngineError, match="need subdim >= 1"):
+        LemmaTrial(subdim=0)
+    with pytest.raises(EngineError, match="need subdim >= 1"):
+        LemmaTrial(subdim=-1)
     with pytest.raises(EngineError, match="need >= 100 trials, got 50"):
         covariance_experiment(LemmaTrial(), 50)
 
