@@ -1,14 +1,16 @@
 """Greedy k-center token retention and its validation oracle.
 
-The production path (`greedy_kcenter`) keeps one running max-similarity
-vector and updates it with the cosine row of each newly selected token.
-When n <= d those rows come from one clipped Gram matrix, O(n^2*d) in a
-single matrix-matrix product plus O(n*k) for the updates; otherwise each
-row is a matrix-vector product over the normalised tokens, O(n*k*d) in
-total. The oracle, `oracle_greedy`, deliberately avoids that incremental
-state: at each step it recomputes every selected/candidate similarity from
-scratch as one (selected x n) matrix product. Its size guard lives in
-`oracle-check`, its only CLI caller.
+The production path (`greedy_kcenter`) keeps each token's max similarity
+to the selected set and picks the smallest. When n <= d the similarities
+come from one clipped Gram matrix, O(n^2*d) in a single matrix-matrix
+product plus O(n*k) for the updates. Otherwise a small frontier of the
+least-covered tokens is kept exact with one (|frontier| x d) product per
+pick, and the other tokens take the picked centers in blocked matrix
+products when the frontier can no longer decide a pick: O(n*k*d) in those
+products plus O(|frontier|*d) per pick. The oracle, `oracle_greedy`,
+deliberately avoids that incremental state: at each step it recomputes
+every selected/candidate similarity from scratch as one (selected x n)
+matrix product. Its size guard lives in `oracle-check`, its only CLI caller.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ NORM_EPS = 1e-12
 # differences between the incremental and the recomputed path (a few ulps)
 # cannot flip which of two near-duplicate tokens is picked.
 TIE_EPS = 1e-12
+# Least frontier size of the n > d greedy path, and the most centers per
+# flush product. At 4608 x 64 (k = 461 and 1152, 2-core Xeon, OpenBLAS),
+# 128 to 512 were within noise of each other; 64 flushes too often (0.017
+# against 0.015 s at k = 461), 1024 makes each pick's frontier product too
+# long (0.053 against 0.036 s at k = 1152), and flush blocks of min(256, d)
+# rows were slower (0.040 s at k = 1152).
+FRONTIER = 256
 
 
 @dataclass(frozen=True)
@@ -70,32 +79,76 @@ def _pick(values: np.ndarray) -> int:
     return int(np.argmax(values <= values.min() + TIE_EPS))
 
 
-def _cosine_rows(v: np.ndarray):
-    """Function from a token index to its clipped cosine row against all
-    tokens.
+def _gram_picks(rows: np.ndarray, pivot: int, k: int):
+    """Yield greedy's picks after the pivot, with their max similarities,
+    from one clipped Gram matrix: for n <= d it is never larger than the
+    rows (n*n <= n*d float64), and one matrix-matrix product beats re-reading
+    the n x d rows at every step."""
+    gram = rows @ rows.T
+    np.clip(gram, -1.0, 1.0, out=gram)
+    # A copy: gram rows are views. Selected tokens hold +inf, so _pick never
+    # takes one again.
+    s = gram[pivot].copy()
+    s[pivot] = np.inf
+    for _ in range(k - 1):
+        c = _pick(s)
+        yield c, float(s[c])
+        s[c] = np.inf
+        np.maximum(s, gram[c], out=s)
 
-    When n <= d the whole clipped Gram matrix is formed once, replacing the
-    normalised rows it is computed from: it is never larger than them
-    (n*n <= n*d float64), and one matrix-matrix product beats re-reading the
-    n x d rows at every step. When n > d the Gram matrix would be the larger
-    of the two and slower to form than the k matrix-vector products it
-    replaces, so each row is computed on demand. At 4608 x 64 it would take
-    170 MB against 2.4 MB of rows, and 0.28-0.45 s against 0.10-0.24 s for
-    k = 461 and 1152 on a 2-core Xeon with OpenBLAS.
+
+def _frontier_picks(rows: np.ndarray, pivot: int, k: int):
+    """Yield greedy's picks after the pivot, with their max similarities,
+    for n > d, where the Gram matrix would be larger than the rows (170 MB
+    against 2.4 MB at 4608 x 64) and slower to form than the products it
+    replaces.
+
+    ``s`` holds each token's max similarity to the centers applied to every
+    token so far, a lower bound on its true value; the centers picked since
+    are ``pending``. The frontier (``front``, values ``fs``) is kept exact by
+    one (|frontier| x d) product per pick, and every token outside it is at
+    least ``tau``. While min(fs) + TIE_EPS < tau, the whole tie set of the
+    pick lies in the frontier, so the pick is the one the full update would
+    make. Otherwise the pending centers are applied to every token in
+    (FRONTIER x n) blocks and the frontier is rebuilt from every token within
+    TIE_EPS of the FRONTIER-th smallest value, so it passes the test.
     """
-    rows = normalize_rows(v, "greedy_kcenter")
-    n, d = rows.shape
-    if n <= d:
-        gram = rows @ rows.T
-        np.clip(gram, -1.0, 1.0, out=gram)
-        return gram.__getitem__
-
-    def row(c: int) -> np.ndarray:
-        out = rows @ rows[c]
-        np.clip(out, -1.0, 1.0, out=out)
-        return out
-
-    return row
+    n = rows.shape[0]
+    s = rows @ rows[pivot]
+    np.clip(s, -1.0, 1.0, out=s)
+    s[pivot] = np.inf
+    pending: list[int] = []
+    block = None
+    # An empty frontier fails the test, so the first pick builds it.
+    fs, tau = np.empty(0), -np.inf
+    for _ in range(k - 1):
+        low = fs.min(initial=np.inf)
+        if not low + TIE_EPS < tau:
+            for i in range(0, len(pending), FRONTIER):
+                if block is None:  # allocated only by a run that flushes
+                    block = np.empty((FRONTIER, n))
+                centers = pending[i:i + FRONTIER]
+                sims = np.matmul(rows[centers], rows.T, out=block[:len(centers)])
+                # Clip the block's maxima, not s: s holds +inf for picked tokens.
+                top = sims.max(axis=0)
+                np.clip(top, -1.0, 1.0, out=top)
+                np.maximum(s, top, out=s)
+            s[pending] = np.inf
+            pending = []
+            kth = min(FRONTIER, n) - 1
+            inside = s <= np.partition(s, kth)[kth] + TIE_EPS
+            front = np.flatnonzero(inside)
+            fs, tau = s[front], s[~inside].min(initial=np.inf)
+            front_rows = rows[front]
+            low = fs.min()
+        j = int(np.argmax(fs <= low + TIE_EPS))  # _pick, with the minimum at hand
+        c = int(front[j])
+        yield c, float(fs[j])
+        fs[j] = np.inf
+        pending.append(c)
+        sims = front_rows @ rows[c]
+        np.clip(sims, -1.0, 1.0, out=sims)
+        np.maximum(fs, sims, out=fs)
 
 
 def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
@@ -106,23 +159,10 @@ def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     v = np.asarray(v)
     n = v.shape[0]
     _validate(n, pivot, k)
-    cosine_row = _cosine_rows(v)
-
-    # A copy: the Gram path hands out views into its matrix.
-    # Selected tokens hold +inf, so _pick never takes one again.
-    s = cosine_row(pivot).copy()
-    s[pivot] = np.inf
-    indices = [pivot]
-    trace = [(pivot, -1.0)]
-
-    for _ in range(k - 1):
-        c = _pick(s)
-        trace.append((c, float(s[c])))
-        indices.append(c)
-        s[c] = np.inf
-        np.maximum(s, cosine_row(c), out=s)
-
-    return RetentionSet(indices=tuple(indices), trace=tuple(trace))
+    rows = normalize_rows(v, "greedy_kcenter")
+    picks = (_gram_picks if n <= rows.shape[1] else _frontier_picks)(rows, pivot, k)
+    trace = [(pivot, -1.0), *picks]
+    return RetentionSet(indices=tuple(i for i, _ in trace), trace=tuple(trace))
 
 
 def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:

@@ -10,19 +10,28 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from typing import Any
 
 from . import __version__
-from .errors import InternalInvariant
+from .errors import EngineError, InternalInvariant
 from .kcenter import RetentionSet
 from .relevance import PruneDecision
+
+
+def _text(value: Any) -> str:
+    try:
+        return str(value)
+    except ValueError:  # an int longer than Python will print
+        raise EngineError(f"report: an integer value has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _render(value: Any, out: list[str]) -> None:
     if isinstance(value, bool):
         out.append("true" if value else "false")
     elif isinstance(value, int):
-        out.append(str(value))
+        out.append(_text(value))
     elif isinstance(value, float):
         out.append(format(value, ".9g"))
     elif value is None:
@@ -111,7 +120,7 @@ def report_to_csv(report: dict) -> str:
             return format(v, ".9g")
         if v is None:
             return ""
-        return str(v)
+        return _text(v)
 
     decision = report.get("prune_decision")
     if decision:

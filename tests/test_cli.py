@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import block_weighted_attention, build_manifest, row_stochastic
-from vtcomp import cli, manifest
+from vtcomp import cli, kcenter, manifest
 from vtcomp.cli import main
 from vtcomp.layout import InputLayout
 from vtcomp.report import canonical_json
@@ -584,6 +584,16 @@ def test_flops_ratio_beyond_float64_exits_3(capsys, flag, ratio):
     assert captured.err == f"vtcomp flops: error: stage_ratio_report: {ratio} is beyond float64\n"
 
 
+@pytest.mark.parametrize("report", ["json", "csv"])
+def test_report_integer_beyond_print_limit_exits_3(capsys, report):
+    # The encoder FLOPs of a 3001-digit length have more digits than Python prints.
+    code = main(["flops", "--enc-n", str(10**3000), "--report", report])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "vtcomp flops: error: report: an integer value has more than 4300 digits\n"
+
+
 def test_verify_lemma_negative_seed_exits_3(capsys):
     code = main(["verify-lemma", "--trials", "100", "--seed", "-1"])
     captured = capsys.readouterr()
@@ -676,6 +686,23 @@ def test_oracle_check_at_size_bound(capsys):
         capsys)
     assert code == 0
     assert report["ok"] is True
+
+
+def test_oracle_check_covers_the_frontier_flush(monkeypatch, capsys):
+    # oracle-check runs k = n, so an instance with n > FRONTIER > d must
+    # outgrow greedy's first frontier, flush and rebuild it.
+    shapes = []
+
+    def recording(v, pivot, k):
+        shapes.append(v.shape)
+        return kcenter.greedy_kcenter(v, pivot, k)
+    monkeypatch.setattr(cli, "greedy_kcenter", recording)
+    code, report = run_json(
+        ["oracle-check", "--instances", "20", "--max-n", "512", "--max-d", "16", "--seed", "1"],
+        capsys)
+    assert code == 0
+    assert report["mismatches"] == 0
+    assert any(n > kcenter.FRONTIER > d for n, d in shapes)
 
 
 def test_oracle_check_reports_are_byte_identical(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import covering_radius, nested_loop_greedy, optimal_kcenter_radius
+from vtcomp import kcenter
 from vtcomp.errors import EngineError
 from vtcomp.kcenter import greedy_kcenter, normalize_rows, oracle_greedy
 
@@ -167,7 +168,7 @@ def test_gram_regime_matches_oracle_on_near_duplicates():
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(data=st.data(), n=st.integers(4, 40), gram=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_greedy_matches_oracle_on_drawn_near_duplicates(data, n, gram, seed):
-    # n <= d takes the Gram branch of greedy_kcenter, n > d the GEMV branch.
+    # n <= d takes the Gram branch of greedy_kcenter, n > d the frontier branch.
     d = data.draw(st.integers(n, n + 24) if gram else st.integers(2, n - 1), label="d")
     rng = np.random.default_rng(seed)
     v = near_duplicates(rng, n, d)
@@ -213,3 +214,50 @@ def test_oracle_matches_nested_loop_referee():
         assert fast.indices == slow.indices
         for (_, a), (_, b) in zip(fast.trace, slow.trace):
             assert abs(a - b) <= 1e-12
+
+
+def lattice(rng, n, d):
+    """Rows in {-1, 0, 1}^d with no zero row: many cosines tie exactly."""
+    v = rng.integers(-1, 2, (n, d))
+    v[~v.any(axis=1), 0] = 1
+    return v.astype(np.float32)
+
+
+def repeated_basis(rng, n, d):
+    return np.eye(d, dtype=np.float32)[rng.integers(0, d, n)]
+
+
+def random_rows(rng, n, d):
+    return rng.standard_normal((n, d)).astype(np.float32)
+
+
+@pytest.mark.parametrize("draw", [random_rows, near_duplicates, lattice, repeated_basis])
+@pytest.mark.parametrize("frontier", [1, 2, 3, 7])
+def test_frontier_flushes_match_oracle(monkeypatch, frontier, draw):
+    # A frontier this small is outgrown within a few picks, so the n > d path
+    # flushes its pending centers and rebuilds the frontier many times a run.
+    monkeypatch.setattr(kcenter, "FRONTIER", frontier)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 49))
+        d = int(rng.integers(2, min(n, 13)))
+        v = draw(rng, n, d)
+        pivot = int(rng.integers(0, n))
+        k = int(rng.integers(1, n + 1))
+        fast, slow = greedy_kcenter(v, pivot, k), oracle_greedy(v, pivot, k)
+        assert fast.indices == slow.indices
+        for (_, a), (_, b) in zip(fast.trace, slow.trace):
+            assert abs(a - b) <= 1e-12
+
+
+def test_default_frontier_flushes_without_changing_picks():
+    # n = 600 outgrows the default frontier; the zero-padded copy takes the
+    # Gram path, which has none.
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((600, 16)).astype(np.float32)
+    assert v.shape[0] > kcenter.FRONTIER
+    narrow = greedy_kcenter(v, 11, 600)
+    wide = greedy_kcenter(np.pad(v, ((0, 0), (0, 600))), 11, 600)
+    assert wide.indices == narrow.indices
+    for (_, a), (_, b) in zip(wide.trace, narrow.trace):
+        assert abs(a - b) <= 1e-12
