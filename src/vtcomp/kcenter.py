@@ -1,13 +1,14 @@
 """Greedy k-center token retention and its validation oracle.
 
 The production path (`greedy_kcenter`) keeps each token's max similarity
-to the selected set and picks the smallest. When n <= d the similarities
-come from one clipped Gram matrix, O(n^2*d) in a single matrix-matrix
-product plus O(n*k) for the updates. Otherwise a small frontier of the
-least-covered tokens is kept exact with one (|frontier| x d) product per
-pick, and the other tokens take the picked centers in blocked matrix
-products when the frontier can no longer decide a pick: O(n*k*d) in those
-products plus O(|frontier|*d) per pick. The oracle, `oracle_greedy`,
+to the selected set and picks the smallest. A small frontier of the
+least-covered tokens is kept exact through its own clipped Gram matrix,
+one row of which updates it per pick, and the other tokens take the picked
+centers in blocked matrix products when the frontier can no longer decide
+a pick: O(n*k*d) in those products plus O(|frontier|^2*d) per rebuild and
+O(|frontier|) per pick. A tie class too large for that Gram (more entries
+than the rows or a flush block hold) has each pick's row computed instead,
+O(|frontier|*d) per pick. The oracle, `oracle_greedy`,
 deliberately avoids that incremental state: at each step it recomputes
 every selected/candidate similarity from scratch as one (selected x n)
 matrix product. Its size guard lives in `oracle-check`, its only CLI caller.
@@ -28,12 +29,11 @@ NORM_EPS = 1e-12
 # differences between the incremental and the recomputed path (a few ulps)
 # cannot flip which of two near-duplicate tokens is picked.
 TIE_EPS = 1e-12
-# Least frontier size of the n > d greedy path, and the most centers per
-# flush product. At 4608 x 64 (k = 461 and 1152, 2-core Xeon, OpenBLAS),
-# 128 to 512 were within noise of each other; 64 flushes too often (0.017
-# against 0.015 s at k = 461), 1024 makes each pick's frontier product too
-# long (0.053 against 0.036 s at k = 1152), and flush blocks of min(256, d)
-# rows were slower (0.040 s at k = 1152).
+# Least frontier size of the greedy path, and the most centers per flush
+# product. At 2880 x 4096 (k = 288 and 720) and 4608 x 64 (k = 461 and
+# 1152), 2-core Xeon, OpenBLAS: 128 took 0.24, 0.40, 0.014 and 0.035 s,
+# 256 took 0.26, 0.37, 0.014 and 0.031 s, and 512 took 0.26, 0.46, 0.023
+# and 0.039 s, the larger frontier's Gram costing more at each rebuild.
 FRONTIER = 256
 
 
@@ -79,39 +79,21 @@ def _pick(values: np.ndarray) -> int:
     return int(np.argmax(values <= values.min() + TIE_EPS))
 
 
-def _gram_picks(rows: np.ndarray, pivot: int, k: int):
-    """Yield greedy's picks after the pivot, with their max similarities,
-    from one clipped Gram matrix: for n <= d it is never larger than the
-    rows (n*n <= n*d float64), and one matrix-matrix product beats re-reading
-    the n x d rows at every step."""
-    gram = rows @ rows.T
-    np.clip(gram, -1.0, 1.0, out=gram)
-    # A copy: gram rows are views. Selected tokens hold +inf, so _pick never
-    # takes one again.
-    s = gram[pivot].copy()
-    s[pivot] = np.inf
-    for _ in range(k - 1):
-        c = _pick(s)
-        yield c, float(s[c])
-        s[c] = np.inf
-        np.maximum(s, gram[c], out=s)
-
-
 def _frontier_picks(rows: np.ndarray, pivot: int, k: int):
-    """Yield greedy's picks after the pivot, with their max similarities,
-    for n > d, where the Gram matrix would be larger than the rows (170 MB
-    against 2.4 MB at 4608 x 64) and slower to form than the products it
-    replaces.
+    """Yield greedy's picks after the pivot, with their max similarities.
 
     ``s`` holds each token's max similarity to the centers applied to every
     token so far, a lower bound on its true value; the centers picked since
     are ``pending``. The frontier (``front``, values ``fs``) is kept exact by
-    one (|frontier| x d) product per pick, and every token outside it is at
-    least ``tau``. While min(fs) + TIE_EPS < tau, the whole tie set of the
-    pick lies in the frontier, so the pick is the one the full update would
-    make. Otherwise the pending centers are applied to every token in
-    (FRONTIER x n) blocks and the frontier is rebuilt from every token within
-    TIE_EPS of the FRONTIER-th smallest value, so it passes the test.
+    the row of its clipped Gram matrix for each pick, and every token outside
+    it is at least ``tau``. While min(fs) + TIE_EPS < tau, the whole tie set
+    of the pick lies in the frontier, so the pick is the one the full update
+    would make. Otherwise the pending centers are applied to every token in
+    (FRONTIER x n) blocks and the frontier is rebuilt from every unpicked
+    token within TIE_EPS of the FRONTIER-th smallest value, so it passes the
+    test. Leaving picked tokens out keeps its Gram small at k near n; a tie
+    class can still hold up to n tokens, and then each pick's Gram row is
+    computed as it is needed.
     """
     n = rows.shape[0]
     s = rows @ rows[pivot]
@@ -137,18 +119,29 @@ def _frontier_picks(rows: np.ndarray, pivot: int, k: int):
             pending = []
             kth = min(FRONTIER, n) - 1
             inside = s <= np.partition(s, kth)[kth] + TIE_EPS
+            inside &= s < np.inf
             front = np.flatnonzero(inside)
             fs, tau = s[front], s[~inside].min(initial=np.inf)
             front_rows = rows[front]
+            # A tie class can bring up to n tokens into the frontier, so its
+            # Gram is formed only while no larger than the rows or a flush
+            # block; otherwise each pick takes its row as a product.
+            gram = None
+            if len(front) ** 2 <= n * max(FRONTIER, rows.shape[1]):
+                gram = front_rows @ front_rows.T
+                np.clip(gram, -1.0, 1.0, out=gram)
             low = fs.min()
         j = int(np.argmax(fs <= low + TIE_EPS))  # _pick, with the minimum at hand
         c = int(front[j])
         yield c, float(fs[j])
         fs[j] = np.inf
         pending.append(c)
-        sims = front_rows @ rows[c]
-        np.clip(sims, -1.0, 1.0, out=sims)
-        np.maximum(fs, sims, out=fs)
+        if gram is None:
+            row = front_rows @ front_rows[j]
+            np.clip(row, -1.0, 1.0, out=row)
+        else:
+            row = gram[j]
+        np.maximum(fs, row, out=fs)
 
 
 def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
@@ -160,7 +153,7 @@ def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     n = v.shape[0]
     _validate(n, pivot, k)
     rows = normalize_rows(v, "greedy_kcenter")
-    picks = (_gram_picks if n <= rows.shape[1] else _frontier_picks)(rows, pivot, k)
+    picks = _frontier_picks(rows, pivot, k)
     trace = [(pivot, -1.0), *picks]
     return RetentionSet(indices=tuple(i for i, _ in trace), trace=tuple(trace))
 
@@ -180,10 +173,14 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
 
     indices = [pivot]
     trace = [(pivot, -1.0)]
+    # Each step overwrites its leading rows, so nothing carries over in it;
+    # one allocation spares every step a newly sized temporary.
+    buf = np.empty((k, n))
     for _ in range(k - 1):
+        sims = np.matmul(rows[indices], rows.T, out=buf[:len(indices)])
         # Clipping is monotone, so clipping the n column maxima equals
         # taking the maxima of the clipped matrix.
-        max_sims = np.clip((rows[indices] @ rows.T).max(axis=0), -1.0, 1.0)
+        max_sims = np.clip(sims.max(axis=0), -1.0, 1.0)
         max_sims[indices] = np.inf
         best_idx = _pick(max_sims)
         indices.append(best_idx)

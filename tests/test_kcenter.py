@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_greedy_matches_oracle_on_near_duplicates():
 
 
 def test_gram_regime_matches_oracle_on_near_duplicates():
-    # d >= n takes the Gram-matrix path of greedy_kcenter.
+    # d >= n: the rows span as many dimensions as there are tokens.
     mismatches = 0
     for seed in range(300):
         rng = np.random.default_rng(seed)
@@ -166,10 +167,10 @@ def test_gram_regime_matches_oracle_on_near_duplicates():
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(data=st.data(), n=st.integers(4, 40), gram=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_greedy_matches_oracle_on_drawn_near_duplicates(data, n, gram, seed):
-    # n <= d takes the Gram branch of greedy_kcenter, n > d the frontier branch.
-    d = data.draw(st.integers(n, n + 24) if gram else st.integers(2, n - 1), label="d")
+@given(data=st.data(), n=st.integers(4, 40), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_greedy_matches_oracle_on_drawn_near_duplicates(data, n, wide, seed):
+    # Draws d >= n (as many dimensions as tokens) as well as d < n.
+    d = data.draw(st.integers(n, n + 24) if wide else st.integers(2, n - 1), label="d")
     rng = np.random.default_rng(seed)
     v = near_duplicates(rng, n, d)
     pivot = data.draw(st.integers(0, n - 1), label="pivot")
@@ -181,8 +182,8 @@ def test_greedy_matches_oracle_on_drawn_near_duplicates(data, n, gram, seed):
 
 def test_zero_padding_crosses_regimes_without_changing_picks():
     # Zero columns leave every cosine unchanged but move n > d inputs to
-    # n <= d, so both regimes must agree on indices and, to rounding, on
-    # the trace.
+    # n <= d, so the picks must not change and the trace must agree to
+    # rounding.
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 64))
@@ -234,13 +235,14 @@ def random_rows(rng, n, d):
 @pytest.mark.parametrize("draw", [random_rows, near_duplicates, lattice, repeated_basis])
 @pytest.mark.parametrize("frontier", [1, 2, 3, 7])
 def test_frontier_flushes_match_oracle(monkeypatch, frontier, draw):
-    # A frontier this small is outgrown within a few picks, so the n > d path
+    # A frontier this small is outgrown within a few picks, so greedy_kcenter
     # flushes its pending centers and rebuilds the frontier many times a run.
+    # Seeds 0-39 draw d < n, seeds 40-79 d >= n.
     monkeypatch.setattr(kcenter, "FRONTIER", frontier)
-    for seed in range(40):
+    for seed in range(80):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 49))
-        d = int(rng.integers(2, min(n, 13)))
+        d = int(rng.integers(2, min(n, 13))) if seed < 40 else int(rng.integers(n, n + 13))
         v = draw(rng, n, d)
         pivot = int(rng.integers(0, n))
         k = int(rng.integers(1, n + 1))
@@ -251,8 +253,8 @@ def test_frontier_flushes_match_oracle(monkeypatch, frontier, draw):
 
 
 def test_default_frontier_flushes_without_changing_picks():
-    # n = 600 outgrows the default frontier; the zero-padded copy takes the
-    # Gram path, which has none.
+    # n = 600 outgrows the default frontier, so both runs flush; the
+    # zero-padded copy has d > n.
     rng = np.random.default_rng(0)
     v = rng.standard_normal((600, 16)).astype(np.float32)
     assert v.shape[0] > kcenter.FRONTIER
@@ -261,3 +263,30 @@ def test_default_frontier_flushes_without_changing_picks():
     assert wide.indices == narrow.indices
     for (_, a), (_, b) in zip(wide.trace, narrow.trace):
         assert abs(a - b) <= 1e-12
+
+
+def test_picked_tokens_stay_out_of_the_frontier():
+    # At k = n a frontier that kept picked tokens would grow to every token
+    # and its Gram to n x n float64 (72 MB here).
+    v = np.random.default_rng(0).standard_normal((3000, 8)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        greedy_kcenter(v, 0, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_tie_class_gram_stays_bounded():
+    # Identical rows tie throughout, so every unpicked token joins the
+    # frontier; a Gram over all of them would be n x n float64 (72 MB here).
+    v = np.ones((3000, 8), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        picked = greedy_kcenter(v, 0, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert picked.indices == tuple(range(300))
+    assert peak < 16 * 2**20
