@@ -38,8 +38,8 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 # oracle-check runs the oracle at k = n: n - 1 steps, each one (step x n)
 # matrix product. Warm on a 2-core Xeon with OpenBLAS, the default 200
-# instances take about 0.26 s, one at n = 512, d = 16 about 0.12 s (1.5 s as a
-# process's first call), and one at --max-n 512 about 0.05 s on average, so
+# instances take about 0.26 s, one at n = 512, d = 16 about 0.12 s (0.16-0.17 s
+# as a process's first call), and one at --max-n 512 about 0.05 s on average, so
 # the instance cap bounds a run to about 8 min.
 ORACLE_MAX_N = 512
 ORACLE_MAX_INSTANCES = 10_000
@@ -114,9 +114,8 @@ def cmd_run(args) -> int:
         retention = greedy_kcenter(md.visual_embeddings, pivot, resolve_k(plan, layout.visual_len))
     if "stage2" in args.stages:
         # A run that has retained tokens still reports them without stage 2.
-        if md.attention_layers or retention is None:
-            decision = decide_drop_layer(md.attention_layers, md.attention_row_sums, layout,
-                                         plan.resolved_schedule(), plan.tau)
+        if md.attention_masses or retention is None:
+            decision = decide_drop_layer(md.attention_masses, layout, plan.resolved_schedule(), plan.tau)
         else:
             warnings.append("stage 2 skipped: manifest carries no attention_layer_k entries")
     if "flops" in args.stages:

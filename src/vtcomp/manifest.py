@@ -12,11 +12,11 @@ returns is read-only. The payloads' float64 sum passes run on a thread
 pool with one worker per CPU the process may use; errors are still
 reported in entry order, so an input fails at the same entry, with the same
 message, on any number of CPUs. An error raised inside a scan (such as
-``MemoryError``) surfaces with its own type. The float64 row sums of each
-attention payload are kept, so stage 2 need not read the matrix again. A
-payload must not be truncated or rewritten while a command runs: a read
-past the end of a truncated mapping ends the process with SIGBUS, not an
-error message.
+``MemoryError``) surfaces with its own type. The loader keeps each attention
+payload's per-row system/visual/text masses, so stage 2 reads no attention
+matrix after the load. A payload must not be truncated or rewritten while a
+command runs: a read past the end of a truncated mapping ends the process
+with SIGBUS, not an error message.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import EngineError
 from .layout import CompressionPlan, InputLayout, check_keys, is_int
+from .relevance import partition_masses
 
 FORMAT_VERSION = 1
 ROW_SUM_TOL = 1e-4
@@ -54,7 +55,7 @@ class ManifestData:
     wq: np.ndarray | None = None
     wk: np.ndarray | None = None
     attention_layers: dict[int, np.ndarray] = field(default_factory=dict)
-    attention_row_sums: dict[int, np.ndarray] = field(default_factory=dict)
+    attention_masses: dict[int, np.ndarray] = field(default_factory=dict)
     decode_rows: dict[int, np.ndarray] = field(default_factory=dict)
     path: Path | None = None
 
@@ -96,16 +97,20 @@ def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f4").reshape(shape)
 
 
-def _scan(data: np.ndarray, layered: bool) -> tuple[np.ndarray, object]:
-    """The payload's float64 sums (per row for a 2-D payload, else the
-    total) and, for a layered role, its minimum (None when it is empty).
-    Finite float32 values cannot overflow a float64 sum, and a NaN or an
-    inf of each sign gives a NaN, so the sums are finite exactly when every
-    entry is."""
+def _scan(data: np.ndarray, role: str, layout: InputLayout) -> tuple[np.ndarray, object]:
+    """The payload's float64 sums: the partition masses of a (seq, seq)
+    attention payload, else per row for a 2-D payload, else the total; and,
+    for a layered role, its minimum (None when it is empty). Finite float32
+    values cannot overflow a float64 sum, a NaN or an inf of each sign gives
+    a NaN, and the partitions tile a row, so the sums are finite exactly
+    when every entry is."""
     # Numpy's error state is per thread, so it is set here, on the worker.
     with np.errstate(invalid="ignore"):  # +inf + -inf in one sum
-        sums = data.sum(axis=1, dtype=np.float64) if data.ndim == 2 else data.sum(dtype=np.float64)
-        low = data.min() if layered and data.size else None
+        if role == "attention_layer_k" and data.shape == (layout.seq_len,) * 2:
+            sums = partition_masses(data, layout)
+        else:
+            sums = data.sum(axis=1, dtype=np.float64) if data.ndim == 2 else data.sum(dtype=np.float64)
+        low = data.min() if role in _LAYERED_ROLES and data.size else None
     return sums, low
 
 
@@ -194,15 +199,14 @@ def load_manifest(path) -> ManifestData:
 
     singletons: dict[str, np.ndarray] = {}
     attention_layers: dict[int, np.ndarray] = {}
-    attention_row_sums: dict[int, np.ndarray] = {}
+    attention_masses: dict[int, np.ndarray] = {}
     decode_rows: dict[int, np.ndarray] = {}
     # Imported here: the import costs every command about 10 ms at startup.
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(_usable_cpus())
     try:
-        scans = pool.map(_scan, [data for _, _, data in mapped],
-                         [role in _LAYERED_ROLES for _, role, _ in mapped])
+        scans = pool.map(lambda entry: _scan(entry[2], entry[1], layout), mapped)
         for i, ((name, role, data), (sums, low)) in enumerate(zip(mapped, scans)):
             if not np.isfinite(sums).all():
                 raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
@@ -217,6 +221,9 @@ def load_manifest(path) -> ManifestData:
                 if role == "attention_layer_k":
                     if data.shape != (seq, seq):
                         raise EngineError(f"entry {name!r}: attention shape {data.shape} != ({seq}, {seq})")
+                    sums.flags.writeable = False
+                    attention_masses[layer] = sums
+                    sums = sums.sum(axis=1)
                 elif data.ndim != 2 or data.shape[1] < seq:
                     raise EngineError(
                         f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
@@ -224,9 +231,6 @@ def load_manifest(path) -> ManifestData:
                     raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
                 _validate_rows(low, sums, name)
                 target[layer] = data
-                if role == "attention_layer_k":
-                    sums.flags.writeable = False
-                    attention_row_sums[layer] = sums
             else:
                 if role in singletons:
                     raise EngineError(f"entry {name!r}: duplicate role {role!r}")
@@ -266,7 +270,7 @@ def load_manifest(path) -> ManifestData:
         wq=singletons.get("wq"),
         wk=singletons.get("wk"),
         attention_layers=attention_layers,
-        attention_row_sums=attention_row_sums,
+        attention_masses=attention_masses,
         decode_rows=decode_rows,
         path=path,
     )

@@ -1,11 +1,14 @@
 """Cross-modal attention ratios and the full-drop decision (stage 2).
 
-Attention matrices are head-averaged, row-stochastic over their unmasked
-support, and sized to the prompt (system + visual + text); masked entries
-are stored as exact zeros, so the ratio sums need no mask logic. Decode
-rows are query rows captured during generation; they may extend past the
-prompt length to cover previously generated keys. The inputs are arrays
-whose shapes ``load_manifest`` has already validated.
+Attention rows are head-averaged query rows, row-stochastic over their
+unmasked support; masked entries are stored as exact zeros, so the sums
+need no mask logic. Both stage 2 and the decode report work from one
+reduction, ``partition_masses``: each row's float64 mass on the system,
+visual and text keys. ``load_manifest`` takes it of every prompt attention
+matrix while validating it, so a probe sums (seq, 3) arrays and never
+reads the matrix. Decode rows are query rows captured during generation;
+they may extend past the prompt to cover previously generated keys, whose
+mass lies in no partition.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 
 from .errors import EngineError
 from .layout import InputLayout
+
+SYSTEM, VISUAL, TEXT = range(3)  # the columns of partition_masses
 
 
 @dataclass(frozen=True)
@@ -32,56 +37,48 @@ class PruneDecision:
     tau: float
 
 
-def attention_ratios(a: np.ndarray, row_sums: np.ndarray, layout: InputLayout) -> tuple[float, float]:
-    """Fraction of text-query attention mass on visual keys, and vice versa.
+def partition_masses(rows: np.ndarray, layout: InputLayout) -> np.ndarray:
+    """Each row's attention mass on the system, visual and text keys, as a
+    (rows, 3) float64 array with one float64 sum per row and partition."""
+    ranges = (layout.system_range, layout.visual_range, layout.text_range)
+    return np.stack([rows[:, a:b].sum(axis=1, dtype=np.float64) for a, b in ranges], axis=1)
 
-    ``row_sums`` holds the float64 row sums of ``a`` that ``load_manifest``
-    computed while validating it. The totals add those sums over the text
-    and the visual rows, so only the two cross-modal blocks of ``a`` are
-    read, accumulated in float64 without copying. A row-block with no
-    attention mass (every row masked) has no ratio and raises EngineError
+
+def attention_ratios(masses: np.ndarray, layout: InputLayout) -> tuple[float, float]:
+    """Fraction of text-query attention mass on visual keys, and vice versa,
+    from the partition masses of a prompt attention matrix. A row-block with
+    no attention mass (every row masked) has no ratio and raises EngineError
     rather than reading as 0, which would pass any tau.
     """
     if layout.text_len == 0:
         raise EngineError("attention_ratios: text partition is empty")
-
-    v0, v1 = layout.visual_range
-    t0, t1 = layout.text_range
-
-    t_to_v = a[t0:t1, v0:v1].sum(dtype=np.float64)
-    t_total = row_sums[t0:t1].sum()
-    v_to_t = a[v0:v1, t0:t1].sum(dtype=np.float64)
-    v_total = row_sums[v0:v1].sum()
-
+    text = masses[slice(*layout.text_range)]
+    visual = masses[slice(*layout.visual_range)]
+    t_total, v_total = text.sum(), visual.sum()
     if not t_total > 0:
         raise EngineError("attention_ratios: text rows carry no attention mass (all masked)")
     if not v_total > 0:
         raise EngineError("attention_ratios: visual rows carry no attention mass (all masked)")
-    return float(t_to_v / t_total), float(v_to_t / v_total)
+    return float(text[:, VISUAL].sum() / t_total), float(visual[:, TEXT].sum() / v_total)
 
 
-def decide_drop_layer(
-    layers: dict[int, np.ndarray],
-    row_sums: dict[int, np.ndarray],
-    layout: InputLayout,
-    schedule,
-    tau: float,
-) -> PruneDecision:
+def decide_drop_layer(masses: dict[int, np.ndarray], layout: InputLayout, schedule,
+                      tau: float) -> PruneDecision:
     """Probe scheduled layers in ascending order; drop at the first layer
     where both cross-modal ratios fall below tau, else None.
 
-    ``layers`` maps a layer index to its head-averaged prompt attention,
-    and ``row_sums`` maps it to that matrix's float64 row sums.
+    ``masses`` maps a layer index to the partition masses of its
+    head-averaged prompt attention.
     """
     ordered = sorted(int(x) for x in schedule)
     for layer in ordered:
-        if layer not in layers:
+        if layer not in masses:
             raise EngineError(f"decide_drop_layer: no attention matrix for scheduled layer {layer}")
     probed: list[tuple[int, float, float]] = []
     drop_layer = None
     for layer in ordered:
         try:
-            alpha_tv, alpha_vt = attention_ratios(layers[layer], row_sums[layer], layout)
+            alpha_tv, alpha_vt = attention_ratios(masses[layer], layout)
         except EngineError as e:
             raise EngineError(f"decide_drop_layer: layer {layer}: {e}") from None
         probed.append((layer, alpha_tv, alpha_vt))
@@ -96,21 +93,18 @@ def decoding_attention_report(decode_rows: dict[int, np.ndarray], layout: InputL
     system / visual / text prompt partitions. ``decode_rows`` maps a layer
     index to its decode-step query rows.
 
-    Rows may be longer than the prompt; any remaining mass sits on
-    previously generated keys, so the three fractions sum to <= 1.
+    A fully masked row is not a query: the means are over the rows with a
+    positive full-width sum, and a layer with none raises EngineError. Any
+    remaining mass sits on previously generated keys, so the three
+    fractions sum to <= 1.
     """
-    s0, s1 = layout.system_range
-    v0, v1 = layout.visual_range
-    t0, t1 = layout.text_range
-
     report = []
     for layer in sorted(decode_rows):
-        # float64 sets the summation dtype, and so the report bytes.
-        rows = np.asarray(decode_rows[layer], dtype=np.float64)
-        report.append({
-            "layer": layer,
-            "to_system": float(rows[:, s0:s1].sum(axis=1).mean()),
-            "to_visual": float(rows[:, v0:v1].sum(axis=1).mean()),
-            "to_text": float(rows[:, t0:t1].sum(axis=1).mean()),
-        })
+        rows = decode_rows[layer]
+        masses = partition_masses(rows, layout)[rows.sum(axis=1, dtype=np.float64) > 0]
+        if not len(masses):
+            raise EngineError(f"decoding_attention_report: layer {layer}: "
+                              "decode rows carry no attention mass (all masked)")
+        system, visual, text = masses.mean(axis=0).tolist()
+        report.append({"layer": layer, "to_system": system, "to_visual": visual, "to_text": text})
     return report

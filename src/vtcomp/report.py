@@ -3,12 +3,12 @@
 Reports must be byte-identical across identical runs, so JSON is emitted
 by a fixed-order serializer of our own: keys keep insertion order, floats
 print with 9 significant digits, and the file ends with a single newline.
-CSV output carries one row per probed layer plus summary rows.
+CSV output carries one row per probed layer and per decode layer, plus
+summary rows.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from typing import Any
@@ -109,38 +109,41 @@ def build_run_report(
 
 
 def report_to_csv(report: dict) -> str:
-    """Flat CSV rendering: probe rows first, then summary key/value rows."""
-    buf = io.StringIO()
-    buf.write("section,key,value_1,value_2\n")
+    """Flat CSV rendering: probe rows first, then summary key/value rows.
+    Every row has five cells; decode rows carry to_system, to_visual and
+    to_text, and each warning is one quoted summary row."""
+    lines = ["section,key,value_1,value_2,value_3"]
 
-    def fmt(v: Any) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return format(v, ".9g")
-        if v is None:
-            return ""
-        return _text(v)
+    def fmt(v: Any) -> str:  # a string as is, None as empty, a number as in the JSON
+        if v is None or isinstance(v, str):
+            return v or ""
+        out: list[str] = []
+        _render(v, out)
+        return "".join(out)
+
+    def row(section: str, key: str, *values: Any) -> None:
+        lines.append(",".join([section, key, *map(fmt, values), *[""] * (3 - len(values))]))
+
+    def quoted(text: str) -> str:
+        return '"' + text.replace('"', '""') + '"'
 
     decision = report.get("prune_decision")
     if decision:
         for probe in decision["probed"]:
-            buf.write(f"probe,layer_{probe['layer']},{fmt(probe['text_to_visual'])},"
-                      f"{fmt(probe['visual_to_text'])}\n")
-        buf.write(f"summary,drop_layer,{fmt(decision['drop_layer'])},\n")
-        buf.write(f"summary,tau,{fmt(decision['tau'])},\n")
+            row("probe", f"layer_{probe['layer']}", probe["text_to_visual"], probe["visual_to_text"])
+        row("summary", "drop_layer", decision["drop_layer"])
+        row("summary", "tau", decision["tau"])
     retention = report.get("retention")
     if retention:
-        buf.write(f"summary,k,{retention['k']},\n")
-        buf.write(f"summary,pivot,{retention['pivot']},\n")
-        buf.write("summary,indices,\"" + " ".join(str(i) for i in retention["indices"]) + "\",\n")
-    flops = report.get("flops")
-    if flops:
-        for key, value in flops.items():
-            buf.write(f"summary,flops_{key},{fmt(value)},\n")
-    for entry in report.get("decoding_attention", []) or []:
-        buf.write(f"decode,layer_{entry['layer']},{fmt(entry['to_system'])},"
-                  f"{fmt(entry['to_visual'])}\n")
-    buf.write(f"summary,engine_version,{report['engine_version']},\n")
-    buf.write(f"summary,seed,{report['seed']},\n")
-    return buf.getvalue()
+        row("summary", "k", retention["k"])
+        row("summary", "pivot", retention["pivot"])
+        row("summary", "indices", quoted(" ".join(str(i) for i in retention["indices"])))
+    for key, value in (report.get("flops") or {}).items():
+        row("summary", f"flops_{key}", value)
+    for entry in report.get("decoding_attention") or []:
+        row("decode", f"layer_{entry['layer']}", entry["to_system"], entry["to_visual"], entry["to_text"])
+    for warning in report.get("warnings") or []:
+        row("summary", "warning", quoted(warning))
+    row("summary", "engine_version", report["engine_version"])
+    row("summary", "seed", report["seed"])
+    return "\n".join(lines) + "\n"

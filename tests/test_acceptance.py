@@ -18,13 +18,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import block_weighted_attention, build_manifest, row_sums
+from conftest import block_weighted_attention, build_manifest
 from oracles import covering_radius, optimal_kcenter_radius
 from vtcomp.cli import main
 from vtcomp.costmodel import StageConfig, flops_decode, preset_configs, stage_ratio_report
 from vtcomp.kcenter import greedy_kcenter, oracle_greedy
 from vtcomp.layout import CompressionPlan, InputLayout, layer_schedule, resolve_k
-from vtcomp.relevance import attention_ratios, decide_drop_layer
+from vtcomp.relevance import attention_ratios, decide_drop_layer, partition_masses
 from vtcomp.report import canonical_json
 from vtcomp.theory import LemmaTrial, covariance_experiment
 
@@ -131,7 +131,7 @@ def test_criterion_6_attention_ratio_correctness():
                          text_range=(s + m, s + m + n))
         a = rng.random((lo.seq_len, lo.seq_len)) + 1e-3
         a /= a.sum(axis=1, keepdims=True)
-        got = attention_ratios(a, row_sums(a), lo)
+        got = attention_ratios(partition_masses(a, lo), lo)
         t_idx = range(s + m, s + m + n)
         v_idx = range(s, s + m)
         prompt = range(lo.seq_len)
@@ -143,16 +143,16 @@ def test_criterion_6_attention_ratio_correctness():
 
     lo = InputLayout(kind="image", system_range=(0, 1), visual_range=(1, 3), text_range=(3, 4))
     a = np.full((4, 4), 0.25)
-    tv, vt = attention_ratios(a, row_sums(a), lo)
+    tv, vt = attention_ratios(partition_masses(a, lo), lo)
     ok &= abs(tv - 0.5) <= 1e-9 and abs(vt - 0.25) <= 1e-9
 
     lo = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 6), text_range=(6, 9))
     for _ in range(100):
-        layers = {l: (lambda x: x / x.sum(axis=1, keepdims=True))(rng.random((9, 9)) + 1e-3)
-                  for l in (2, 5, 7)}
+        masses = {l: partition_masses((lambda x: x / x.sum(axis=1, keepdims=True))(
+                      rng.random((9, 9)) + 1e-3), lo) for l in (2, 5, 7)}
         previous = np.inf
         for tau in (0.0, 0.05, 0.2, 0.5, 1.0):
-            drop = decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=tau).drop_layer
+            drop = decide_drop_layer(masses, lo, [2, 5, 7], tau=tau).drop_layer
             pos = np.inf if drop is None else drop
             ok &= pos <= previous
             previous = pos

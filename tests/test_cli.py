@@ -1,5 +1,7 @@
+import csv
 import errno
 import hashlib
+import io
 import json
 import mmap
 import os
@@ -166,9 +168,49 @@ def test_csv_report(tmp_path, rng, capsys):
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "section,key,value_1,value_2"
+    assert lines[0] == "section,key,value_1,value_2,value_3"
     assert any(line.startswith("probe,layer_4,") for line in lines)
     assert any(line.startswith("summary,drop_layer,5") for line in lines)
+
+
+@pytest.mark.parametrize("with_attention", [True, False], ids=["stage2", "stage2-skipped"])
+def test_csv_carries_every_probe_decode_and_warning_value(tmp_path, rng, capsys, with_attention):
+    layout = small_layout()
+    attention = {layer: block_weighted_attention(rng, layout, mass)
+                 for layer, mass in ((4, 1.0), (5, 1e-4))} if with_attention else None
+    path = build_manifest(tmp_path, attention=attention,
+                          decode_rows={4: row_stochastic(rng, layout.seq_len + 2)[:2],
+                                       6: row_stochastic(rng, layout.seq_len + 3)[:3]},
+                          plan={"retain_ratio": 0.5, "schedule": [4, 5]})
+    argv = ["pipeline", "--manifest", str(path), "--tau", "0"]
+    code, report = run_json(argv, capsys)
+    assert code == 0 and main([*argv, "--report", "csv"]) == 0
+    table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert table[0] == ["section", "key", "value_1", "value_2", "value_3"]
+    assert all(len(row) == 5 for row in table)
+    probes = [(r[1], float(r[2]), float(r[3]), r[4]) for r in table if r[0] == "probe"]
+    assert probes == [(f"layer_{p['layer']}", p["text_to_visual"], p["visual_to_text"], "")
+                      for p in report.get("prune_decision", {"probed": []})["probed"]]
+    decode = [(r[1], *map(float, r[2:])) for r in table if r[0] == "decode"]
+    assert decode == [(f"layer_{e['layer']}", e["to_system"], e["to_visual"], e["to_text"])
+                      for e in report["decoding_attention"]]
+    assert len(decode) == 2
+    warnings = [r[2:] for r in table if r[:2] == ["summary", "warning"]]
+    assert warnings == [[w, "", ""] for w in report.get("warnings", [])]
+    assert len(warnings) == (0 if with_attention else 1)
+
+
+def test_decide_fully_masked_decode_layer_exits_3(tmp_path, rng, capsys):
+    layout = small_layout()
+    rows = row_stochastic(rng, layout.seq_len)[:2]
+    path = build_manifest(tmp_path, attention={4: block_weighted_attention(rng, layout, 1.0)},
+                          decode_rows={4: rows, 6: np.zeros_like(rows)},
+                          plan={"retain_ratio": 0.5, "schedule": [4]})
+    code = main(["decide", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("vtcomp decide: error: decoding_attention_report: layer 6: "
+                            "decode rows carry no attention mass (all masked)\n")
 
 
 def test_missing_manifest_exits_3(tmp_path, capsys):
@@ -192,7 +234,7 @@ def test_decide_masked_text_rows_exits_3(tmp_path, rng, capsys):
 
 def test_decide_probes_each_layer_with_its_own_row_sums(tmp_path, rng, capsys):
     # Each layer masks different text rows, so its text total differs: a
-    # probe given another layer's row sums reports a wrong ratio.
+    # probe given another layer's partition masses reports a wrong ratio.
     layout = small_layout()
     attention = {layer: block_weighted_attention(rng, layout, 0.5) for layer in (4, 5)}
     t0, t1 = layout.text_range
@@ -657,7 +699,7 @@ def test_out_of_memory_exits_3(monkeypatch, capsys, argv, message):
 def test_scan_out_of_memory_during_select_exits_3(tmp_path, monkeypatch, capsys):
     path = build_manifest(tmp_path)
 
-    def scan_fails(data, layered):
+    def scan_fails(*args):
         raise MemoryError("scan")
 
     monkeypatch.setattr(manifest, "_scan", scan_fails)

@@ -10,6 +10,7 @@ from conftest import build_manifest, row_stochastic, write_tensor
 from vtcomp import manifest
 from vtcomp.errors import EngineError
 from vtcomp.manifest import load_manifest
+from vtcomp.relevance import partition_masses
 
 
 def test_minimal_manifest_loads(tmp_path):
@@ -78,23 +79,30 @@ def test_loaded_arrays_are_read_only(tmp_path, rng):
                           decode_rows={4: row_stochastic(rng, 14)[:2]})
     md = load_manifest(path)
     arrays = [md.visual_embeddings, md.cls_vector, md.wq, md.wk,
-              *md.attention_layers.values(), *md.attention_row_sums.values(),
+              *md.attention_layers.values(), *md.attention_masses.values(),
               *md.decode_rows.values()]
     assert len(arrays) == 7
     assert not any(a.flags.writeable for a in arrays)
 
 
 def test_attention_row_sums_kept_per_layer(tmp_path, rng):
-    attn4 = row_stochastic(rng, 14)
-    attn4[3] = 0.0
-    path = build_manifest(tmp_path, attention={4: attn4, 7: row_stochastic(rng, 14)},
-                          with_stage1=False)
-    md = load_manifest(path)
-    assert md.attention_row_sums.keys() == md.attention_layers.keys() == {4, 7}
-    for layer, a in md.attention_layers.items():
-        sums = md.attention_row_sums[layer]
-        assert sums.dtype == np.float64
-        assert np.array_equal(sums, a.sum(axis=1, dtype=np.float64))
+    # The partition masses kept at load are the only attention data stage 2
+    # reads; with text placed before visual they still follow the ranges.
+    for layout_extra in (None, {"text_range": [2, 6], "visual_range": [6, 14]}):
+        attn4 = row_stochastic(rng, 14)
+        attn4[3] = 0.0
+        path = build_manifest(tmp_path / str(bool(layout_extra)), layout_extra=layout_extra,
+                              attention={4: attn4, 7: row_stochastic(rng, 14)}, with_stage1=False)
+        md = load_manifest(path)
+        assert md.attention_masses.keys() == md.attention_layers.keys() == {4, 7}
+        ranges = [md.layout.system_range, md.layout.visual_range, md.layout.text_range]
+        for layer, a in md.attention_layers.items():
+            masses = md.attention_masses[layer]
+            assert masses.dtype == np.float64 and masses.shape == (14, 3)
+            assert np.array_equal(masses, partition_masses(a, md.layout))
+            nested = [[sum(float(a[i, j]) for j in range(*r)) for r in ranges] for i in range(14)]
+            assert np.allclose(masses, nested, rtol=0, atol=1e-12)
+        assert not md.attention_masses[4][3].any()
 
 
 def test_row_sum_violation_names_row(tmp_path, rng):
@@ -283,7 +291,7 @@ def test_scan_error_reaches_the_caller_with_its_type(tmp_path, rng, monkeypatch)
     path = build_manifest(tmp_path, attention={4: row_stochastic(rng, 14)})
     raised_on = []
 
-    def scan_fails(data, layered):
+    def scan_fails(*args):
         raised_on.append(threading.current_thread())
         raise MemoryError("scan")
 
@@ -298,10 +306,10 @@ def test_each_payload_scanned_once_by_more_threads_than_cores(tmp_path, rng, mon
     path = build_manifest(tmp_path, attention=attention)
     calls, lock, scan = Counter(), threading.Lock(), manifest._scan
 
-    def counted_scan(data, layered):
+    def counted_scan(data, *args):
         with lock:
             calls[id(data)] += 1
-        return scan(data, layered)
+        return scan(data, *args)
 
     monkeypatch.setattr(manifest, "_scan", counted_scan)
     monkeypatch.setattr(manifest, "_usable_cpus", lambda: 8)
@@ -317,9 +325,9 @@ def test_each_payload_scanned_once_by_more_threads_than_cores(tmp_path, rng, mon
     assert not caller.is_alive()
     assert sorted(calls.values()) == [1] * 28  # visual, cls, wq, wk and 24 layers
     md = loaded["md"]
-    assert md.attention_row_sums.keys() == set(range(24))
+    assert md.attention_masses.keys() == set(range(24))
     for layer, a in attention.items():
-        assert np.array_equal(md.attention_row_sums[layer], a.sum(axis=1, dtype=np.float64))
+        assert np.array_equal(md.attention_masses[layer], partition_masses(a, md.layout))
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import row_sums
 from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
-from vtcomp.relevance import attention_ratios, decide_drop_layer, decoding_attention_report
+from vtcomp.relevance import (attention_ratios, decide_drop_layer, decoding_attention_report,
+                              partition_masses)
 
 
 def layout_for(system, visual, text):
@@ -32,10 +32,22 @@ def naive_ratios(a, layout):
     return tv / t_all, vt / v_all
 
 
+def test_partition_masses_sum_each_key_range(rng):
+    # Text placed before visual: the columns follow the partitions, not
+    # their order in the sequence. Keys past the prompt lie in no column.
+    lo = InputLayout(kind="image", system_range=(0, 2), visual_range=(5, 9), text_range=(2, 5))
+    rows = rng.random((4, 12)).astype(np.float32)
+    got = partition_masses(rows, lo)
+    assert got.shape == (4, 3) and got.dtype == np.float64
+    for i in range(4):
+        for col, (a, b) in enumerate([(0, 2), (5, 9), (2, 5)]):
+            assert got[i, col] == pytest.approx(sum(float(rows[i, j]) for j in range(a, b)), abs=1e-12)
+
+
 def test_uniform_matrix_analytic():
     lo = layout_for(1, 2, 1)
     a = np.full((4, 4), 0.25)
-    tv, vt = attention_ratios(a, row_sums(a), lo)
+    tv, vt = attention_ratios(partition_masses(a, lo), lo)
     assert tv == pytest.approx(0.5, abs=1e-9)
     assert vt == pytest.approx(0.25, abs=1e-9)
 
@@ -46,18 +58,20 @@ def test_block_diagonal_is_zero():
     a[0, 0] = 1.0
     a[1:3, 1:3] = 0.5
     a[3, 3] = 1.0
-    assert attention_ratios(a, row_sums(a), lo) == (0.0, 0.0)
+    assert attention_ratios(partition_masses(a, lo), lo) == (0.0, 0.0)
 
 
 def test_matches_nested_sum_oracle(rng):
-    lo = layout_for(2, 6, 4)
-    for _ in range(20):
-        a = row_stochastic(rng, 12)
-        got = attention_ratios(a, row_sums(a), lo)
-        want = naive_ratios(a, lo)
-        assert got[0] == pytest.approx(want[0], abs=1e-6)
-        assert got[1] == pytest.approx(want[1], abs=1e-6)
-        assert 0.0 <= got[0] <= 1.0 and 0.0 <= got[1] <= 1.0
+    # The second layout places text before visual: partition order is input-defined.
+    text_first = InputLayout(kind="image", system_range=(0, 2), visual_range=(6, 12), text_range=(2, 6))
+    for lo in (layout_for(2, 6, 4), text_first):
+        for _ in range(20):
+            a = row_stochastic(rng, 12)
+            got = attention_ratios(partition_masses(a, lo), lo)
+            want = naive_ratios(a, lo)
+            assert got[0] == pytest.approx(want[0], abs=1e-6)
+            assert got[1] == pytest.approx(want[1], abs=1e-6)
+            assert 0.0 <= got[0] <= 1.0 and 0.0 <= got[1] <= 1.0
 
 
 def test_denominator_equals_partition_size(rng):
@@ -73,7 +87,7 @@ def test_empty_partition():
     lo = InputLayout(kind="image", system_range=(0, 2), visual_range=(2, 4), text_range=(4, 4))
     a = np.full((4, 4), 0.25)
     with pytest.raises(EngineError, match="attention_ratios: text partition is empty"):
-        attention_ratios(a, row_sums(a), lo)
+        attention_ratios(partition_masses(a, lo), lo)
 
 
 def test_fully_masked_block_raises():
@@ -81,15 +95,19 @@ def test_fully_masked_block_raises():
     a = np.full((4, 4), 0.25)
     a[3] = 0.0  # the only text row is masked
     with pytest.raises(EngineError, match="^attention_ratios: text rows carry no attention mass"):
-        attention_ratios(a, row_sums(a), lo)
+        attention_ratios(partition_masses(a, lo), lo)
     b = np.full((4, 4), 0.25)
     b[1:3] = 0.0  # both visual rows are masked
     with pytest.raises(EngineError, match="^attention_ratios: visual rows carry no attention mass"):
-        attention_ratios(b, row_sums(b), lo)
+        attention_ratios(partition_masses(b, lo), lo)
 
 
 def make_layers(rng, lo, layers):
     return {l: row_stochastic(rng, lo.seq_len) for l in layers}
+
+
+def masses_of(layers, lo):
+    return {layer: partition_masses(a, lo) for layer, a in layers.items()}
 
 
 def test_drop_at_first_qualifying_layer():
@@ -97,7 +115,7 @@ def test_drop_at_first_qualifying_layer():
     quiet = np.eye(4)  # block diagonal: ratios (0, 0)
     busy = np.full((4, 4), 0.25)
     layers = {4: busy, 5: quiet, 6: quiet, 7: busy}
-    d = decide_drop_layer(layers, row_sums(layers), lo, [4, 5, 6, 7], tau=0.03)
+    d = decide_drop_layer(masses_of(layers, lo), lo, [4, 5, 6, 7], tau=0.03)
     assert d.drop_layer == 5
     # Probing stops at the first hit.
     assert [p[0] for p in d.probed] == [4, 5]
@@ -111,7 +129,7 @@ def test_no_drop_when_conjunction_fails():
     a[2, 2] = 1.0
     a[3, 1], a[3, 3] = 0.05, 0.95  # text -> visual exceeds tau
     layers = {4: a}
-    d = decide_drop_layer(layers, row_sums(layers), lo, [4], tau=0.03)
+    d = decide_drop_layer(masses_of(layers, lo), lo, [4], tau=0.03)
     assert d.drop_layer is None
     assert len(d.probed) == 1
 
@@ -120,7 +138,7 @@ def test_missing_layer(rng):
     lo = layout_for(1, 2, 1)
     layers = make_layers(rng, lo, [4, 6])
     with pytest.raises(EngineError, match="no attention matrix for scheduled layer 5"):
-        decide_drop_layer(layers, row_sums(layers), lo, [4, 5, 6], tau=0.03)
+        decide_drop_layer(masses_of(layers, lo), lo, [4, 5, 6], tau=0.03)
 
 
 def test_masked_probe_raises_naming_layer(rng):
@@ -130,14 +148,14 @@ def test_masked_probe_raises_naming_layer(rng):
     layers[5][t0:t1] = 0.0
     # tau=0 never drops, so probing reaches layer 5 instead of stopping at 2.
     with pytest.raises(EngineError, match="^decide_drop_layer: layer 5: attention_ratios: text rows carry no attention mass"):
-        decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=0.0)
+        decide_drop_layer(masses_of(layers, lo), lo, [2, 5, 7], tau=0.0)
 
 
 def test_tau_boundaries(rng):
     lo = layout_for(2, 4, 3)
     layers = make_layers(rng, lo, [2, 5, 7])
-    assert decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=1.0).drop_layer == 2
-    assert decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=0.0).drop_layer is None
+    assert decide_drop_layer(masses_of(layers, lo), lo, [2, 5, 7], tau=1.0).drop_layer == 2
+    assert decide_drop_layer(masses_of(layers, lo), lo, [2, 5, 7], tau=0.0).drop_layer is None
 
 
 def test_tau_monotonicity(rng):
@@ -146,7 +164,7 @@ def test_tau_monotonicity(rng):
         layers = make_layers(rng, lo, [2, 5, 7])
         previous = None
         for tau in (0.0, 0.1, 0.3, 0.6, 1.0):
-            d = decide_drop_layer(layers, row_sums(layers), lo, [2, 5, 7], tau=tau).drop_layer
+            d = decide_drop_layer(masses_of(layers, lo), lo, [2, 5, 7], tau=tau).drop_layer
             if previous is not None:
                 prev_pos = np.inf if previous is None else previous
                 cur_pos = np.inf if d is None else d
@@ -157,9 +175,9 @@ def test_tau_monotonicity(rng):
 def test_unscheduled_layers_ignored(rng):
     lo = layout_for(2, 4, 3)
     layers = make_layers(rng, lo, [2, 5, 7, 9])
-    base = decide_drop_layer(layers, row_sums(layers), lo, [2, 5], tau=0.2)
+    base = decide_drop_layer(masses_of(layers, lo), lo, [2, 5], tau=0.2)
     perturbed = {**layers, 9: row_stochastic(rng, lo.seq_len)}
-    again = decide_drop_layer(perturbed, row_sums(perturbed), lo, [2, 5], tau=0.2)
+    again = decide_drop_layer(masses_of(perturbed, lo), lo, [2, 5], tau=0.2)
     assert base == again
 
 
@@ -195,3 +213,32 @@ def test_decode_report_deep_layer_visual_fraction(rng):
         # Direct summation cross-check on the raw rows.
         direct = rows[entry["layer"]][:, 4:14].sum(axis=1).mean()
         assert entry["to_visual"] == pytest.approx(direct, abs=1e-12)
+
+
+def test_decode_report_skips_fully_masked_rows(rng):
+    # Masked rows are not queries: half-masked rows give the same fractions
+    # as the unmasked rows alone, not half of them.
+    lo = layout_for(2, 5, 3)
+    rows = row_stochastic(rng, lo.seq_len + 4)[:4]
+    masked = rows.copy()
+    masked[[0, 2]] = 0.0
+    rep = decoding_attention_report({6: masked}, lo)
+    assert rep == decoding_attention_report({6: rows[[1, 3]]}, lo)
+    want = partition_masses(rows[[1, 3]], lo).mean(axis=0)
+    assert [rep[0][k] for k in ("to_system", "to_visual", "to_text")] == pytest.approx(want, abs=1e-15)
+
+
+def test_decode_report_row_with_mass_only_past_the_prompt_counts():
+    # A row whose mass is all on generated keys is a query with zero prompt mass.
+    lo = layout_for(1, 2, 1)
+    rows = np.array([[0.25, 0.25, 0.25, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
+    rep = decoding_attention_report({0: rows}, lo)
+    assert rep[0]["to_visual"] == pytest.approx(0.25)
+
+
+def test_decode_report_fully_masked_layer_raises_naming_layer():
+    lo = layout_for(1, 2, 1)
+    rows = {3: np.full((1, 4), 0.25), 5: np.zeros((2, 6))}
+    with pytest.raises(EngineError, match=r"^decoding_attention_report: layer 5: decode rows carry "
+                                          r"no attention mass \(all masked\)$"):
+        decoding_attention_report(rows, lo)
