@@ -85,7 +85,9 @@ def _effective_plan(md: ManifestData, args) -> CompressionPlan:
     return replace(plan, **updates) if updates else plan
 
 
-def _emit(report: dict, args) -> None:
+def _emit(body: dict, args) -> None:
+    """Write the report: the engine_version/command header, then ``body``."""
+    report = {"engine_version": __version__, "command": args.command, **body}
     # verify-lemma and oracle-check have no --report: their results are JSON only.
     text = report_to_csv(report) if getattr(args, "report", "json") == "csv" else canonical_json(report)
     if args.out:
@@ -125,9 +127,8 @@ def cmd_run(args) -> int:
         config.update(preset=args.preset, decode_len=args.decode_len)
     if "decode" in args.stages and md.decode_rows:
         decode_report = decoding_attention_report(md.decode_rows, layout)
-    report = build_run_report(
-        command=args.command, seed=args.seed, config=config, retention=retention,
-        decision=decision, flops=flops, decode_report=decode_report, warnings=warnings)
+    report = build_run_report(seed=args.seed, config=config, retention=retention, decision=decision,
+                              flops=flops, decode_report=decode_report, warnings=warnings)
     _emit(report, args)
     return EXIT_OK
 
@@ -137,8 +138,7 @@ def cmd_flops(args) -> int:
         args.preset, seq_len=args.n, out_len=args.decode_len, encoder_seq_len=args.enc_n)
     flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=args.reduced_n)
     report = build_run_report(
-        command="flops", seed=args.seed,
-        config={
+        seed=args.seed, config={
             "preset": args.preset,
             "encoder": {"layers": enc_cfg.layers, "hidden": enc_cfg.hidden,
                         "ffn": enc_cfg.ffn, "seq_len": enc_cfg.seq_len},
@@ -158,8 +158,7 @@ def cmd_verify_lemma(args) -> int:
         subdim=args.subspace, kernel=args.kernel, seed=args.seed)
     result = covariance_experiment(trial, args.trials, negative_control=args.negative_control,
                                    bootstrap_resamples=args.bootstrap)
-    report = {"engine_version": __version__, "command": "verify-lemma", **result}
-    _emit(report, args)
+    _emit(result, args)
     return EXIT_OK
 
 
@@ -190,17 +189,8 @@ def cmd_oracle_check(args) -> int:
         slow = oracle_greedy(v, pivot, n)
         if fast.indices != slow.indices:
             mismatches += 1
-    report = {
-        "engine_version": __version__,
-        "command": "oracle-check",
-        "instances": args.instances,
-        "max_n": args.max_n,
-        "max_d": args.max_d,
-        "seed": args.seed,
-        "mismatches": mismatches,
-        "ok": mismatches == 0,
-    }
-    _emit(report, args)
+    _emit({"instances": args.instances, "max_n": args.max_n, "max_d": args.max_d,
+           "seed": args.seed, "mismatches": mismatches, "ok": mismatches == 0}, args)
     if mismatches:
         raise InternalInvariant(f"oracle-check: {mismatches} mismatching instances")
     return EXIT_OK

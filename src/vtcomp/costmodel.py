@@ -82,15 +82,12 @@ def stage_ratio_report(
 # 7B and 13B stacks. Standard per-crop accounting (577 tokens) does not.
 EFFECTIVE_ENCODER = StageConfig(layers=24, hidden=1024, ffn=4096, seq_len=804)
 
-LLM_PRESETS: dict[str, StageConfig] = {
-    "vicuna-7b": StageConfig(layers=32, hidden=4096, ffn=11008, seq_len=3000, out_len=20),
-    "vicuna-13b": StageConfig(layers=40, hidden=5120, ffn=13824, seq_len=3000, out_len=20),
-}
-
-# Headline presets pair the effective encoder with each LLM stack.
+# Headline presets pair the effective encoder with each Vicuna LLM stack.
 MODEL_PRESETS: dict[str, tuple[StageConfig, StageConfig]] = {
-    "llava-next-7b": (EFFECTIVE_ENCODER, LLM_PRESETS["vicuna-7b"]),
-    "llava-next-13b": (EFFECTIVE_ENCODER, LLM_PRESETS["vicuna-13b"]),
+    "llava-next-7b": (EFFECTIVE_ENCODER, StageConfig(
+        layers=32, hidden=4096, ffn=11008, seq_len=3000, out_len=20)),
+    "llava-next-13b": (EFFECTIVE_ENCODER, StageConfig(
+        layers=40, hidden=5120, ffn=13824, seq_len=3000, out_len=20)),
 }
 
 

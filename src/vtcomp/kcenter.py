@@ -12,6 +12,8 @@ O(|frontier|*d) per pick. The oracle, `oracle_greedy`,
 deliberately avoids that incremental state: at each step it recomputes
 every selected/candidate similarity from scratch as one (selected x n)
 matrix product. Its size guard lives in `oracle-check`, its only CLI caller.
+Both paths break ties by one rule, `_pick`. `normalize_rows` takes leading
+batch axes, and the lemma check in `theory` normalises its tokens with it.
 """
 
 from __future__ import annotations
@@ -54,16 +56,17 @@ class RetentionSet:
 
 
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Rows scaled to unit L2 norm, in float64; raises on degenerate rows
-    with the index of the first one."""
+    """Rows (along the last axis, under any leading batch axes) scaled to unit
+    L2 norm, in float64; raises on degenerate rows with the flattened index of
+    the first one."""
     # Always a copy, so the division can run in place on it without
     # touching the caller's array.
     m64 = np.array(m, dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", m64, m64))
+    norms = np.sqrt(np.einsum("...i,...i->...", m64, m64))
     bad = np.flatnonzero(norms <= NORM_EPS)
     if bad.size:
         raise EngineError(f"{name}: row {int(bad[0])} has near-zero norm")
-    m64 /= norms[:, None]
+    m64 /= norms[..., None]
     return m64
 
 
@@ -74,9 +77,9 @@ def _validate(n: int, pivot: int, k: int) -> None:
         raise EngineError(f"pivot index {pivot} outside [0, {n})")
 
 
-def _pick(values: np.ndarray) -> int:
-    """Lowest index among the values within TIE_EPS of the minimum."""
-    return int(np.argmax(values <= values.min() + TIE_EPS))
+def _pick(values: np.ndarray, low: float) -> int:
+    """Lowest index among the values within TIE_EPS of their minimum, low."""
+    return int(np.argmax(values <= low + TIE_EPS))
 
 
 def _frontier_picks(rows: np.ndarray, pivot: int, k: int):
@@ -131,7 +134,7 @@ def _frontier_picks(rows: np.ndarray, pivot: int, k: int):
                 gram = front_rows @ front_rows.T
                 np.clip(gram, -1.0, 1.0, out=gram)
             low = fs.min()
-        j = int(np.argmax(fs <= low + TIE_EPS))  # _pick, with the minimum at hand
+        j = _pick(fs, low)
         c = int(front[j])
         yield c, float(fs[j])
         fs[j] = np.inf
@@ -182,7 +185,7 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
         # taking the maxima of the clipped matrix.
         max_sims = np.clip(sims.max(axis=0), -1.0, 1.0)
         max_sims[indices] = np.inf
-        best_idx = _pick(max_sims)
+        best_idx = _pick(max_sims, max_sims.min())
         indices.append(best_idx)
         trace.append((best_idx, float(max_sims[best_idx])))
 

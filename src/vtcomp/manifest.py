@@ -12,11 +12,11 @@ returns is read-only. The payloads' float64 sum passes run on a thread
 pool with one worker per CPU the process may use; errors are still
 reported in entry order, so an input fails at the same entry, with the same
 message, on any number of CPUs. An error raised inside a scan (such as
-``MemoryError``) surfaces with its own type. The loader keeps each attention
-payload's per-row system/visual/text masses, so stage 2 reads no attention
-matrix after the load. A payload must not be truncated or rewritten while a
-command runs: a read past the end of a truncated mapping ends the process
-with SIGBUS, not an error message.
+``MemoryError``) surfaces with its own type. The loader keeps each prompt
+attention payload's per-row system/visual/text masses, so stage 2 reads no
+prompt attention matrix after the load. A payload must not be truncated or
+rewritten while a command runs: a read past the end of a truncated mapping
+ends the process with SIGBUS, not an error message.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ def _usable_cpus() -> int:
 def _validate_rows(low, sums: np.ndarray, name: str) -> None:
     """Attention rows, square or decode-step, from their minimum and float64
     row sums: non-negative weights, and each row that is not fully masked
-    sums to 1 over its full width."""
-    if low is not None and low < 0:
+    sums to 1 over its full width. Both layered roles reject an empty shape
+    first, so ``low`` is a number here."""
+    if low < 0:
         raise EngineError(f"entry {name!r}: negative attention weight")
     # Fully masked rows (all exact zeros) are allowed; every other row must
     # be stochastic over its unmasked support.

@@ -4,8 +4,9 @@ The attention is a single-projection softmax over query/key products; the
 weight matrices are ingested from files and never trained. The logits are
 re-associated as ``z_v @ (w_k @ (z_cls @ w_q))``: two d x d matrix-vector
 products and one n x d, O(d^2 + n*d), instead of forming the n x d keys in
-O(n*d^2). For video inputs the softmax is applied per frame so that
-frame-wise candidates are comparable before the cross-frame argmax.
+O(n*d^2). For video inputs the logits are reshaped to one row per frame
+and one ``softmax_row`` call normalises each row, so that frame-wise
+candidates are comparable before the cross-frame argmax.
 The inputs are arrays whose shapes ``load_manifest`` has already validated.
 """
 
@@ -13,17 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EngineError
 from .layout import KIND_ANYRES, KIND_VIDEO, InputLayout
 
 
 def softmax_row(scores: np.ndarray) -> np.ndarray:
-    """Numerically safe softmax (max-subtraction) over a 1-D score vector."""
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(s)):
-        raise EngineError("softmax_row: non-finite scores")
-    e = np.exp(s - s.max())
-    out = e / e.sum()
+    """Numerically safe softmax (max-subtraction) over the last axis, so each
+    row of a 2-D array is its own softmax."""
+    s = np.asarray(scores, dtype=np.float64)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
     # Kept on purpose: scores equal in float32 tie, so the lowest index wins
     # the pivot, and the pivot, and so every recorded report, stays as it is.
     return out.astype(np.float32)
@@ -51,9 +50,7 @@ def cls_attention(
     logits = (np.asarray(z_v, dtype=np.float64) @ kq) / np.sqrt(d)
 
     if layout.kind == KIND_VIDEO:
-        f, t = layout.frames, layout.tokens_per_frame
-        per_frame = logits.reshape(f, t)
-        return np.stack([softmax_row(per_frame[i]) for i in range(f)])
+        logits = logits.reshape(layout.frames, layout.tokens_per_frame)
     return softmax_row(logits)
 
 

@@ -64,19 +64,19 @@ def attention_ratios(masses: np.ndarray, layout: InputLayout) -> tuple[float, fl
 
 def decide_drop_layer(masses: dict[int, np.ndarray], layout: InputLayout, schedule,
                       tau: float) -> PruneDecision:
-    """Probe scheduled layers in ascending order; drop at the first layer
-    where both cross-modal ratios fall below tau, else None.
+    """Probe the scheduled layers in the order given (a plan's schedule is
+    strictly increasing); drop at the first layer where both cross-modal
+    ratios fall below tau, else None.
 
     ``masses`` maps a layer index to the partition masses of its
     head-averaged prompt attention.
     """
-    ordered = sorted(int(x) for x in schedule)
-    for layer in ordered:
+    for layer in schedule:
         if layer not in masses:
             raise EngineError(f"decide_drop_layer: no attention matrix for scheduled layer {layer}")
     probed: list[tuple[int, float, float]] = []
     drop_layer = None
-    for layer in ordered:
+    for layer in schedule:
         try:
             alpha_tv, alpha_vt = attention_ratios(masses[layer], layout)
         except EngineError as e:

@@ -13,7 +13,6 @@ import json
 import sys
 from typing import Any
 
-from . import __version__
 from .errors import EngineError, InternalInvariant
 from .kcenter import RetentionSet
 from .relevance import PruneDecision
@@ -67,7 +66,6 @@ def canonical_json(obj: Any) -> str:
 
 def build_run_report(
     *,
-    command: str,
     seed: int,
     config: dict,
     retention: RetentionSet | None = None,
@@ -76,13 +74,9 @@ def build_run_report(
     decode_report: list[dict] | None = None,
     warnings: list[str] | None = None,
 ) -> dict:
-    """Assemble the run report dict in its canonical key order."""
-    report: dict = {
-        "engine_version": __version__,
-        "command": command,
-        "seed": seed,
-        "config": config,
-    }
+    """Assemble the run report body in its canonical key order; the CLI puts
+    the engine_version/command header in front of it."""
+    report: dict = {"seed": seed, "config": config}
     if retention is not None:
         report["retention"] = {
             "k": len(retention.indices),

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EngineError
-from .kcenter import NORM_EPS
+from .errors import EngineError, InternalInvariant
+from .kcenter import normalize_rows
 
 ORTHO_TOL = 1e-10
 KERNELS = ("cosine", "shifted")
@@ -58,14 +58,15 @@ def make_orthogonal_bases(rng: np.random.Generator, ambient_dim: int,
 
 def check_orthogonality(w_v: np.ndarray, w_t: np.ndarray) -> None:
     """Abort if either basis is not orthonormal or the bases are not mutually
-    orthogonal within 1e-10."""
+    orthogonal within 1e-10. The bases are the engine's own QR output, so a
+    failure is an engine bug (InternalInvariant), not a bad request."""
     for name, w in (("W_V", w_v), ("W_T", w_t)):
         gram = w.T @ w
         if np.max(np.abs(gram - np.eye(w.shape[1]))) > ORTHO_TOL:
-            raise EngineError(f"{name} is not column-orthonormal within {ORTHO_TOL}")
+            raise InternalInvariant(f"{name} is not column-orthonormal within {ORTHO_TOL}")
     cross = np.max(np.abs(w_v.T @ w_t))
     if cross > ORTHO_TOL:
-        raise EngineError(
+        raise InternalInvariant(
             f"bases are not mutually orthogonal: max |W_V^T W_T| = {cross:.3e}")
 
 
@@ -75,18 +76,11 @@ def _kernel(cos: np.ndarray, kernel: str) -> np.ndarray:
     return cos
 
 
-def _normalize(rows: np.ndarray, what: str) -> np.ndarray:
-    norms = np.sqrt(np.einsum("...ij,...ij->...i", rows, rows))
-    if np.any(norms <= NORM_EPS):
-        raise EngineError(f"{what}: projection collapsed a token to near-zero norm")
-    return rows / norms[..., None]
-
-
 def diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
     """Diversity of each trial in a (trials, n_visual, ambient) batch: the mean
     pairwise kernel over projected tokens, diagonal excluded."""
     n = v.shape[1]
-    pv = _normalize(v @ w_v, "diversity_measure")
+    pv = normalize_rows(v @ w_v, "diversity_measure")
     gram = _kernel(np.clip(pv @ pv.transpose(0, 2, 1), -1.0, 1.0), kernel)
     diag = np.einsum("bii->b", gram)
     return (gram.sum(axis=(1, 2)) - diag) / (n * (n - 1))
@@ -96,8 +90,8 @@ def redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
                      kernel: str) -> np.ndarray:
     """Redundancy of each trial in a batch of visual and text token sets: the
     mean over visual tokens of the mean kernel to all projected text tokens."""
-    pvt = _normalize(v @ w_t, "cross_redundancy_measure (visual)")
-    pt = _normalize(t_tokens @ w_t, "cross_redundancy_measure (text)")
+    pvt = normalize_rows(v @ w_t, "cross_redundancy_measure (visual)")
+    pt = normalize_rows(t_tokens @ w_t, "cross_redundancy_measure (text)")
     cross = _kernel(np.clip(pvt @ pt.transpose(0, 2, 1), -1.0, 1.0), kernel)
     return cross.mean(axis=(1, 2))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from vtcomp.costmodel import (
-    LLM_PRESETS,
+    MODEL_PRESETS,
     StageConfig,
     flops_decode,
     flops_prefill,
@@ -114,7 +114,7 @@ def test_presets_are_overridable():
     enc, llm = preset_configs("llava-next-7b", seq_len=1234, out_len=7, encoder_seq_len=577)
     assert llm.seq_len == 1234 and llm.out_len == 7
     assert enc.seq_len == 577
-    assert LLM_PRESETS["vicuna-7b"].hidden == 4096
+    assert MODEL_PRESETS["llava-next-7b"][1].hidden == 4096
 
 
 def test_stage_config_validation():

@@ -52,6 +52,17 @@ def test_normalize_rows_reports_offending_row():
         normalize_rows(m)
 
 
+def test_normalize_rows_batch_equals_per_slice_calls(rng):
+    # A (b, n, d) batch normalises as b separate 2-D calls, bit for bit, and a
+    # degenerate row is named by its index in the flattened (b * n) rows.
+    batch = rng.standard_normal((4, 6, 5))
+    got = normalize_rows(batch)
+    assert np.array_equal(got, np.stack([normalize_rows(m) for m in batch]))
+    batch[2, 3] = 0.0
+    with pytest.raises(EngineError, match=r"^measure: row 15 has near-zero norm$"):
+        normalize_rows(batch, "measure")
+
+
 def test_greedy_matches_oracle_random_sample(rng):
     for _ in range(40):
         n = int(rng.integers(2, 24))

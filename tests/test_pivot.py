@@ -156,3 +156,16 @@ def test_float32_scores_tie_to_lowest_index():
     assert int(np.argmax(logits)) == 5
     assert scores[2] == scores[5]
     assert select_pivot(scores, image_layout(8)) == 2
+
+
+def test_softmax_rows_equal_per_row_calls(rng):
+    # One call over (frames, t) is the stack of per-frame calls, bit for bit,
+    # including a frame whose top two scores tie only after the float32 cast
+    # and a frame 800 above the others (one shift for all frames underflows).
+    logits = rng.standard_normal((5, 7)) * 3.0
+    logits[3, 1], logits[3, 4] = 2.5, 2.5 + 1e-9
+    logits[0] += 800.0
+    got = softmax_row(logits)
+    assert got.shape == (5, 7) and got.dtype == np.float32
+    assert np.array_equal(got, np.stack([softmax_row(row) for row in logits]))
+    assert got[3, 1] == got[3, 4]

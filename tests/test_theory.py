@@ -3,7 +3,7 @@ import pytest
 
 from conftest import cosine_similarity
 from oracles import gather_bootstrap_experiment
-from vtcomp.errors import EngineError
+from vtcomp.errors import EngineError, InternalInvariant
 from vtcomp.theory import (
     LemmaTrial,
     check_orthogonality,
@@ -22,7 +22,7 @@ def test_bases_satisfy_invariants(rng):
 
 def test_orthogonality_check_rejects_shared_basis(rng):
     w_v, _ = make_orthogonal_bases(rng, 8, 3, 3)
-    with pytest.raises(EngineError, match="bases are not mutually orthogonal"):
+    with pytest.raises(InternalInvariant, match="bases are not mutually orthogonal"):
         check_orthogonality(w_v, w_v)
 
 
