@@ -301,3 +301,42 @@ def test_tie_class_gram_stays_bounded():
         tracemalloc.stop()
     assert picked.indices == tuple(range(300))
     assert peak < 16 * 2**20
+
+
+# Referees at the bench's stage-1 shapes: video-narrow's 4608 x 64 at
+# ratio 0.10, and anyres-wide's 2880 x 4096 at k = 144 and 288.
+
+def test_greedy_matches_oracle_at_video_scale():
+    # k > FRONTIER, so the default frontier runs out and flushes.
+    v = np.random.default_rng(7).standard_normal((4608, 64)).astype(np.float32)
+    assert 461 > kcenter.FRONTIER
+    fast, slow = greedy_kcenter(v, 5, 461), oracle_greedy(v, 5, 461)
+    assert fast.indices == slow.indices
+    for (_, a), (_, b) in zip(fast.trace, slow.trace):
+        assert abs(a - b) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def anyres_scale():
+    v = np.random.default_rng(7).standard_normal((2880, 4096)).astype(np.float32)
+    return v, greedy_kcenter(v, 37, 288)
+
+
+def test_anyres_scale_rows_times_four_change_nothing(anyres_scale):
+    v, picked = anyres_scale
+    assert greedy_kcenter(v * 4, 37, 288) == picked
+
+
+def test_anyres_scale_smaller_k_is_a_prefix(anyres_scale):
+    v, picked = anyres_scale
+    smaller = greedy_kcenter(v, 37, 144)
+    assert smaller.indices == picked.indices[:144]
+    assert smaller.trace == picked.trace[:144]
+
+
+def test_anyres_scale_permuted_rows_give_permuted_picks(anyres_scale):
+    v, picked = anyres_scale
+    perm = np.random.default_rng(8).permutation(len(v))
+    pivot = int(np.flatnonzero(perm == 37)[0])
+    permuted = greedy_kcenter(v[perm], pivot, 288)
+    assert tuple(int(i) for i in perm[list(permuted.indices)]) == picked.indices

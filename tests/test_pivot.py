@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from vtcomp import pivot
 from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
-from vtcomp.pivot import cls_attention, select_pivot, softmax_row
+from vtcomp.pivot import PIVOT_BLOCK, cls_attention, select_pivot, softmax_row
 
 
 def image_layout(m, system=1, text=2, **kw):
@@ -169,3 +171,61 @@ def test_softmax_rows_equal_per_row_calls(rng):
     assert got.shape == (5, 7) and got.dtype == np.float32
     assert np.array_equal(got, np.stack([softmax_row(row) for row in logits]))
     assert got[3, 1] == got[3, 4]
+
+
+def float32_operands(rng, d, n):
+    return (rng.standard_normal(d).astype(np.float32),
+            rng.standard_normal((n, d)).astype(np.float32),
+            (rng.standard_normal((d, d)) / np.sqrt(d)).astype(np.float32),
+            (rng.standard_normal((d, d)) / np.sqrt(d)).astype(np.float32))
+
+
+def whole_array_logits(z_cls, z_v, w_q, w_k):
+    """Each operand cast whole to float64, in the engine's association order."""
+    q = z_cls.astype(np.float64) @ w_q.astype(np.float64)
+    return (z_v.astype(np.float64) @ (w_k.astype(np.float64) @ q)) / np.sqrt(len(z_cls))
+
+
+@pytest.mark.parametrize("kind", ["image", "video"])
+def test_blocked_pivot_equals_whole_array_products(rng, kind):
+    # d and n both span several blocks and end in a ragged one.
+    d, n = 600, 777
+    assert d > 2 * PIVOT_BLOCK and n > 3 * PIVOT_BLOCK
+    assert d % PIVOT_BLOCK and n % PIVOT_BLOCK
+    extra = {"frames": 7, "tokens_per_frame": 111} if kind == "video" else {}
+    lo = image_layout(n, kind=kind, **extra)
+    operands = float32_operands(rng, d, n)
+    logits = whole_array_logits(*operands)
+    want = softmax_row(logits.reshape(7, 111) if kind == "video" else logits)
+
+    got = cls_attention(*operands, lo)
+    assert np.array_equal(got, want)
+    assert select_pivot(got, lo) == select_pivot(want, lo)
+
+
+def test_blocked_logits_equal_whole_array_products(rng, monkeypatch):
+    # The float32 scores hide last-bit differences, so this compares the
+    # float64 logits that reach the softmax. Both sizes end in a partial
+    # block but are multiples of 128, like every bench shape, so BLAS
+    # rounds a block's edge elements as in the whole product. At ragged
+    # sizes it may round one a last bit apart.
+    d, n = 640, 896
+    assert d % PIVOT_BLOCK and n % PIVOT_BLOCK
+    operands = float32_operands(rng, d, n)
+    seen = []
+    monkeypatch.setattr(pivot, "softmax_row", lambda s: seen.append(s.copy()) or softmax_row(s))
+    cls_attention(*operands, image_layout(n))
+    assert np.array_equal(seen[0], whole_array_logits(*operands))
+
+
+def test_pivot_holds_no_whole_payload_float64_copy(rng):
+    # One d x d float64 copy of w_q or w_k is 8 MB here.
+    d, n = 1024, 2048
+    operands = float32_operands(rng, d, n)
+    tracemalloc.start()
+    try:
+        cls_attention(*operands, image_layout(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8

@@ -1,8 +1,8 @@
 """Canonical report bytes, pinned by SHA-256.
 
-Every command that emits a report runs on fixed inputs: a video and an
-AnyRes manifest built by ``conftest.build_manifest`` from the ``rng``
-fixture (seed 12345), or the command's own seed. A refactor that claims
+Every command that emits a report runs on fixed inputs: a video, an AnyRes
+and a wide image manifest built by ``conftest.build_manifest`` from the
+``rng`` fixture (seed 12345), or the command's own seed. A refactor that claims
 byte-identical reports is checked here rather than by hand. Reports echo
 the manifest path, so each command runs from ``tmp_path`` with a relative
 ``--manifest``.
@@ -10,6 +10,7 @@ the manifest path, so each command runs from ``tmp_path`` with a relative
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from conftest import block_weighted_attention, build_manifest, row_stochastic
@@ -22,6 +23,12 @@ PLAN = {"retain_ratio": 0.5, "tau": 0.03, "schedule": [2, 5, 7]}
 
 
 def _manifest(tmp_path, rng, kind):
+    if kind == "image-wide":
+        # Width and visual length above the pivot's 256-row blocks, so each of
+        # its products runs in several blocks and ends in a ragged one.
+        visual = (rng.standard_normal((600, 300)) / 100).astype(np.float32)
+        build_manifest(tmp_path / "m", kind="image", visual=visual, text_len=5)
+        return ["--manifest", "m/manifest.json"]
     extra = LAYOUT_EXTRA[kind]
     layout = InputLayout.from_dict({"kind": kind, "system_range": [0, 2], "visual_range": [2, 14],
                                     "text_range": [14, 19], **extra})
@@ -43,6 +50,8 @@ CASES = {
                    "8372eea864236f645825fba2d7a377692c2447d2aa408b913fe7936568188052"),
     "select-anyres-json": (["select", "--k", "7"], "anyres",
                            "f78f30cee887ffd97f2474db4b905ed2400a8e0a811c3dff621aa46e7810c493"),
+    "select-image-wide-json": (["select", "--ratio", "0.25"], "image-wide",
+                               "f5a62c17d907503b80bc0257f4b7b51bd2906eb931e2ba32018aa5e41f580bbc"),
     "decide-json": (["decide"], "video",
                     "a1367443f85587c1dedb5cacedc8dcd28103b46d4932cdcf693dc5e25a1a20b4"),
     "decide-csv": (["decide", "--tau", "0", "--report", "csv"], "video",
