@@ -11,12 +11,18 @@ tokens back in as text, forcing shared variance. Both bases have dimension
 ``LemmaTrial.subdim``. Before it draws anything, ``covariance_experiment``
 refuses as out of memory, naming the parameters, an array beyond the
 address space.
+
+After the bases, one worker thread makes every draw in the serial order,
+one draw ahead of the caller, which measures the draw before; numpy's
+Generator releases the GIL while it fills an array. The random stream, and
+so every result, is a serial run's.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,8 +31,11 @@ from .kcenter import normalize_rows
 
 ORTHO_TOL = 1e-10
 KERNELS = ("cosine", "shifted")
-# Trials drawn and measured per batch.
+# Trials drawn per batch, and measured per sub-batch of it.
 TRIAL_CHUNK = 10000
+MEASURE_BATCH = 1000
+# Bootstrap indices handed to the draw thread at once (at least one resample).
+RESAMPLE_GROUP = 100000
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,8 @@ def diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
     pairwise kernel over projected tokens, diagonal excluded."""
     n = v.shape[1]
     pv = normalize_rows(v @ w_v, "diversity_measure")
-    gram = _kernel(np.clip(pv @ pv.transpose(0, 2, 1), -1.0, 1.0), kernel)
+    gram = pv @ pv.transpose(0, 2, 1)
+    gram = _kernel(np.clip(gram, -1.0, 1.0, out=gram), kernel)
     diag = np.einsum("bii->b", gram)
     return (gram.sum(axis=(1, 2)) - diag) / (n * (n - 1))
 
@@ -92,8 +102,21 @@ def redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
     mean over visual tokens of the mean kernel to all projected text tokens."""
     pvt = normalize_rows(v @ w_t, "cross_redundancy_measure (visual)")
     pt = normalize_rows(t_tokens @ w_t, "cross_redundancy_measure (text)")
-    cross = _kernel(np.clip(pvt @ pt.transpose(0, 2, 1), -1.0, 1.0), kernel)
+    cross = pvt @ pt.transpose(0, 2, 1)
+    cross = _kernel(np.clip(cross, -1.0, 1.0, out=cross), kernel)
     return cross.mean(axis=(1, 2))
+
+
+def _one_ahead(pool, draws):
+    """The results of draws in order, each draw submitted to the pool's one
+    thread while the caller still uses the result before it."""
+    draws = iter(draws)
+    pending = pool.submit(next(draws))
+    for draw in draws:
+        following = pool.submit(draw)
+        yield pending.result()
+        pending = following
+    yield pending.result()
 
 
 def covariance_experiment(
@@ -137,37 +160,58 @@ def covariance_experiment(
 
     d_all = np.empty(num_trials)
     r_all = np.empty(num_trials)
-    done = 0
-    while done < num_trials:
-        b = min(TRIAL_CHUNK, num_trials - done)
-        v = rng.standard_normal((b, trial.n_visual, trial.ambient_dim))
-        t_tokens = rng.standard_normal((b, trial.n_text, trial.ambient_dim))
-        if negative_control:
-            t_tokens = v[:, : trial.n_text, :]
-        d_all[done:done + b] = diversity_batch(v, w_v, trial.kernel)
-        r_all[done:done + b] = redundancy_batch(v, t_tokens, w_t, trial.kernel)
-        done += b
+    # Drawn into on the worker: two visual buffers, so that it fills one while
+    # the caller measures the other, and one text buffer.
+    buffers = [np.empty((chunk, n, trial.ambient_dim))
+               for n in (trial.n_visual, trial.n_visual, trial.n_text)]
+    group = max(1, RESAMPLE_GROUP // num_trials)
 
-    dm = d_all - d_all.mean()
-    rm = r_all - r_all.mean()
-    sample_cov = float((dm * rm).sum() / (num_trials - 1))
+    def draws():
+        for i, done in enumerate(range(0, num_trials, TRIAL_CHUNK)):
+            for k in (i % 2, 2):
+                yield partial(rng.standard_normal, out=buffers[k][:num_trials - done])
+        for first in range(0, bootstrap_resamples, group):
+            yield lambda n=min(group, bootstrap_resamples - first): [
+                rng.integers(0, num_trials, size=num_trials) for _ in range(n)]
 
-    # A resample that takes trial j w_j times has covariance
-    #   (sum w*dm*rm - (sum w*dm)(sum w*rm)/N) / (N - 1),
-    # so each resample needs only its counts w and one (3 x N) @ N product,
-    # not two gathers of length N. The covariance is shift-invariant, so the
-    # centred measures give the same value with less cancellation. Each
-    # resample still draws its N indices with one rng.integers call, so the
-    # random stream, and with it the standard error, is unchanged. The counts
-    # are taken as float64 (exact integers), so the product casts nothing.
-    weighted = np.stack((dm, rm, dm * rm))
-    ones = np.ones(num_trials)
-    boot = np.empty(bootstrap_resamples)
-    for i in range(bootstrap_resamples):
-        counts = np.bincount(rng.integers(0, num_trials, size=num_trials), weights=ones,
-                             minlength=num_trials)
-        sum_d, sum_r, sum_dr = weighted @ counts
-        boot[i] = (sum_dr - sum_d * sum_r / num_trials) / (num_trials - 1)
+    # Imported here: at module level it would cost every command about 10 ms.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as pool:
+        ahead = _one_ahead(pool, draws())
+        for done in range(0, num_trials, TRIAL_CHUNK):
+            v, t_tokens = next(ahead), next(ahead)
+            if negative_control:
+                t_tokens = v[:, : trial.n_text, :]
+            # Measured in sub-batches: a trial's measures do not depend on its batch.
+            d, r = d_all[done:done + len(v)], r_all[done:done + len(v)]
+            for s in range(0, len(v), MEASURE_BATCH):
+                sub = slice(s, s + MEASURE_BATCH)
+                d[sub] = diversity_batch(v[sub], w_v, trial.kernel)
+                r[sub] = redundancy_batch(v[sub], t_tokens[sub], w_t, trial.kernel)
+        # The bootstrap needs no buffer: freed now, they stay out of its peak.
+        del v, t_tokens
+        buffers.clear()
+
+        dm = d_all - d_all.mean()
+        rm = r_all - r_all.mean()
+        sample_cov = float((dm * rm).sum() / (num_trials - 1))
+
+        # A resample that takes trial j w_j times has covariance
+        #   (sum w*dm*rm - (sum w*dm)(sum w*rm)/N) / (N - 1),
+        # so each resample needs only its counts w and one (3 x N) @ N product,
+        # not two gathers of length N. The covariance is shift-invariant, so the
+        # centred measures give the same value with less cancellation. Each
+        # resample still draws its N indices with one rng.integers call (on the
+        # worker), so the random stream, and with it the standard error, is
+        # unchanged. The counts are float64 (exact integers): no cast.
+        weighted = np.stack((dm, rm, dm * rm))
+        ones = np.ones(num_trials)
+        boot = np.empty(bootstrap_resamples)
+        for first in range(0, bootstrap_resamples, group):
+            for i, indices in enumerate(next(ahead), first):
+                counts = np.bincount(indices, weights=ones, minlength=num_trials)
+                sum_d, sum_r, sum_dr = weighted @ counts
+                boot[i] = (sum_dr - sum_d * sum_r / num_trials) / (num_trials - 1)
     standard_error = float(boot.std(ddof=1))
 
     return {

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import cosine_similarity
 from oracles import gather_bootstrap_experiment
+from vtcomp import theory
+from vtcomp.cli import main
 from vtcomp.errors import EngineError, InternalInvariant
 from vtcomp.theory import (
     LemmaTrial,
@@ -136,10 +144,67 @@ def test_trial_guards():
 @pytest.mark.parametrize("kernel", ["cosine", "shifted"])
 @pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
 def test_standard_error_matches_gather_bootstrap(kernel, negative_control):
-    # 12000 trials cross a TRIAL_CHUNK boundary.
+    # 100 trials are below one TRIAL_CHUNK, 10000 are exactly one, and 12000
+    # and 25001 end in a ragged chunk. 2 and 37 resamples are not multiples
+    # of the resamples drawn per hand-off to the worker (1000, 10 and 3 at
+    # 100, 10000 and 25001 trials).
     trial = LemmaTrial(kernel=kernel, seed=5)
-    res = covariance_experiment(trial, 12000, negative_control=negative_control,
-                                bootstrap_resamples=200)
-    sample_cov, standard_error = gather_bootstrap_experiment(trial, 12000, negative_control, 200)
-    assert res["sample_covariance"] == sample_cov
-    assert res["standard_error"] == pytest.approx(standard_error, rel=1e-12, abs=0.0)
+    for num_trials, resamples in ((100, 2), (100, 37), (10000, 37), (12000, 200), (25001, 37)):
+        res = covariance_experiment(trial, num_trials, negative_control=negative_control,
+                                    bootstrap_resamples=resamples)
+        sample_cov, standard_error = gather_bootstrap_experiment(
+            trial, num_trials, negative_control, resamples)
+        assert res["sample_covariance"] == sample_cov
+        assert res["standard_error"] == pytest.approx(standard_error, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kernel", ["cosine", "shifted"])
+def test_measures_do_not_depend_on_their_batch(rng, kernel):
+    # covariance_experiment measures each chunk in sub-batches.
+    w_v, w_t = make_orthogonal_bases(rng, 16, 4, 4)
+    v = rng.standard_normal((2500, 8, 16))
+    t = rng.standard_normal((2500, 4, 16))
+    diversity = diversity_batch(v, w_v, kernel)
+    redundancy = redundancy_batch(v, t, w_t, kernel)
+    for a, b in ((0, 1), (0, 1000), (7, 1500), (999, 2500), (1234, 1237)):
+        assert np.array_equal(diversity[a:b], diversity_batch(v[a:b], w_v, kernel))
+        assert np.array_equal(redundancy[a:b], redundancy_batch(v[a:b], t[a:b], w_t, kernel))
+
+
+def test_experiment_joins_its_draw_thread(monkeypatch, capsys):
+    before = threading.active_count()
+    covariance_experiment(LemmaTrial(seed=2), 25000, bootstrap_resamples=5)
+    assert threading.active_count() == before
+    # The second measure fails while the worker draws ahead; the error
+    # reaches the caller with its own type once the worker is joined.
+    measure = theory.redundancy_batch
+    raised_on = []
+
+    def fails_second(*args, **kwargs):
+        raised_on.append(threading.current_thread())
+        if len(raised_on) == 2:
+            raise MemoryError("measure")
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "redundancy_batch", fails_second)
+    code = main(["verify-lemma", "--trials", "25000", "--bootstrap", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "vtcomp verify-lemma: error: out of memory: measure\n"
+    assert raised_on == [threading.current_thread()] * 2
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_report_bytes_do_not_depend_on_cpu_count():
+    # Pinned before numpy is imported, so its BLAS also sees one CPU.
+    pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    run = ("import sys; from vtcomp.cli import main; "
+           "sys.exit(main(['verify-lemma', '--trials', '500', '--bootstrap', '50', '--seed', '3']))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    unpinned, pinned = (subprocess.run([sys.executable, "-c", prefix + run], capture_output=True,
+                                       check=True, env=env).stdout for prefix in ("", pin))
+    assert unpinned.startswith(b'{"engine_version"')
+    assert pinned == unpinned
