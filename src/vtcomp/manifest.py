@@ -14,9 +14,12 @@ reported in entry order, so an input fails at the same entry, with the same
 message, on any number of CPUs. An error raised inside a scan (such as
 ``MemoryError``) surfaces with its own type. The loader keeps each prompt
 attention payload's per-row system/visual/text masses, so stage 2 reads no
-prompt attention matrix after the load. A payload must not be truncated or
-rewritten while a command runs: a read past the end of a truncated mapping
-ends the process with SIGBUS, not an error message.
+prompt attention matrix after the load. Each scan reads its payload in
+row blocks and releases the pages behind each block once it is reduced (the
+CLI releases ``wq`` and ``wk`` again after the pivot); they stay in the page
+cache, and a later read faults the same bytes back in. A payload must not be
+truncated or rewritten while a command runs: a read past the end of a
+truncated mapping ends the process with SIGBUS, not an error message.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .relevance import partition_masses
 
 FORMAT_VERSION = 1
 ROW_SUM_TOL = 1e-4
+SCAN_ROWS = 256  # rows per scan block
 
 ROLES = ("visual_embeddings", "cls_vector", "wq", "wk", "attention_layer_k", "decode_rows")
 _LAYERED_ROLES = ("attention_layer_k", "decode_rows")
@@ -97,21 +101,43 @@ def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f4").reshape(shape)
 
 
+def release(array: np.ndarray) -> None:
+    """Drop from this process the resident pages under ``array``, a
+    contiguous view of a payload the loader mapped. The pages stay in the
+    page cache, so a later read faults the same bytes back in. A no-op on an
+    empty payload, on an array the loader did not map, and where the
+    platform has no MADV_DONTNEED."""
+    owner = array
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    buf = getattr(owner.base, "obj", None)  # np.frombuffer keeps a memoryview of the mmap
+    if isinstance(buf, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+        start = array.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
+        page = start - start % mmap.PAGESIZE
+        buf.madvise(mmap.MADV_DONTNEED, page, start + array.nbytes - page)
+
+
 def _scan(data: np.ndarray, role: str, layout: InputLayout) -> tuple[np.ndarray, object]:
     """The payload's float64 sums: the partition masses of a (seq, seq)
-    attention payload, else per row for a 2-D payload, else the total; and,
-    for a layered role, its minimum (None when it is empty). Finite float32
-    values cannot overflow a float64 sum, a NaN or an inf of each sign gives
-    a NaN, and the partitions tile a row, so the sums are finite exactly
-    when every entry is."""
+    attention payload, else per row (any payload that is not 2-D counts as
+    one row); and, for a layered role, its minimum (None when it is empty).
+    Finite float32 values cannot overflow a float64 sum, a NaN or an inf of
+    each sign gives a NaN, and the partitions tile a row, so the sums are
+    finite exactly when every entry is. Each block of SCAN_ROWS rows is
+    released once reduced; a row's sums do not depend on its block."""
+    rows = data if data.ndim == 2 else data.reshape(1, -1)
+    square = role == "attention_layer_k" and data.shape == (layout.seq_len,) * 2
+    sums, lows = [], []
     # Numpy's error state is per thread, so it is set here, on the worker.
     with np.errstate(invalid="ignore"):  # +inf + -inf in one sum
-        if role == "attention_layer_k" and data.shape == (layout.seq_len,) * 2:
-            sums = partition_masses(data, layout)
-        else:
-            sums = data.sum(axis=1, dtype=np.float64) if data.ndim == 2 else data.sum(dtype=np.float64)
-        low = data.min() if role in _LAYERED_ROLES and data.size else None
-    return sums, low
+        for start in range(0, max(len(rows), 1), SCAN_ROWS):  # one empty block for no rows
+            block = rows[start:start + SCAN_ROWS]
+            sums.append(partition_masses(block, layout) if square else block.sum(axis=1, dtype=np.float64))
+            if role in _LAYERED_ROLES and block.size:
+                lows.append(block.min())
+            release(block)
+    # np.minimum, unlike min(), keeps a NaN wherever it falls.
+    return np.concatenate(sums), np.minimum.reduce(lows) if lows else None
 
 
 def _usable_cpus() -> int:

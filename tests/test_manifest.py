@@ -1,7 +1,9 @@
 import json
+import mmap
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from conftest import build_manifest, row_stochastic, write_tensor
 from vtcomp import manifest
 from vtcomp.errors import EngineError
-from vtcomp.manifest import load_manifest
+from vtcomp.layout import InputLayout
+from vtcomp.manifest import SCAN_ROWS, load_manifest
 from vtcomp.relevance import partition_masses
 
 
@@ -364,3 +367,99 @@ def test_write_tensor_roundtrip(tmp_path, rng):
     write_tensor(tmp_path / "t.bin", data)
     back = np.fromfile(tmp_path / "t.bin", dtype="<f4").reshape(5, 3)
     np.testing.assert_array_equal(back, data)
+
+
+@pytest.mark.parametrize("seq", [SCAN_ROWS - 1, SCAN_ROWS, SCAN_ROWS + 1, 2 * SCAN_ROWS + 3],
+                         ids=["under-one-block", "one-block", "one-row-past", "three-blocks"])
+def test_block_scan_equals_whole_array_reductions(tmp_path, rng, seq):
+    attn = row_stochastic(rng, seq)
+    decode = row_stochastic(rng, seq + 5)[:seq - 2]
+    for a in (attn, decode):
+        a[[0, len(a) // 2, -1]] = 0.0  # fully masked rows in the first and the last block
+    path = build_manifest(tmp_path, text_len=seq - 10, attention={4: attn}, decode_rows={4: decode},
+                          with_stage1=False)
+    md = load_manifest(path)
+    assert np.array_equal(md.attention_masses[4], partition_masses(attn, md.layout))
+    sums, low = manifest._scan(md.decode_rows[4], "decode_rows", md.layout)
+    assert np.array_equal(sums, decode.sum(axis=1, dtype=np.float64))
+    assert low == decode.min() == 0.0
+
+
+@pytest.mark.parametrize("row", [0, 5, -1], ids=["first-block", "middle-block", "last-block"])
+def test_block_minimum_keeps_a_nan_in_any_block(rng, monkeypatch, row):
+    # The builtin min() would keep or drop a NaN depending on where it falls.
+    monkeypatch.setattr(manifest, "SCAN_ROWS", 4)
+    layout = InputLayout.from_dict({"kind": "image", "system_range": [0, 2], "visual_range": [2, 10],
+                                    "text_range": [10, 14]})
+    rows = row_stochastic(rng, 14)[:10]
+    rows[row, 3] = np.nan
+    sums, low = manifest._scan(rows, "decode_rows", layout)
+    assert np.isnan(low) and np.isnan(sums[row]) and np.isfinite(np.delete(sums, row % 10)).all()
+
+
+@pytest.mark.parametrize("role", ["attention_layer_k", "decode_rows"])
+@pytest.mark.parametrize("corruption, message", [
+    ("nan", "payload contains NaN/Inf$"),
+    ("negative", "negative attention weight$"),
+    ("sum", rf"row {SCAN_ROWS} sums to 0\.5"),
+], ids=["nan", "negative", "sum"])
+def test_last_block_of_last_payload_fails_at_its_entry(tmp_path, rng, role, corruption, message):
+    seq = SCAN_ROWS + 1  # the last block holds one row
+    width = seq + 2 if role == "decode_rows" else seq
+    layers = {layer: row_stochastic(rng, width)[:seq] for layer in (4, 7)}
+    last = layers[7]
+    if corruption == "nan":
+        last[-1, 5] = np.nan
+    elif corruption == "negative":
+        last[-1, 5] = -0.25
+    else:
+        last[-1] *= 0.5
+    if role == "decode_rows":
+        path = build_manifest(tmp_path, text_len=seq - 10, attention={4: row_stochastic(rng, seq)},
+                              decode_rows=layers)
+    else:
+        path = build_manifest(tmp_path, text_len=seq - 10, attention=layers)
+    name = "decode_7" if role == "decode_rows" else "attn_7"
+    with pytest.raises(EngineError, match=f"^entry '{name}': {message}"):
+        load_manifest(path)
+
+
+def _rss_file_kb() -> int:
+    """Resident pages of this process that map files, from /proc/self/status."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("RssFile:"):
+            return int(line.split()[1])
+    pytest.skip("no RssFile line in /proc/self/status")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads RssFile from /proc/self/status")
+def test_load_releases_the_payload_pages_it_scanned(tmp_path, rng, monkeypatch):
+    seq = 2048
+    attn = row_stochastic(rng, seq)  # 16 MB per payload
+    path = build_manifest(tmp_path, text_len=seq - 10, with_stage1=False,
+                          attention={layer: attn for layer in (4, 5, 6, 7)})
+    payload_kb = attn.nbytes // 1024
+    before = _rss_file_kb()
+    md = load_manifest(path)
+    assert _rss_file_kb() - before < payload_kb // 2  # not 4 * payload_kb
+    # The pages left the process, not the data: a read faults the same bytes back in.
+    a = md.attention_layers[7]
+    assert np.array_equal(a, np.fromfile(tmp_path / "attn_7.bin", dtype="<f4").reshape(seq, seq))
+    assert _rss_file_kb() - before > payload_kb // 2
+    with monkeypatch.context() as m:
+        m.delattr(mmap, "MADV_DONTNEED")
+        manifest.release(a)
+        assert _rss_file_kb() - before > payload_kb // 2
+    manifest.release(a)
+    assert _rss_file_kb() - before < payload_kb // 2
+    assert np.array_equal(a, attn)
+
+
+def test_release_is_a_no_op_on_arrays_the_loader_did_not_map(tmp_path):
+    (tmp_path / "empty.bin").write_bytes(b"")
+    empty = manifest._map_payload(tmp_path, {"shape": [0, 14], "file": "empty.bin"}, "empty")
+    manifest.release(empty)
+    plain = np.arange(12.0).reshape(3, 4)
+    manifest.release(plain)
+    manifest.release(plain[1:])
+    assert empty.shape == (0, 14) and np.array_equal(plain, np.arange(12.0).reshape(3, 4))

@@ -9,6 +9,10 @@ the manifest path, so each command runs from ``tmp_path`` with a relative
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,3 +93,27 @@ def test_report_bytes(name, tmp_path, rng, monkeypatch, capsys):
     if "csv" not in argv:
         assert out.startswith(f'{{"engine_version":"0.1.0","command":"{argv[0]}",')
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+def test_pipeline_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, rng):
+    # OpenBLAS may round a product differently when it splits it among more
+    # threads, which at ragged sizes can move the pivot's float64 logits; the
+    # report must not move. OpenBLAS reads its thread count at load, so each
+    # run is its own process.
+    wide = tmp_path / "wide"
+    argvs = {wide: ["pipeline", "--ratio", "0.25", *_manifest(wide, rng, "image-wide")]}
+    visual = (rng.standard_normal((777, 600)) / 100).astype(np.float32)
+    layout = InputLayout.from_dict({"kind": "image", "system_range": [0, 2], "visual_range": [2, 779],
+                                    "text_range": [779, 784]})
+    attention = {layer: block_weighted_attention(rng, layout, mass) for layer, mass in ((2, 1.0), (5, 1e-4))}
+    ragged = tmp_path / "ragged"
+    build_manifest(ragged, visual=visual, text_len=5, attention=attention,
+                   plan={"retain_ratio": 0.3, "tau": 0.03, "schedule": [2, 5]})
+    argvs[ragged] = ["pipeline", "--manifest", "manifest.json"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    for cwd, argv in argvs.items():
+        outs = [subprocess.run([sys.executable, "-m", "vtcomp.cli", *argv], cwd=cwd, capture_output=True,
+                               check=True, env={**os.environ, "PYTHONPATH": str(src),
+                                                "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1] and b'"retention":{' in outs[0]
