@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -127,8 +127,8 @@ def cmd_run(args) -> int:
         enc_cfg, llm_cfg = preset_configs(args.preset, seq_len=layout.seq_len, out_len=args.decode_len)
         flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=reduced)
         config.update(preset=args.preset, decode_len=args.decode_len)
-    if "decode" in args.stages and md.decode_rows:
-        decode_report = decoding_attention_report(md.decode_rows, layout)
+    if "decode" in args.stages and md.decode_masses:
+        decode_report = decoding_attention_report(md.decode_masses)
     report = build_run_report(seed=args.seed, config=config, retention=retention, decision=decision,
                               flops=flops, decode_report=decode_report, warnings=warnings)
     _emit(report, args)
@@ -142,10 +142,8 @@ def cmd_flops(args) -> int:
     report = build_run_report(
         seed=args.seed, config={
             "preset": args.preset,
-            "encoder": {"layers": enc_cfg.layers, "hidden": enc_cfg.hidden,
-                        "ffn": enc_cfg.ffn, "seq_len": enc_cfg.seq_len},
-            "llm": {"layers": llm_cfg.layers, "hidden": llm_cfg.hidden,
-                    "ffn": llm_cfg.ffn, "seq_len": llm_cfg.seq_len, "out_len": llm_cfg.out_len},
+            "encoder": {k: v for k, v in asdict(enc_cfg).items() if k != "out_len"},
+            "llm": asdict(llm_cfg),
         },
         flops=flops)
     _emit(report, args)

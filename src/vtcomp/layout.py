@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import EngineError
 
@@ -143,19 +143,10 @@ class InputLayout:
         for key in d:
             if kind in KINDS and _KEY_KIND.get(key, kind) != kind:
                 raise EngineError(f"layout: key {key!r} does not apply to kind {kind!r}")
-        try:
-            return cls(
-                kind=d["kind"],
-                system_range=d["system_range"],
-                visual_range=d["visual_range"],
-                text_range=d["text_range"],
-                thumbnail_range=d.get("thumbnail_range"),
-                crop_ranges=d.get("crop_ranges"),
-                frames=d.get("frames"),
-                tokens_per_frame=d.get("tokens_per_frame"),
-            )
-        except KeyError as e:
-            raise EngineError(f"layout: missing field {e.args[0]!r}") from None
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise EngineError(f"layout: missing field {f.name!r}")
+        return cls(**d)
 
 
 DEFAULT_TAU = 0.03
@@ -171,9 +162,9 @@ class CompressionPlan:
     expressible from the CLI.
     """
 
+    tau: float = DEFAULT_TAU
     retain_k: int | None = None
     retain_ratio: float | None = None
-    tau: float = DEFAULT_TAU
     schedule: tuple[int, ...] | None = None
     num_layers: int | None = None
 
@@ -207,16 +198,8 @@ class CompressionPlan:
             object.__setattr__(self, "schedule", sched)
 
     def to_dict(self) -> dict:
-        d: dict = {"tau": self.tau}
-        if self.retain_k is not None:
-            d["retain_k"] = self.retain_k
-        if self.retain_ratio is not None:
-            d["retain_ratio"] = self.retain_ratio
-        if self.schedule is not None:
-            d["schedule"] = list(self.schedule)
-        if self.num_layers is not None:
-            d["num_layers"] = self.num_layers
-        return d
+        """The fields that are set, in field order: the report's key order."""
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompressionPlan":

@@ -8,18 +8,20 @@ key twice, and each object takes a closed set of keys: any other key is an
 error. Every validation failure names the offending entry or key.
 
 Each payload is mapped read-only, not copied, and every array the loader
-returns is read-only. The payloads' float64 sum passes run on a thread
-pool with one worker per CPU the process may use; errors are still
-reported in entry order, so an input fails at the same entry, with the same
-message, on any number of CPUs. An error raised inside a scan (such as
-``MemoryError``) surfaces with its own type. The loader keeps each prompt
-attention payload's per-row system/visual/text masses, so stage 2 reads no
-prompt attention matrix after the load. Each scan reads its payload in
-row blocks and releases the pages behind each block once it is reduced (the
-CLI releases ``wq`` and ``wk`` again after the pivot); they stay in the page
-cache, and a later read faults the same bytes back in. A payload must not be
-truncated or rewritten while a command runs: a read past the end of a
-truncated mapping ends the process with SIGBUS, not an error message.
+returns is read-only. Each entry is mapped and its payload summed in float64
+on a thread pool with one worker per CPU the process may use; results and
+errors are still taken in entry order, so an input fails at the same entry,
+with the same message, on any number of CPUs. An error raised inside a scan
+(such as ``MemoryError``) surfaces with its own type. The scan takes the
+per-row system/visual/text masses of every prompt attention and decode
+payload; the loader keeps them (for decode rows, those of the query rows),
+so nothing reads an attention or decode payload after the load. Each scan
+reads its payload in row blocks and releases the pages behind each block
+once it is reduced (the CLI releases ``wq`` and ``wk`` again after the
+pivot); they stay in the page cache, and a later read faults the same bytes
+back in. A payload must not be truncated or rewritten while a command runs:
+a read past the end of a truncated mapping ends the process with SIGBUS,
+not an error message.
 """
 
 from __future__ import annotations
@@ -58,8 +60,11 @@ class ManifestData:
     cls_vector: np.ndarray | None = None
     wq: np.ndarray | None = None
     wk: np.ndarray | None = None
-    attention_layers: dict[int, np.ndarray] = field(default_factory=dict)
     attention_masses: dict[int, np.ndarray] = field(default_factory=dict)
+    decode_masses: dict[int, np.ndarray] = field(default_factory=dict)  # query rows only
+    # The mapped layered payloads. Nothing in src/ reads them; they stay only
+    # for the bench's byte counts (bench/loop.py::_manifest_counts).
+    attention_layers: dict[int, np.ndarray] = field(default_factory=dict)
     decode_rows: dict[int, np.ndarray] = field(default_factory=dict)
     path: Path | None = None
 
@@ -117,27 +122,33 @@ def release(array: np.ndarray) -> None:
         buf.madvise(mmap.MADV_DONTNEED, page, start + array.nbytes - page)
 
 
-def _scan(data: np.ndarray, role: str, layout: InputLayout) -> tuple[np.ndarray, object]:
-    """The payload's float64 sums: the partition masses of a (seq, seq)
-    attention payload, else per row (any payload that is not 2-D counts as
-    one row); and, for a layered role, its minimum (None when it is empty).
-    Finite float32 values cannot overflow a float64 sum, a NaN or an inf of
-    each sign gives a NaN, and the partitions tile a row, so the sums are
-    finite exactly when every entry is. Each block of SCAN_ROWS rows is
-    released once reduced; a row's sums do not depend on its block."""
+def _scan(data: np.ndarray, role: str, layout: InputLayout) -> tuple[np.ndarray, object, object]:
+    """The payload's float64 row sums (any payload that is not 2-D counts as
+    one row); the partition masses of a (seq, seq) attention payload or of
+    decode rows at least seq wide, else None; and, for a layered role, its
+    minimum (None when it is empty). A square payload's row sums are those
+    of its masses, which tile each row. Finite float32 values cannot
+    overflow a float64 sum and a NaN or an inf of each sign gives a NaN, so
+    the sums are finite exactly when every entry is. Each block of SCAN_ROWS
+    rows is released once reduced; a row's sums do not depend on its block."""
     rows = data if data.ndim == 2 else data.reshape(1, -1)
-    square = role == "attention_layer_k" and data.shape == (layout.seq_len,) * 2
-    sums, lows = [], []
+    seq = layout.seq_len
+    square = role == "attention_layer_k" and data.shape == (seq, seq)
+    partitioned = square or (role == "decode_rows" and data.ndim == 2 and data.shape[1] >= seq)
+    sums, masses, lows = [], [], []
     # Numpy's error state is per thread, so it is set here, on the worker.
     with np.errstate(invalid="ignore"):  # +inf + -inf in one sum
         for start in range(0, max(len(rows), 1), SCAN_ROWS):  # one empty block for no rows
             block = rows[start:start + SCAN_ROWS]
-            sums.append(partition_masses(block, layout) if square else block.sum(axis=1, dtype=np.float64))
+            if partitioned:
+                masses.append(partition_masses(block, layout))
+            sums.append(masses[-1].sum(axis=1) if square else block.sum(axis=1, dtype=np.float64))
             if role in _LAYERED_ROLES and block.size:
                 lows.append(block.min())
             release(block)
     # np.minimum, unlike min(), keeps a NaN wherever it falls.
-    return np.concatenate(sums), np.minimum.reduce(lows) if lows else None
+    return (np.concatenate(sums), np.concatenate(masses) if partitioned else None,
+            np.minimum.reduce(lows) if lows else None)
 
 
 def _usable_cpus() -> int:
@@ -210,62 +221,50 @@ def load_manifest(path) -> ManifestData:
     if not isinstance(entries, list):
         raise EngineError(f"manifest {path}: entries must be a list")
 
-    # Three steps. Map the entries in order, on this thread, up to the first
-    # that fails. Scan the mapped payloads on the pool. Check the scans in
-    # entry order. The map failure is raised only after every earlier entry
-    # has passed, so each input fails at the same entry, with the same
-    # message, as one pass in entry order would.
-    mapped: list[tuple[str, str, np.ndarray]] = []
-    map_failure = None
-    for i, entry in enumerate(entries):
-        try:
-            mapped.append(_map_entry(path.parent, i, entry))
-        except EngineError as e:
-            map_failure = str(e)
-            break
+    def map_and_scan(i: int, entry) -> tuple:
+        name, role, data = _map_entry(path.parent, i, entry)
+        return name, role, data, *_scan(data, role, layout)
 
     singletons: dict[str, np.ndarray] = {}
-    attention_layers: dict[int, np.ndarray] = {}
-    attention_masses: dict[int, np.ndarray] = {}
-    decode_rows: dict[int, np.ndarray] = {}
+    layered: dict[str, dict[int, np.ndarray]] = {role: {} for role in _LAYERED_ROLES}
+    reduced: dict[str, dict[int, np.ndarray]] = {role: {} for role in _LAYERED_ROLES}
     # Imported here: the import costs every command about 10 ms at startup.
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(_usable_cpus())
     try:
-        scans = pool.map(lambda entry: _scan(entry[2], entry[1], layout), mapped)
-        for i, ((name, role, data), (sums, low)) in enumerate(zip(mapped, scans)):
+        # Results, and any error raised on the pool, come back in entry order.
+        for i, (name, role, data, sums, masses, low) in enumerate(
+                pool.map(map_and_scan, range(len(entries)), entries)):
             if not np.isfinite(sums).all():
                 raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
             if role in _LAYERED_ROLES:
                 layer = entries[i].get("layer")
                 if not is_int(layer):
                     raise EngineError(f"entry {name!r}: role {role} requires an integer layer")
-                target = attention_layers if role == "attention_layer_k" else decode_rows
-                if layer in target:
+                if layer in layered[role]:
                     raise EngineError(f"entry {name!r}: duplicate {role} for layer {layer}")
                 seq = layout.seq_len
                 if role == "attention_layer_k":
                     if data.shape != (seq, seq):
                         raise EngineError(f"entry {name!r}: attention shape {data.shape} != ({seq}, {seq})")
-                    sums.flags.writeable = False
-                    attention_masses[layer] = sums
-                    sums = sums.sum(axis=1)
                 elif data.ndim != 2 or data.shape[1] < seq:
                     raise EngineError(
                         f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
                 elif data.shape[0] < 1:
                     raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
+                else:
+                    masses = masses[sums > 0]  # a fully masked decode row is not a query
                 _validate_rows(low, sums, name)
-                target[layer] = data
+                masses.flags.writeable = False
+                layered[role][layer] = data
+                reduced[role][layer] = masses
             else:
                 if role in singletons:
                     raise EngineError(f"entry {name!r}: duplicate role {role!r}")
                 singletons[role] = data
     finally:
         pool.shutdown(cancel_futures=True)
-    if map_failure is not None:
-        raise EngineError(map_failure)
 
     visual = singletons.get("visual_embeddings")
     if visual is None:
@@ -296,8 +295,9 @@ def load_manifest(path) -> ManifestData:
         cls_vector=cls_vector,
         wq=singletons.get("wq"),
         wk=singletons.get("wk"),
-        attention_layers=attention_layers,
-        attention_masses=attention_masses,
-        decode_rows=decode_rows,
+        attention_masses=reduced["attention_layer_k"],
+        decode_masses=reduced["decode_rows"],
+        attention_layers=layered["attention_layer_k"],
+        decode_rows=layered["decode_rows"],
         path=path,
     )

@@ -5,10 +5,10 @@ unmasked support; masked entries are stored as exact zeros, so the sums
 need no mask logic. Both stage 2 and the decode report work from one
 reduction, ``partition_masses``: each row's float64 mass on the system,
 visual and text keys. ``load_manifest`` takes it of every prompt attention
-matrix while validating it, so a probe sums (seq, 3) arrays and never
-reads the matrix. Decode rows are query rows captured during generation;
-they may extend past the prompt to cover previously generated keys, whose
-mass lies in no partition.
+matrix and every set of decode rows while validating them, so neither
+stage 2 nor the decode report reads an attention payload. Decode rows are
+query rows captured during generation; they may extend past the prompt to
+cover previously generated keys, whose mass lies in no partition.
 """
 
 from __future__ import annotations
@@ -88,23 +88,20 @@ def decide_drop_layer(masses: dict[int, np.ndarray], layout: InputLayout, schedu
     return PruneDecision(drop_layer=drop_layer, probed=tuple(probed), tau=tau)
 
 
-def decoding_attention_report(decode_rows: dict[int, np.ndarray], layout: InputLayout) -> list[dict]:
+def decoding_attention_report(masses: dict[int, np.ndarray]) -> list[dict]:
     """Per-layer mean attention fractions of decode-step queries onto the
-    system / visual / text prompt partitions. ``decode_rows`` maps a layer
-    index to its decode-step query rows.
-
-    A fully masked row is not a query: the means are over the rows with a
-    positive full-width sum, and a layer with none raises EngineError. Any
+    system / visual / text prompt partitions. ``masses`` maps a layer index
+    to the partition masses of its decode query rows: ``load_manifest``
+    keeps only the rows with a positive full-width sum, since a fully masked
+    row is not a query. A layer with no query rows raises EngineError. Any
     remaining mass sits on previously generated keys, so the three
     fractions sum to <= 1.
     """
     report = []
-    for layer in sorted(decode_rows):
-        rows = decode_rows[layer]
-        masses = partition_masses(rows, layout)[rows.sum(axis=1, dtype=np.float64) > 0]
-        if not len(masses):
+    for layer in sorted(masses):
+        if not len(masses[layer]):
             raise EngineError(f"decoding_attention_report: layer {layer}: "
                               "decode rows carry no attention mass (all masked)")
-        system, visual, text = masses.mean(axis=0).tolist()
+        system, visual, text = masses[layer].mean(axis=0).tolist()
         report.append({"layer": layer, "to_system": system, "to_visual": visual, "to_text": text})
     return report

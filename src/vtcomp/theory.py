@@ -87,24 +87,22 @@ def _kernel(cos: np.ndarray, kernel: str) -> np.ndarray:
 
 def diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
     """Diversity of each trial in a (trials, n_visual, ambient) batch: the mean
-    pairwise kernel over projected tokens, diagonal excluded."""
+    pairwise kernel over projected tokens, diagonal excluded. For unit rows
+    u_i, sum_{i != j} u_i . u_j = |sum_i u_i|^2 - n, and both kernels are
+    affine, so the mean row gives the measure."""
     n = v.shape[1]
-    pv = normalize_rows(v @ w_v, "diversity_measure")
-    gram = pv @ pv.transpose(0, 2, 1)
-    gram = _kernel(np.clip(gram, -1.0, 1.0, out=gram), kernel)
-    diag = np.einsum("bii->b", gram)
-    return (gram.sum(axis=(1, 2)) - diag) / (n * (n - 1))
+    mean = normalize_rows(v @ w_v, "diversity_measure").mean(axis=1)
+    return _kernel((n * (mean * mean).sum(axis=1) - 1) / (n - 1), kernel)
 
 
 def redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
                      kernel: str) -> np.ndarray:
     """Redundancy of each trial in a batch of visual and text token sets: the
-    mean over visual tokens of the mean kernel to all projected text tokens."""
-    pvt = normalize_rows(v @ w_t, "cross_redundancy_measure (visual)")
-    pt = normalize_rows(t_tokens @ w_t, "cross_redundancy_measure (text)")
-    cross = pvt @ pt.transpose(0, 2, 1)
-    cross = _kernel(np.clip(cross, -1.0, 1.0, out=cross), kernel)
-    return cross.mean(axis=(1, 2))
+    mean over visual tokens of the mean kernel to all projected text tokens,
+    which is the kernel of the product of the two mean rows."""
+    pvt = normalize_rows(v @ w_t, "cross_redundancy_measure (visual)").mean(axis=1)
+    pt = normalize_rows(t_tokens @ w_t, "cross_redundancy_measure (text)").mean(axis=1)
+    return _kernel((pvt * pt).sum(axis=1), kernel)
 
 
 def _one_ahead(pool, draws):

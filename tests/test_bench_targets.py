@@ -63,3 +63,13 @@ def test_bench_spans_per_command(tmp_path, rng, argv, names):
         recorder.uninstall()
     assert code == 0
     assert [span.name for span in recorder.spans] == ["cli", *names]
+
+
+def test_manifest_counts_equal_the_payload_file_sizes(tmp_path, rng):
+    # The bench alone reads ManifestData.attention_layers and decode_rows:
+    # their byte counts are the payload files' sizes.
+    path = _anyres_manifest(tmp_path, rng)
+    counts = loop._manifest_counts((), {}, cli.load_manifest(path))
+    assert counts["layer_bytes"] == {str(layer): (tmp_path / f"attn_{layer}.bin").stat().st_size
+                                     for layer in (4, 5)}
+    assert counts["decode_bytes"] == (tmp_path / "decode_4.bin").stat().st_size > 0

@@ -213,6 +213,33 @@ def test_decide_fully_masked_decode_layer_exits_3(tmp_path, rng, capsys):
                             "decode rows carry no attention mass (all masked)\n")
 
 
+def test_decode_report_reads_no_payload_after_the_load(tmp_path, rng, capsys, monkeypatch):
+    # The load keeps the decode rows' masses. The files are zeroed in place,
+    # at the same size, just before the report: the mappings see the zeros,
+    # so a report that read the rows would find every row masked and exit 3.
+    layout = small_layout()
+    path = build_manifest(tmp_path, attention={4: block_weighted_attention(rng, layout, 1.0)},
+                          decode_rows={4: row_stochastic(rng, layout.seq_len + 2)[:2],
+                                       6: row_stochastic(rng, layout.seq_len)[:3]},
+                          plan={"retain_ratio": 0.5, "schedule": [4]})
+    argv = ["decide", "--manifest", str(path)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    report = cli.decoding_attention_report
+
+    def zero_then_report(*args):
+        for payload in tmp_path.glob("decode_*.bin"):
+            with open(payload, "r+b") as f:
+                f.write(bytes(payload.stat().st_size))
+        return report(*args)
+
+    monkeypatch.setattr(cli, "decoding_attention_report", zero_then_report)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert "decoding_attention" in json.loads(expected)
+    assert not any(np.fromfile(p, dtype="<f4").any() for p in tmp_path.glob("decode_*.bin"))
+
+
 def test_missing_manifest_exits_3(tmp_path, capsys):
     code = main(["select", "--manifest", str(tmp_path / "nope.json")])
     assert code == 3

@@ -117,3 +117,17 @@ def test_plan_validation():
 def test_plan_roundtrip():
     plan = CompressionPlan(retain_ratio=0.1, tau=0.05, schedule=(16, 20), num_layers=32)
     assert CompressionPlan.from_dict(plan.to_dict()) == plan
+    # The set fields, in the report's key order.
+    assert list(plan.to_dict()) == ["tau", "retain_ratio", "schedule", "num_layers"]
+    assert CompressionPlan(retain_k=3).to_dict() == {"tau": 0.03, "retain_k": 3}
+
+
+@pytest.mark.parametrize("drop, named", [
+    (("kind", "text_range"), "kind"),
+    (("visual_range", "system_range"), "system_range"),
+    (("text_range",), "text_range"),
+])
+def test_layout_names_its_first_missing_field(drop, named):
+    full = {"kind": "image", "system_range": [0, 2], "visual_range": [2, 10], "text_range": [10, 14]}
+    with pytest.raises(EngineError, match=f"^layout: missing field '{named}'$"):
+        InputLayout.from_dict({k: v for k, v in full.items() if k not in drop})

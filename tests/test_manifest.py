@@ -83,8 +83,8 @@ def test_loaded_arrays_are_read_only(tmp_path, rng):
     md = load_manifest(path)
     arrays = [md.visual_embeddings, md.cls_vector, md.wq, md.wk,
               *md.attention_layers.values(), *md.attention_masses.values(),
-              *md.decode_rows.values()]
-    assert len(arrays) == 7
+              *md.decode_rows.values(), *md.decode_masses.values()]
+    assert len(arrays) == 8
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -224,14 +224,32 @@ def _rewrite(path, edit):
 
 
 def test_nan_reported_before_later_missing_file(tmp_path, rng):
-    # The payloads are scanned in parallel after the map pass, which stops
-    # at the missing file; the earlier NaN is still the error.
+    # The entries are mapped and scanned in parallel; the earlier NaN is
+    # still the error.
     visual = rng.standard_normal((8, 6)).astype(np.float32)
     visual[4, 2] = np.nan
     path = build_manifest(tmp_path, visual=visual, attention={4: row_stochastic(rng, 14)})
     (tmp_path / "attn_4.bin").unlink()
     with pytest.raises(EngineError, match="^entry 'visual': payload contains NaN/Inf$"):
         load_manifest(path)
+
+
+def test_missing_file_reported_before_later_nan(tmp_path, rng, monkeypatch):
+    # The map failure is raised on the pool, and still surfaces at its entry.
+    attn = row_stochastic(rng, 14)
+    attn[6, 6] = np.nan
+    path = build_manifest(tmp_path, attention={4: row_stochastic(rng, 14), 5: attn})
+    (tmp_path / "attn_4.bin").unlink()
+    mapped_on, map_entry = [], manifest._map_entry
+
+    def recorded_map(*args):
+        mapped_on.append(threading.current_thread())
+        return map_entry(*args)
+
+    monkeypatch.setattr(manifest, "_map_entry", recorded_map)
+    with pytest.raises(EngineError, match="^entry 'attn_4': file 'attn_4.bin' does not exist$"):
+        load_manifest(path)
+    assert mapped_on and threading.current_thread() not in mapped_on
 
 
 def test_unknown_role_reported_before_later_nan(tmp_path, rng):
@@ -279,8 +297,8 @@ def test_load_joins_its_scan_threads(tmp_path, rng, monkeypatch):
     with pytest.raises(EngineError, match="^entry 'attn_4': payload contains NaN/Inf$"):
         load_manifest(path)
     assert threading.active_count() == before
-    # The last layer's file is missing: the map pass stops there, the layers
-    # before it are scanned and pass, and then the map failure is raised.
+    # The last layer's file is missing: the layers before it are scanned and
+    # pass, and then its map failure is raised.
     attention = {layer: row_stochastic(rng, seq) for layer in (4, 5, 6, 7)}
     path = build_manifest(tmp_path / "missing", text_len=seq - 10, attention=attention,
                           with_stage1=False)
@@ -380,8 +398,11 @@ def test_block_scan_equals_whole_array_reductions(tmp_path, rng, seq):
                           with_stage1=False)
     md = load_manifest(path)
     assert np.array_equal(md.attention_masses[4], partition_masses(attn, md.layout))
-    sums, low = manifest._scan(md.decode_rows[4], "decode_rows", md.layout)
+    queries = decode.sum(axis=1, dtype=np.float64) > 0
+    assert np.array_equal(md.decode_masses[4], partition_masses(decode, md.layout)[queries])
+    sums, masses, low = manifest._scan(md.decode_rows[4], "decode_rows", md.layout)
     assert np.array_equal(sums, decode.sum(axis=1, dtype=np.float64))
+    assert np.array_equal(masses, partition_masses(decode, md.layout))
     assert low == decode.min() == 0.0
 
 
@@ -393,8 +414,8 @@ def test_block_minimum_keeps_a_nan_in_any_block(rng, monkeypatch, row):
                                     "text_range": [10, 14]})
     rows = row_stochastic(rng, 14)[:10]
     rows[row, 3] = np.nan
-    sums, low = manifest._scan(rows, "decode_rows", layout)
-    assert np.isnan(low) and np.isnan(sums[row]) and np.isfinite(np.delete(sums, row % 10)).all()
+    sums, masses, low = manifest._scan(rows, "decode_rows", layout)
+    assert np.isnan(masses[row]).any() and np.isnan(low) and np.isnan(sums[row]) and np.isfinite(np.delete(sums, row % 10)).all()
 
 
 @pytest.mark.parametrize("role", ["attention_layer_k", "decode_rows"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import build_manifest
 from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
+from vtcomp.manifest import load_manifest
 from vtcomp.relevance import (attention_ratios, decide_drop_layer, decoding_attention_report,
                               partition_masses)
 
@@ -181,9 +183,16 @@ def test_unscheduled_layers_ignored(rng):
     assert base == again
 
 
+def loaded_decode_masses(tmp_path, lo, rows):
+    """The decode masses ``load_manifest`` keeps for ``rows`` (layer -> decode rows)."""
+    path = build_manifest(tmp_path, system_len=lo.system_len, visual_len=lo.visual_len,
+                          text_len=lo.text_len, decode_rows=rows, with_stage1=False)
+    return load_manifest(path).decode_masses
+
+
 def test_decode_report_uniform_row():
     lo = layout_for(1, 2, 1)
-    rep = decoding_attention_report({3: np.full((1, 4), 0.25)}, lo)
+    rep = decoding_attention_report({3: partition_masses(np.full((1, 4), 0.25), lo)})
     assert rep == [{"layer": 3, "to_system": pytest.approx(0.25),
                     "to_visual": pytest.approx(0.5), "to_text": pytest.approx(0.25)}]
 
@@ -191,7 +200,7 @@ def test_decode_report_uniform_row():
 def test_decode_report_zero_visual_mass():
     lo = layout_for(1, 2, 1)
     row = np.array([[0.5, 0.0, 0.0, 0.5]])
-    rep = decoding_attention_report({0: row}, lo)
+    rep = decoding_attention_report({0: partition_masses(row, lo)})
     assert rep[0]["to_visual"] == 0.0
 
 
@@ -205,7 +214,7 @@ def test_decode_report_deep_layer_visual_fraction(rng):
         r[:, 4:14] *= 0.01
         r /= r.sum(axis=1, keepdims=True)
         rows[layer] = r
-    rep = decoding_attention_report(rows, lo)
+    rep = decoding_attention_report({layer: partition_masses(r, lo) for layer, r in rows.items()})
     for entry in rep:
         assert entry["to_visual"] < 0.05
         total = entry["to_system"] + entry["to_visual"] + entry["to_text"]
@@ -215,30 +224,31 @@ def test_decode_report_deep_layer_visual_fraction(rng):
         assert entry["to_visual"] == pytest.approx(direct, abs=1e-12)
 
 
-def test_decode_report_skips_fully_masked_rows(rng):
+def test_decode_report_skips_fully_masked_rows(tmp_path, rng):
     # Masked rows are not queries: half-masked rows give the same fractions
     # as the unmasked rows alone, not half of them.
     lo = layout_for(2, 5, 3)
-    rows = row_stochastic(rng, lo.seq_len + 4)[:4]
+    rows = row_stochastic(rng, lo.seq_len + 4)[:4].astype(np.float32)
     masked = rows.copy()
     masked[[0, 2]] = 0.0
-    rep = decoding_attention_report({6: masked}, lo)
-    assert rep == decoding_attention_report({6: rows[[1, 3]]}, lo)
+    rep = decoding_attention_report(loaded_decode_masses(tmp_path / "masked", lo, {6: masked}))
+    assert rep == decoding_attention_report(loaded_decode_masses(tmp_path / "queries", lo,
+                                                                 {6: rows[[1, 3]]}))
     want = partition_masses(rows[[1, 3]], lo).mean(axis=0)
     assert [rep[0][k] for k in ("to_system", "to_visual", "to_text")] == pytest.approx(want, abs=1e-15)
 
 
-def test_decode_report_row_with_mass_only_past_the_prompt_counts():
+def test_decode_report_row_with_mass_only_past_the_prompt_counts(tmp_path):
     # A row whose mass is all on generated keys is a query with zero prompt mass.
     lo = layout_for(1, 2, 1)
     rows = np.array([[0.25, 0.25, 0.25, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
-    rep = decoding_attention_report({0: rows}, lo)
+    rep = decoding_attention_report(loaded_decode_masses(tmp_path, lo, {0: rows}))
     assert rep[0]["to_visual"] == pytest.approx(0.25)
 
 
-def test_decode_report_fully_masked_layer_raises_naming_layer():
+def test_decode_report_fully_masked_layer_raises_naming_layer(tmp_path):
     lo = layout_for(1, 2, 1)
-    rows = {3: np.full((1, 4), 0.25), 5: np.zeros((2, 6))}
+    masses = loaded_decode_masses(tmp_path, lo, {3: np.full((1, 4), 0.25), 5: np.zeros((2, 6))})
     with pytest.raises(EngineError, match=r"^decoding_attention_report: layer 5: decode rows carry "
                                           r"no attention mass \(all masked\)$"):
-        decoding_attention_report(rows, lo)
+        decoding_attention_report(masses)
