@@ -9,22 +9,24 @@ Subcommands:
   verify-lemma  Monte Carlo covariance check of the orthogonality lemma
   oracle-check  greedy k-center vs. brute-force oracle over random instances
 
-Exit codes: 0 success, 2 usage error, 3 data validation error (EngineError)
-or a request too large for memory, 4 internal invariant violation
-(InternalInvariant).
+Exit codes: 0 success, 2 usage error, 3 data validation error (EngineError),
+a request too large for memory or a report that cannot be written, 4
+internal invariant violation (InternalInvariant).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .costmodel import MODEL_PRESETS, preset_configs, stage_ratio_report
-from .errors import EngineError, InternalInvariant
+from .errors import EngineError, InternalInvariant, refuse_beyond_address_space
 from .kcenter import greedy_kcenter, oracle_greedy
 from .layout import CompressionPlan, layer_schedule, resolve_k
 from .manifest import ManifestData, load_manifest, release
@@ -86,18 +88,25 @@ def _effective_plan(md: ManifestData, args) -> CompressionPlan:
 
 
 def _emit(body: dict, args) -> None:
-    """Write the report: the engine_version/command header, then ``body``."""
+    """Write the report (the engine_version/command header, then ``body``) to --out or stdout."""
     report = {"engine_version": __version__, "command": args.command, **body}
     # verify-lemma and oracle-check have no --report: their results are JSON only.
     text = report_to_csv(report) if getattr(args, "report", "json") == "csv" else canonical_json(report)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as e:
-            raise EngineError(f"--out {args.out}: {e.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        elif sys.stdout is None:  # how Python starts when fd 1 is closed
+            raise EngineError(f"stdout: {os.strerror(errno.EBADF)}")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        if not args.out:
+            # Python flushes stdout again at exit: the bytes still buffered go to the null device.
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise EngineError(f"{f'--out {args.out}' if args.out else 'stdout'}: {e.strerror}") from None
 
 
 def cmd_run(args) -> int:
@@ -126,7 +135,7 @@ def cmd_run(args) -> int:
         reduced = layout.system_len + len(retention) + layout.text_len
         enc_cfg, llm_cfg = preset_configs(args.preset, seq_len=layout.seq_len, out_len=args.decode_len)
         flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=reduced)
-        config.update(preset=args.preset, decode_len=args.decode_len)
+        config.update(preset=args.preset, decode_len=llm_cfg.out_len)
     if "decode" in args.stages and md.decode_masses:
         decode_report = decoding_attention_report(md.decode_masses)
     report = build_run_report(seed=args.seed, config=config, retention=retention, decision=decision,
@@ -153,9 +162,7 @@ def cmd_flops(args) -> int:
 def cmd_verify_lemma(args) -> int:
     if args.seed < 0:  # numpy's SeedSequence takes only non-negative seeds
         raise EngineError(f"--seed must be >= 0, got {args.seed}")
-    trial = LemmaTrial(
-        n_visual=args.visual_n, n_text=args.text_m, ambient_dim=args.dim,
-        subdim=args.subspace, kernel=args.kernel, seed=args.seed)
+    trial = LemmaTrial(**{f.name: getattr(args, f.name) for f in fields(LemmaTrial)})
     result = covariance_experiment(trial, args.trials, negative_control=args.negative_control,
                                    bootstrap_resamples=args.bootstrap)
     _emit(result, args)
@@ -173,10 +180,7 @@ def cmd_oracle_check(args) -> int:
         raise EngineError(f"--max-d must be >= 2, got {args.max_d}")
     if args.seed < 0:
         raise EngineError(f"--seed must be >= 0, got {args.seed}")
-    # numpy would raise ValueError, not MemoryError, on the largest instance.
-    if 8 * args.max_n * args.max_d > sys.maxsize:
-        raise EngineError(f"out of memory: --max-n, --max-d: a float64 array of "
-                          f"{args.max_n * args.max_d} elements exceeds the address space")
+    refuse_beyond_address_space("--max-n, --max-d", args.max_n * args.max_d)
     rng = np.random.default_rng(args.seed)
     mismatches = 0
     for _ in range(args.instances):
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="both stages plus the FLOPs savings report")
     _add_common_flags(p)
     p.add_argument("--preset", default="llava-next-7b", choices=sorted(MODEL_PRESETS))
-    p.add_argument("--decode-len", type=int, default=20)
+    p.add_argument("--decode-len", type=int, default=None)
     p.set_defaults(func=cmd_run, stages=("stage1", "stage2", "decode", "flops"))
 
     p = sub.add_parser("flops", help="stage-ratio cost model with presets")
@@ -231,12 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemma", help="Monte Carlo covariance check")
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--visual-n", type=int, default=8)
-    p.add_argument("--text-m", type=int, default=4)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--subspace", type=int, default=4)
-    p.add_argument("--kernel", choices=KERNELS, default="cosine")
+    for flag, field in (("--seed", "seed"), ("--visual-n", "n_visual"), ("--text-m", "n_text"),
+                        ("--dim", "ambient_dim"), ("--subspace", "subdim")):
+        p.add_argument(flag, dest=field, type=int, default=getattr(LemmaTrial, field))
+    p.add_argument("--kernel", choices=KERNELS, default=LemmaTrial.kernel)
     p.add_argument("--bootstrap", type=int, default=1000)
     p.add_argument("--negative-control", action="store_true",
                    help="break orthogonality on purpose (shared basis + shared tokens)")
@@ -259,11 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineError as e:
-        print(f"vtcomp {args.command}: error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except MemoryError as e:
-        print(f"vtcomp {args.command}: error: out of memory: {e}", file=sys.stderr)
+    except (EngineError, MemoryError) as e:
+        reason = f"out of memory: {e}" if isinstance(e, MemoryError) else e
+        print(f"vtcomp {args.command}: error: {reason}", file=sys.stderr)
         return EXIT_DATA
     except InternalInvariant as e:
         print(f"vtcomp {args.command}: internal invariant violated: {e}", file=sys.stderr)

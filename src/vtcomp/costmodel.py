@@ -43,10 +43,8 @@ def flops_prefill(cfg: StageConfig) -> int:
 
 def flops_decode(cfg: StageConfig) -> int:
     """Closed form of the per-step decoding sum:
-    T * (4*L*d^2 + 2*L*d*m + d*L*(2n + L - 1)); L = 0 costs nothing."""
+    T * (4*L*d^2 + 2*L*d*m + d*L*(2n + L - 1)), which is 0 at L = 0."""
     t, d, m, n, l = cfg.layers, cfg.hidden, cfg.ffn, cfg.seq_len, cfg.out_len
-    if l == 0:
-        return 0
     return t * (4 * l * d * d + 2 * l * d * m + d * l * (2 * n + l - 1))
 
 

@@ -7,6 +7,8 @@ engine bug. Each message names what went wrong, including the entry, row or
 layer involved, so the CLI reports ``str(e)`` without a traceback.
 """
 
+import sys
+
 
 class EngineError(Exception):
     """Input, plan or request the engine cannot serve (exit code 3 at the CLI)."""
@@ -15,3 +17,10 @@ class EngineError(Exception):
 class InternalInvariant(Exception):
     """Engine bug: a postcondition the code itself guarantees was violated
     (exit code 4 at the CLI). Deliberately not an EngineError."""
+
+
+def refuse_beyond_address_space(names: str, count: int) -> None:
+    """Out of memory for a float64 array beyond the address space, where numpy raises ValueError."""
+    if 8 * count > sys.maxsize:
+        raise EngineError(f"out of memory: {names}: a float64 array of {count} elements "
+                          "exceeds the address space")

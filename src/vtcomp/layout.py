@@ -230,8 +230,8 @@ def resolve_k(plan: CompressionPlan, m: int) -> int:
 
 
 def layer_schedule(num_layers: int) -> list[int]:
-    """Probe layers at fractional depths 1/2, 5/8, 6/8 and 7/8 (0-based, floored)."""
+    """Probe layers at fractional depths 1/2, 5/8, 6/8 and 7/8 (0-based, floored);
+    each exceeds the one before by at least floor(num_layers / 8) >= 1."""
     if num_layers < 8:
         raise EngineError(f"layer_schedule: need at least 8 layers, got {num_layers}")
-    raw = [num_layers // 2, 5 * num_layers // 8, 6 * num_layers // 8, 7 * num_layers // 8]
-    return sorted(set(raw))
+    return [num_layers // 2, 5 * num_layers // 8, 6 * num_layers // 8, 7 * num_layers // 8]

@@ -4,13 +4,13 @@ The attention is a single-projection softmax over query/key products; the
 weight matrices are ingested from files and never trained. The logits are
 re-associated as ``z_v @ (w_k @ (z_cls @ w_q))``: two d x d matrix-vector
 products and one n x d, O(d^2 + n*d), instead of forming the n x d keys in
-O(n*d^2). Each float32 operand is cast to float64 PIVOT_BLOCK columns (w_q)
-or rows (w_k, z_v) at a time, never whole. A block keeps each output
-element's reduction whole, so on every bench shape the logits equal the
-whole-array products bit for bit. For video inputs the logits are reshaped
-to one row per frame and one ``softmax_row`` call normalises each row, so
-that frame-wise candidates are comparable before the cross-frame argmax.
-The inputs are arrays whose shapes ``load_manifest`` has already validated.
+O(n*d^2). Each is one ``_blocked_matvec``, over ``w_q.T``, ``w_k`` or ``z_v``,
+which casts PIVOT_BLOCK rows of the float32 operand to float64 at a time,
+never all of it. A block keeps each output element's reduction whole, so on
+every bench shape the logits equal the whole-array products bit for bit. For
+video inputs the logits are reshaped to one row per frame and one
+``softmax_row`` call normalises each row, so that frame-wise candidates are
+comparable before the cross-frame argmax. Inputs are validated by ``load_manifest``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ def softmax_row(scores: np.ndarray) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def _blocked_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` in float64, casting PIVOT_BLOCK rows of ``m`` at a time."""
+    # At some ragged sizes BLAS rounds a block's edge element a last bit off
+    # the whole product; the float32 scores absorbed that wherever measured.
+    return np.concatenate([m[i:i + PIVOT_BLOCK].astype(np.float64) @ x
+                           for i in range(0, len(m), PIVOT_BLOCK)])
+
+
 def cls_attention(
     z_cls: np.ndarray,
     z_v: np.ndarray,
@@ -45,19 +53,9 @@ def cls_attention(
     Returns the softmax scores: 1-D of length n for image/anyres inputs, or
     (frames, tokens_per_frame) with one softmax row per frame for video.
     """
-    z_cls = np.asarray(z_cls, dtype=np.float64).reshape(-1)
-    z_v, w_q, w_k = np.asarray(z_v), np.asarray(w_q), np.asarray(w_k)
-    d, b = z_cls.shape[0], PIVOT_BLOCK
-    q, kq, logits = np.empty(d), np.empty(d), np.empty(z_v.shape[0])
-    # At some ragged sizes BLAS rounds a block's edge element a last bit off
-    # the whole product; the float32 scores absorbed that wherever measured.
-    for j in range(0, d, b):
-        q[j:j + b] = z_cls @ w_q[:, j:j + b].astype(np.float64)
-    for i in range(0, d, b):
-        kq[i:i + b] = w_k[i:i + b].astype(np.float64) @ q
-    for i in range(0, len(logits), b):
-        logits[i:i + b] = z_v[i:i + b].astype(np.float64) @ kq
-    logits /= np.sqrt(d)
+    q = _blocked_matvec(np.asarray(w_q).T, np.asarray(z_cls, dtype=np.float64).reshape(-1))
+    logits = _blocked_matvec(np.asarray(z_v), _blocked_matvec(np.asarray(w_k), q))
+    logits /= np.sqrt(len(q))
 
     if layout.kind == KIND_VIDEO:
         logits = logits.reshape(layout.frames, layout.tokens_per_frame)

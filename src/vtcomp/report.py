@@ -111,9 +111,7 @@ def report_to_csv(report: dict) -> str:
     def fmt(v: Any) -> str:  # a string as is, None as empty, a number as in the JSON
         if v is None or isinstance(v, str):
             return v or ""
-        out: list[str] = []
-        _render(v, out)
-        return "".join(out)
+        return canonical_json(v)[:-1]
 
     def row(section: str, key: str, *values: Any) -> None:
         lines.append(",".join([section, key, *map(fmt, values), *[""] * (3 - len(values))]))

@@ -20,13 +20,12 @@ so every result, is a serial run's.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import EngineError, InternalInvariant
+from .errors import EngineError, InternalInvariant, refuse_beyond_address_space
 from .kcenter import normalize_rows
 
 ORTHO_TOL = 1e-10
@@ -131,17 +130,14 @@ def covariance_experiment(
     first tokens of the visual set, so both measures are driven by the same
     projected coordinates.
     """
-    # Each array's first allocation, in order, checked in Python ints: numpy
-    # would raise ValueError, not MemoryError, on one beyond the address space.
+    # Each array's first allocation, in order, checked in Python ints.
     chunk = min(TRIAL_CHUNK, num_trials)
     for names, count in (("ambient_dim, subdim", trial.ambient_dim * 2 * trial.subdim),
                          ("num_trials", num_trials),
                          ("n_visual, ambient_dim", chunk * trial.n_visual * trial.ambient_dim),
                          ("n_text, ambient_dim", chunk * trial.n_text * trial.ambient_dim),
                          ("bootstrap_resamples", bootstrap_resamples)):
-        if 8 * count > sys.maxsize:
-            raise EngineError(f"out of memory: {names}: a float64 array of {count} elements "
-                              "exceeds the address space")
+        refuse_beyond_address_space(names, count)
     if num_trials < 100:
         raise EngineError(f"covariance_experiment: need >= 100 trials, got {num_trials}")
     if bootstrap_resamples < 2:

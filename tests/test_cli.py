@@ -615,6 +615,35 @@ def test_unwritable_out_exits_3(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli_process(argv, **kwargs):
+    """Exit code and stderr of ``argv`` run as a child process with src/ importable."""
+    proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, **kwargs)
+    return proc.returncode, proc.stderr
+
+
+def test_report_to_a_pipe_without_reader_exits_3(tmp_path):
+    path = build_manifest(tmp_path)
+    read, write = os.pipe()
+    os.close(read)  # the reader has exited before the report is written
+    try:
+        code, err = run_cli_process(
+            [sys.executable, "-m", "vtcomp.cli", "pipeline", "--manifest", str(path)], stdout=write)
+    finally:
+        os.close(write)
+    assert (code, err) == (3, "vtcomp pipeline: error: stdout: Broken pipe\n")
+
+
+def test_report_to_a_closed_stdout_exits_3():
+    # With fd 1 closed at startup, Python's sys.stdout is None.
+    code, err = run_cli_process(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "vtcomp.cli", "flops"])
+    assert (code, err) == (3, "vtcomp flops: error: stdout: Bad file descriptor\n")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--instances", "0"), ("--instances", "-1"),
     ("--instances", "10001"), ("--instances", "100000000000000000000"),
@@ -742,9 +771,8 @@ def test_importing_the_cli_leaves_the_thread_pool_unloaded():
     # command's startup, so only the manifest load imports them.
     probe = ("import sys, vtcomp.cli; "
              "print('vtcomp.manifest' in sys.modules, 'concurrent.futures' in sys.modules)")
-    src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
     assert out == "True False\n"
 
 

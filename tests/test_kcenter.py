@@ -334,6 +334,15 @@ def test_anyres_scale_smaller_k_is_a_prefix(anyres_scale):
     assert smaller.trace == picked.trace[:144]
 
 
+def test_anyres_scale_appended_copy_of_a_row_changes_nothing(anyres_scale):
+    # The copy ties its original while neither is picked, and the original's
+    # lower index wins; once picked, the original covers the copy at 1.
+    v, picked = anyres_scale
+    unpicked = min(set(range(len(v))) - set(picked.indices))
+    for row in (picked.indices[1], unpicked):
+        assert greedy_kcenter(np.vstack((v, v[row])), 37, 288) == picked
+
+
 def test_anyres_scale_permuted_rows_give_permuted_picks(anyres_scale):
     v, picked = anyres_scale
     perm = np.random.default_rng(8).permutation(len(v))
