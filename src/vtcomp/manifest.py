@@ -7,21 +7,22 @@ manifest directory and must resolve inside it. No JSON object may give a
 key twice, and each object takes a closed set of keys: any other key is an
 error. Every validation failure names the offending entry or key.
 
-Each payload is mapped read-only, not copied, and every array the loader
-returns is read-only. Each entry is mapped and its payload summed in float64
-on a thread pool with one worker per CPU the process may use; results and
-errors are still taken in entry order, so an input fails at the same entry,
-with the same message, on any number of CPUs. An error raised inside a scan
-(such as ``MemoryError``) surfaces with its own type. The scan takes the
-per-row system/visual/text masses of every prompt attention and decode
-payload; the loader keeps them (for decode rows, those of the query rows),
-so nothing reads an attention or decode payload after the load. Each scan
-reads its payload in row blocks and releases the pages behind each block
-once it is reduced (the CLI releases ``wq`` and ``wk`` again after the
-pivot); they stay in the page cache, and a later read faults the same bytes
-back in. A payload must not be truncated or rewritten while a command runs:
-a read past the end of a truncated mapping ends the process with SIGBUS,
-not an error message.
+Each entry is checked completely on a thread pool with one worker per CPU
+the process may use, in one order: its JSON, its file, its role's shape
+rule against the layout, then its values block by block. Errors are taken
+in entry order, so a manifest fails at its first bad entry, with the same
+message, on any number of CPUs; an error raised in a check (such as
+``MemoryError``) keeps its type. The join then checks only the rules
+between entries: duplicates, a missing ``visual_embeddings``, and the
+widths of ``cls_vector``, ``wq`` and ``wk``.
+
+Payloads are mapped read-only and every returned array is read-only. The
+scan keeps the partition masses of each attention payload and of each
+decode payload's query rows, so no later stage reads those payloads, and
+releases each block's pages once checked; a later read faults them back in
+from the page cache. A payload must not be truncated or rewritten while a
+command runs: a read past the end of a truncated mapping ends the process
+with SIGBUS, not an error message.
 """
 
 from __future__ import annotations
@@ -122,55 +123,48 @@ def release(array: np.ndarray) -> None:
         buf.madvise(mmap.MADV_DONTNEED, page, start + array.nbytes - page)
 
 
-def _scan(data: np.ndarray, role: str, layout: InputLayout) -> tuple[np.ndarray, object, object]:
-    """The payload's float64 row sums (any payload that is not 2-D counts as
-    one row); the partition masses of a (seq, seq) attention payload or of
-    decode rows at least seq wide, else None; and, for a layered role, its
-    minimum (None when it is empty). A square payload's row sums are those
-    of its masses, which tile each row. Finite float32 values cannot
-    overflow a float64 sum and a NaN or an inf of each sign gives a NaN, so
-    the sums are finite exactly when every entry is. Each block of SCAN_ROWS
-    rows is released once reduced; a row's sums do not depend on its block."""
+def _scan(data: np.ndarray, role: str, name: str, layout: InputLayout) -> np.ndarray | None:
+    """Check a payload's values one block of SCAN_ROWS rows at a time (a
+    payload that is not 2-D is one row), raising at the first bad block:
+    finite values, then, for a layered role, no negative weight and each
+    row not fully masked (all exact zeros) summing to 1 +/- ROW_SUM_TOL over
+    its full width. A float64 row sum is finite exactly when the row's
+    float32 values are: they cannot overflow it, and a NaN or an inf spreads.
+    Returns a layered payload's read-only partition masses (of its query
+    rows, for decode rows), else None, and releases each block once checked."""
     rows = data if data.ndim == 2 else data.reshape(1, -1)
-    seq = layout.seq_len
-    square = role == "attention_layer_k" and data.shape == (seq, seq)
-    partitioned = square or (role == "decode_rows" and data.ndim == 2 and data.shape[1] >= seq)
-    sums, masses, lows = [], [], []
+    layered = role in _LAYERED_ROLES
+    masses = []
     # Numpy's error state is per thread, so it is set here, on the worker.
     with np.errstate(invalid="ignore"):  # +inf + -inf in one sum
-        for start in range(0, max(len(rows), 1), SCAN_ROWS):  # one empty block for no rows
+        for start in range(0, len(rows), SCAN_ROWS):
             block = rows[start:start + SCAN_ROWS]
-            if partitioned:
-                masses.append(partition_masses(block, layout))
-            sums.append(masses[-1].sum(axis=1) if square else block.sum(axis=1, dtype=np.float64))
-            if role in _LAYERED_ROLES and block.size:
-                lows.append(block.min())
+            part = partition_masses(block, layout) if layered else None
+            # An attention row's masses tile it, so their sum is its row sum.
+            sums = (part if role == "attention_layer_k" else block).sum(axis=1, dtype=np.float64)
+            if not np.isfinite(sums).all():
+                raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
+            if layered:
+                if block.min() < 0:
+                    raise EngineError(f"entry {name!r}: negative attention weight")
+                unmasked = sums > 0
+                bad = np.flatnonzero(unmasked & (np.abs(sums - 1.0) > ROW_SUM_TOL))
+                if bad.size:
+                    row = bad[0]
+                    raise EngineError(f"entry {name!r}: row {start + row} sums to {sums[row]:.6f}, "
+                                      f"expected 1 +/- {ROW_SUM_TOL}")
+                masses.append(part[unmasked] if role == "decode_rows" else part)
             release(block)
-    # np.minimum, unlike min(), keeps a NaN wherever it falls.
-    return (np.concatenate(sums), np.concatenate(masses) if partitioned else None,
-            np.minimum.reduce(lows) if lows else None)
+    if not layered:
+        return None
+    masses = np.concatenate(masses)  # a layered payload's shape rule leaves it a row
+    masses.flags.writeable = False
+    return masses
 
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the OS has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _validate_rows(low, sums: np.ndarray, name: str) -> None:
-    """Attention rows, square or decode-step, from their minimum and float64
-    row sums: non-negative weights, and each row that is not fully masked
-    sums to 1 over its full width. Both layered roles reject an empty shape
-    first, so ``low`` is a number here."""
-    if low < 0:
-        raise EngineError(f"entry {name!r}: negative attention weight")
-    # Fully masked rows (all exact zeros) are allowed; every other row must
-    # be stochastic over its unmasked support.
-    unmasked = sums > 0
-    bad = np.flatnonzero(unmasked & (np.abs(sums - 1.0) > ROW_SUM_TOL))
-    if bad.size:
-        row = int(bad[0])
-        raise EngineError(
-            f"entry {name!r}: row {row} sums to {sums[row]:.6f}, expected 1 +/- {ROW_SUM_TOL}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -183,9 +177,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _map_entry(base: Path, i: int, entry) -> tuple[str, str, np.ndarray]:
-    """The checks on one entry that need no payload scan, then its mapped
-    payload: returns the entry's name, role and data."""
+def _map_entry(base: Path, i: int, entry, layout: InputLayout,
+               plan: CompressionPlan) -> tuple[str, str, int | None, np.ndarray]:
+    """The checks on one entry that need no payload scan, in order: its JSON,
+    its file, and its role's shape rule against the layout (the widths of
+    cls_vector, wq and wk need visual's d, so the join checks them). Returns
+    the entry's name, role, layer (None for a role without one) and data."""
     if not isinstance(entry, dict):
         raise EngineError(f"entry #{i}: must be a JSON object")
     name = entry.get("name", f"#{i}")
@@ -193,17 +190,43 @@ def _map_entry(base: Path, i: int, entry) -> tuple[str, str, np.ndarray]:
     role = entry.get("role")
     if role not in ROLES:
         raise EngineError(f"entry {name!r}: unknown role {role!r}")
-    if "layer" in entry and role not in _LAYERED_ROLES:
-        raise EngineError(f"entry {name!r}: key 'layer' does not apply to role {role!r}")
-    return name, role, _map_payload(base, entry, name)
+    layer = entry.get("layer")
+    if role not in _LAYERED_ROLES:
+        if "layer" in entry:
+            raise EngineError(f"entry {name!r}: key 'layer' does not apply to role {role!r}")
+    elif not is_int(layer):
+        raise EngineError(f"entry {name!r}: role {role} requires an integer layer")
+    elif layer < 0:
+        raise EngineError(f"entry {name!r}: layer {layer} must be non-negative")
+    elif plan.num_layers is not None and layer >= plan.num_layers:
+        raise EngineError(f"entry {name!r}: layer {layer} beyond num_layers {plan.num_layers}")
+    data = _map_payload(base, entry, name)
+    seq = layout.seq_len
+    if role == "visual_embeddings":
+        if data.ndim != 2:
+            raise EngineError(f"visual_embeddings: expected 2-D matrix, got shape {data.shape}")
+        if data.shape[0] != layout.visual_len:
+            raise EngineError(
+                f"visual_embeddings: {data.shape[0]} rows but layout declares M={layout.visual_len}")
+        if data.shape[1] < 1:
+            raise EngineError(f"visual_embeddings: token width must be >= 1, got {data.shape[1]}")
+    elif role == "attention_layer_k" and data.shape != (seq, seq):
+        raise EngineError(f"entry {name!r}: attention shape {data.shape} != ({seq}, {seq})")
+    elif role == "decode_rows":
+        if data.ndim != 2 or data.shape[1] < seq:
+            raise EngineError(
+                f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
+        if data.shape[0] < 1:
+            raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
+    return name, role, layer, data
 
 
 def load_manifest(path) -> ManifestData:
     """Parse and fully validate a manifest plus all referenced payloads."""
     path = Path(path)
-    try:
+    try:  # ValueError: bad UTF-8, bad JSON, or an integer past Python's digit limit
         raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, EngineError) as e:
+    except (OSError, ValueError, RecursionError, EngineError) as e:
         raise EngineError(f"manifest {path}: {e}") from None
     if not isinstance(raw, dict):
         raise EngineError(f"manifest {path}: top level must be a JSON object")
@@ -221,9 +244,9 @@ def load_manifest(path) -> ManifestData:
     if not isinstance(entries, list):
         raise EngineError(f"manifest {path}: entries must be a list")
 
-    def map_and_scan(i: int, entry) -> tuple:
-        name, role, data = _map_entry(path.parent, i, entry)
-        return name, role, data, *_scan(data, role, layout)
+    def check(i: int, entry) -> tuple:
+        name, role, layer, data = _map_entry(path.parent, i, entry, layout, plan)
+        return name, role, layer, data, _scan(data, role, name, layout)
 
     singletons: dict[str, np.ndarray] = {}
     layered: dict[str, dict[int, np.ndarray]] = {role: {} for role in _LAYERED_ROLES}
@@ -234,34 +257,15 @@ def load_manifest(path) -> ManifestData:
     pool = ThreadPoolExecutor(_usable_cpus())
     try:
         # Results, and any error raised on the pool, come back in entry order.
-        for i, (name, role, data, sums, masses, low) in enumerate(
-                pool.map(map_and_scan, range(len(entries)), entries)):
-            if not np.isfinite(sums).all():
-                raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
+        for name, role, layer, data, masses in pool.map(check, range(len(entries)), entries):
             if role in _LAYERED_ROLES:
-                layer = entries[i].get("layer")
-                if not is_int(layer):
-                    raise EngineError(f"entry {name!r}: role {role} requires an integer layer")
                 if layer in layered[role]:
                     raise EngineError(f"entry {name!r}: duplicate {role} for layer {layer}")
-                seq = layout.seq_len
-                if role == "attention_layer_k":
-                    if data.shape != (seq, seq):
-                        raise EngineError(f"entry {name!r}: attention shape {data.shape} != ({seq}, {seq})")
-                elif data.ndim != 2 or data.shape[1] < seq:
-                    raise EngineError(
-                        f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
-                elif data.shape[0] < 1:
-                    raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
-                else:
-                    masses = masses[sums > 0]  # a fully masked decode row is not a query
-                _validate_rows(low, sums, name)
-                masses.flags.writeable = False
                 layered[role][layer] = data
                 reduced[role][layer] = masses
+            elif role in singletons:
+                raise EngineError(f"entry {name!r}: duplicate role {role!r}")
             else:
-                if role in singletons:
-                    raise EngineError(f"entry {name!r}: duplicate role {role!r}")
                 singletons[role] = data
     finally:
         pool.shutdown(cancel_futures=True)
@@ -269,15 +273,7 @@ def load_manifest(path) -> ManifestData:
     visual = singletons.get("visual_embeddings")
     if visual is None:
         raise EngineError(f"manifest {path}: no visual_embeddings entry")
-    if visual.ndim != 2:
-        raise EngineError(f"visual_embeddings: expected 2-D matrix, got shape {visual.shape}")
-    if visual.shape[0] != layout.visual_len:
-        raise EngineError(
-            f"visual_embeddings: {visual.shape[0]} rows but layout declares M={layout.visual_len}")
-
     d = visual.shape[1]
-    if d < 1:
-        raise EngineError(f"visual_embeddings: token width must be >= 1, got {d}")
     cls_vector = singletons.get("cls_vector")
     if cls_vector is not None:
         cls_vector = cls_vector.reshape(-1)

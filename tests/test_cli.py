@@ -710,6 +710,17 @@ def test_deeply_nested_manifest_exits_3(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+
+def test_manifest_integer_past_the_digit_limit_exits_3(tmp_path, capsys):
+    path = build_manifest(tmp_path)
+    path.write_text(path.read_text(encoding="utf-8").replace('"retain_ratio": 0.5', '"retain_k": ' + "9" * 5000),
+                    encoding="utf-8")
+    code = main(["select", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"vtcomp select: error: manifest {path}: Exceeds the limit (4300 digits)")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 BIG = "100000000000000000000"
 
 

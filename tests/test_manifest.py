@@ -11,7 +11,6 @@ import pytest
 from conftest import build_manifest, row_stochastic, write_tensor
 from vtcomp import manifest
 from vtcomp.errors import EngineError
-from vtcomp.layout import InputLayout
 from vtcomp.manifest import SCAN_ROWS, load_manifest
 from vtcomp.relevance import partition_masses
 
@@ -59,11 +58,27 @@ def test_nan_reported_before_negative_weight(tmp_path, rng):
         load_manifest(path)
 
 
-def test_nan_reported_before_wrong_shape(tmp_path, rng):
+def test_wrong_shape_reported_before_nan(tmp_path, rng, monkeypatch):
+    # The shape rule needs no values, so a wrongly shaped payload is
+    # rejected before its values are scanned.
     attn = rng.random((14, 15)).astype(np.float32)
     attn[0, 14] = np.nan
     path = build_manifest(tmp_path, attention={4: attn}, with_stage1=False)
-    with pytest.raises(EngineError, match="^entry 'attn_4': payload contains NaN/Inf$"):
+    scanned, scan = [], manifest._scan
+    monkeypatch.setattr(manifest, "_scan", lambda data, *args: scanned.append(data.shape) or scan(data, *args))
+    with pytest.raises(EngineError, match=r"^entry 'attn_4': attention shape \(14, 15\) != \(14, 14\)$"):
+        load_manifest(path)
+    assert (14, 15) not in scanned
+
+
+def test_visual_shape_reported_before_a_later_nan(tmp_path, rng):
+    # The visual shape rule is checked at its entry, not after the join.
+    attn = row_stochastic(rng, 14)
+    attn[6, 6] = np.nan
+    path = build_manifest(tmp_path, attention={9: attn}, with_stage1=False)
+    write_tensor(tmp_path / "visual.bin", rng.standard_normal((7, 6)))
+    _rewrite(path, lambda raw: raw["entries"][0].update(shape=[7, 6]))
+    with pytest.raises(EngineError, match="^visual_embeddings: 7 rows but layout declares M=8$"):
         load_manifest(path)
 
 
@@ -162,6 +177,21 @@ def test_duplicate_layer_rejected(tmp_path, rng):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("role", ["attention", "decode_rows"])
+@pytest.mark.parametrize("layer, message", [
+    (-1, "layer -1 must be non-negative"),
+    (32, "layer 32 beyond num_layers 32"),
+], ids=["negative", "num-layers"])
+def test_layer_out_of_range_rejected_before_its_file(tmp_path, rng, role, layer, message):
+    rows = row_stochastic(rng, 14)[:2] if role == "decode_rows" else row_stochastic(rng, 14)
+    plan = {"retain_ratio": 0.5, "num_layers": 32}
+    path = build_manifest(tmp_path, plan=plan, with_stage1=False, **{role: {layer: rows, 31: rows}})
+    name = f"{'decode' if role == 'decode_rows' else 'attn'}_{layer}"
+    (tmp_path / f"{name}.bin").unlink()  # the layer is checked before the file
+    with pytest.raises(EngineError, match=f"^entry '{name}': {message}$"):
+        load_manifest(path)
+
+
 def test_visual_rows_must_match_layout(tmp_path):
     path = build_manifest(tmp_path, with_stage1=False)
     raw = json.loads(path.read_text())
@@ -176,6 +206,14 @@ def test_non_utf8_manifest_rejected(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_bytes(b"\xff\xfe{")
     with pytest.raises(EngineError, match=r"^manifest .*manifest\.json: 'utf-8' codec can't decode"):
+        load_manifest(path)
+
+
+def test_integer_past_the_digit_limit_rejected(tmp_path):
+    path = build_manifest(tmp_path)
+    path.write_text(path.read_text(encoding="utf-8").replace('"retain_ratio": 0.5', '"retain_k": ' + "9" * 5000),
+                    encoding="utf-8")
+    with pytest.raises(EngineError, match=r"^manifest .*manifest\.json: Exceeds the limit \(4300 digits\)"):
         load_manifest(path)
 
 
@@ -400,22 +438,19 @@ def test_block_scan_equals_whole_array_reductions(tmp_path, rng, seq):
     assert np.array_equal(md.attention_masses[4], partition_masses(attn, md.layout))
     queries = decode.sum(axis=1, dtype=np.float64) > 0
     assert np.array_equal(md.decode_masses[4], partition_masses(decode, md.layout)[queries])
-    sums, masses, low = manifest._scan(md.decode_rows[4], "decode_rows", md.layout)
-    assert np.array_equal(sums, decode.sum(axis=1, dtype=np.float64))
-    assert np.array_equal(masses, partition_masses(decode, md.layout))
-    assert low == decode.min() == 0.0
+    assert np.array_equal(manifest._scan(md.decode_rows[4], "decode_rows", "decode_4", md.layout),
+                          md.decode_masses[4])
+    assert manifest._scan(md.visual_embeddings, "visual_embeddings", "visual", md.layout) is None
 
 
 @pytest.mark.parametrize("row", [0, 5, -1], ids=["first-block", "middle-block", "last-block"])
-def test_block_minimum_keeps_a_nan_in_any_block(rng, monkeypatch, row):
-    # The builtin min() would keep or drop a NaN depending on where it falls.
+def test_nan_in_any_block_fails_the_load(tmp_path, rng, monkeypatch, row):
     monkeypatch.setattr(manifest, "SCAN_ROWS", 4)
-    layout = InputLayout.from_dict({"kind": "image", "system_range": [0, 2], "visual_range": [2, 10],
-                                    "text_range": [10, 14]})
     rows = row_stochastic(rng, 14)[:10]
     rows[row, 3] = np.nan
-    sums, masses, low = manifest._scan(rows, "decode_rows", layout)
-    assert np.isnan(masses[row]).any() and np.isnan(low) and np.isnan(sums[row]) and np.isfinite(np.delete(sums, row % 10)).all()
+    path = build_manifest(tmp_path, decode_rows={4: rows}, with_stage1=False)
+    with pytest.raises(EngineError, match="^entry 'decode_4': payload contains NaN/Inf$"):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize("role", ["attention_layer_k", "decode_rows"])
