@@ -1,19 +1,18 @@
 """Greedy k-center token retention and its validation oracle.
 
 The production path (`greedy_kcenter`) keeps each token's max similarity
-to the selected set and picks the smallest. A small frontier of the
-least-covered tokens is kept exact through its own clipped Gram matrix,
-one row of which updates it per pick, and the other tokens take the picked
-centers in blocked matrix products when the frontier can no longer decide
-a pick: O(n*k*d) in those products plus O(|frontier|^2*d) per rebuild and
-O(|frontier|) per pick. A tie class too large for that Gram (more entries
-than the rows or a flush block hold) has each pick's row computed instead,
-O(|frontier|*d) per pick. The oracle, `oracle_greedy`,
-deliberately avoids that incremental state: at each step it recomputes
-every selected/candidate similarity from scratch as one (selected x n)
-matrix product. Its size guard lives in `oracle-check`, its only CLI caller.
-Both paths break ties by one rule, `_pick`. `normalize_rows` takes leading
-batch axes, and the lemma check in `theory` normalises its tokens with it.
+to the selected set and picks the smallest. Every center, the pivot first,
+reaches that array through one blocked flush product; between flushes a
+small frontier of the least-covered tokens is kept exact through its own
+clipped Gram matrix, one row of which updates it per pick: O(n*k*d) in the
+flushes plus O(|frontier|^2*d) per rebuild and O(|frontier|) per pick. A tie
+class too large for that Gram is flushed pick by pick, O(n*d) each. The
+oracle, `oracle_greedy`, deliberately avoids that incremental state: at each
+step it recomputes every selected/candidate similarity from scratch as one
+(selected x n) matrix product. Its size guard lives in `oracle-check`, its
+only CLI caller. Both paths break ties by one rule, `_pick`. `normalize_rows`
+takes leading batch axes, and the lemma check in `theory` normalises its
+tokens with it.
 """
 
 from __future__ import annotations
@@ -86,36 +85,28 @@ def _frontier_picks(rows: np.ndarray, pivot: int, k: int):
     """Yield greedy's picks after the pivot, with their max similarities.
 
     ``s`` holds each token's max similarity to the centers applied to every
-    token so far, a lower bound on its true value; the centers picked since
-    are ``pending``. The frontier (``front``, values ``fs``) is kept exact by
-    the row of its clipped Gram matrix for each pick, and every token outside
-    it is at least ``tau``. While min(fs) + TIE_EPS < tau, the whole tie set
-    of the pick lies in the frontier, so the pick is the one the full update
-    would make. Otherwise the pending centers are applied to every token in
-    (FRONTIER x n) blocks and the frontier is rebuilt from every unpicked
-    token within TIE_EPS of the FRONTIER-th smallest value, so it passes the
-    test. Leaving picked tokens out keeps its Gram small at k near n; a tie
-    class can still hold up to n tokens, and then each pick's Gram row is
-    computed as it is needed.
+    token so far, a lower bound on its true value; it changes only in a
+    flush, which applies the ``pending`` centers (the pivot first) in
+    (FRONTIER x n) products. The frontier (``front``, values ``fs``) is kept
+    exact by the row of its clipped Gram matrix for each pick, and every
+    token outside it is at least ``tau``. While min(fs) + TIE_EPS < tau, the
+    whole tie set of the pick lies in the frontier, so the pick is the one
+    the full update would make. Otherwise a flush runs and the frontier is
+    rebuilt from every unpicked token within TIE_EPS of the FRONTIER-th
+    smallest value, so it passes the test. Leaving picked tokens out keeps
+    its Gram small at k near n; a tie class too large for a Gram makes one
+    pick from the exact ``fs`` of its rebuild, and the next step flushes it.
     """
     n = rows.shape[0]
-    s = rows @ rows[pivot]
-    np.clip(s, -1.0, 1.0, out=s)
-    s[pivot] = np.inf
-    pending: list[int] = []
-    block = None
-    # An empty frontier fails the test, so the first pick builds it.
+    s, pending = np.full(n, -np.inf), [pivot]
+    # An empty frontier fails the test, so the first step flushes the pivot.
     fs, tau = np.empty(0), -np.inf
     for _ in range(k - 1):
         low = fs.min(initial=np.inf)
         if not low + TIE_EPS < tau:
             for i in range(0, len(pending), FRONTIER):
-                if block is None:  # allocated only by a run that flushes
-                    block = np.empty((FRONTIER, n))
-                centers = pending[i:i + FRONTIER]
-                sims = np.matmul(rows[centers], rows.T, out=block[:len(centers)])
-                # Clip the block's maxima, not s: s holds +inf for picked tokens.
-                top = sims.max(axis=0)
+                top = (rows[pending[i:i + FRONTIER]] @ rows.T).max(axis=0)
+                # Clip the maxima, not s: s holds +inf for picked tokens.
                 np.clip(top, -1.0, 1.0, out=top)
                 np.maximum(s, top, out=s)
             s[pending] = np.inf
@@ -125,12 +116,11 @@ def _frontier_picks(rows: np.ndarray, pivot: int, k: int):
             inside &= s < np.inf
             front = np.flatnonzero(inside)
             fs, tau = s[front], s[~inside].min(initial=np.inf)
-            front_rows = rows[front]
             # A tie class can bring up to n tokens into the frontier, so its
-            # Gram is formed only while no larger than the rows or a flush
-            # block; otherwise each pick takes its row as a product.
+            # Gram is formed only while no larger than the rows or a flush block.
             gram = None
             if len(front) ** 2 <= n * max(FRONTIER, rows.shape[1]):
+                front_rows = rows[front]
                 gram = front_rows @ front_rows.T
                 np.clip(gram, -1.0, 1.0, out=gram)
             low = fs.min()
@@ -140,11 +130,9 @@ def _frontier_picks(rows: np.ndarray, pivot: int, k: int):
         fs[j] = np.inf
         pending.append(c)
         if gram is None:
-            row = front_rows @ front_rows[j]
-            np.clip(row, -1.0, 1.0, out=row)
+            tau = -np.inf  # so the next step flushes this pick and rebuilds
         else:
-            row = gram[j]
-        np.maximum(fs, row, out=fs)
+            np.maximum(fs, gram[j], out=fs)
 
 
 def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:

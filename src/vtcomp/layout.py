@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
 
-from .errors import EngineError
+from .errors import EngineError, number_text
 
 KIND_IMAGE = "image"
 KIND_ANYRES = "anyres"
@@ -116,7 +116,8 @@ class InputLayout:
             if not (is_int(f) and is_int(t)) or f < 1 or t < 1:
                 raise EngineError("layout: video requires frames >= 1 and tokens_per_frame >= 1")
             if f * t != m:
-                raise EngineError(f"layout: frames*tokens_per_frame = {f * t} != visual count {m}")
+                raise EngineError(f"layout: frames*tokens_per_frame = {number_text(f * t)} "
+                                  f"!= visual count {m}")
 
     @property
     def system_len(self) -> int:

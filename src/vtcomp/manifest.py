@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EngineError
+from .errors import EngineError, number_text
 from .layout import CompressionPlan, InputLayout, check_keys, is_int
 from .relevance import partition_masses
 
@@ -94,8 +94,8 @@ def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
         expected = math.prod(shape) * 4
         actual = path.stat().st_size
         if actual != expected:
-            raise EngineError(
-                f"entry {name!r}: file {rel!r} holds {actual} bytes, shape {shape} requires {expected}")
+            raise EngineError(f"entry {name!r}: file {rel!r} holds {actual} bytes, "
+                              f"shape {shape} requires {number_text(expected)}")
         buf = b""  # mmap rejects an empty file
         if expected:
             with open(path, "rb") as f:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 
 from conftest import block_weighted_attention, build_manifest, row_stochastic
 from vtcomp import cli, kcenter, manifest
-from vtcomp.cli import main
+from vtcomp.cli import build_parser, main
 from vtcomp.layout import InputLayout
 from vtcomp.report import canonical_json
 
@@ -467,9 +468,13 @@ def _visual_file(name):
     (_visual_file("visual\u0000.bin"), "'visual'"),
     (_set("plan", "schedule", []), "schedule"),
     (_visual_file("a" * 300), "'visual'"),
+    (lambda manifest: manifest["entries"][0].update(shape=[10**3000, 10**3000]),
+     "requires <more than 4300 digits>\n"),
+    (lambda manifest: manifest["layout"].update(kind="video", frames=10**3000, tokens_per_frame=10**3000),
+     "layout: frames*tokens_per_frame = <more than 4300 digits> != visual count 8\n"),
 ], ids=["ratio-str", "tau-str", "k-str", "k-float", "schedule-float", "range-str",
         "range-short", "range-scalar", "range-float", "layer-bool", "version-bool",
-        "file-nul", "schedule-empty", "file-too-long"])
+        "file-nul", "schedule-empty", "file-too-long", "shape-bytes-digits", "video-frames-digits"])
 def test_malformed_manifest_types_exit_3(tmp_path, rng, capsys, mutate, named):
     layout = small_layout()
     attention = {layer: block_weighted_attention(rng, layout, 1e-4) for layer in (1, 5, 6, 7)}
@@ -735,6 +740,8 @@ BIG = "100000000000000000000"
      "--max-n, --max-d: a float64 array of 295147905179352825856 elements"),
     (["oracle-check", "--max-d", BIG],
      f"--max-n, --max-d: a float64 array of {64 * int(BIG)} elements"),
+    (["oracle-check", "--max-d", "9" * 4299],
+     "--max-n, --max-d: a float64 array of <more than 4300 digits> elements"),
     (["verify-lemma", "--trials", "100", "--dim", BIG],
      f"ambient_dim, subdim: a float64 array of {8 * int(BIG)} elements"),
     (["verify-lemma", "--trials", "100", "--visual-n", BIG],
@@ -744,8 +751,8 @@ BIG = "100000000000000000000"
     (["verify-lemma", "--trials", "100", "--bootstrap", BIG],
      f"bootstrap_resamples: a float64 array of {BIG} elements"),
     (["verify-lemma", "--trials", BIG], f"num_trials: a float64 array of {BIG} elements"),
-], ids=["trials", "dim", "oracle-max-d", "oracle-max-d-int64", "lemma-dim", "lemma-visual-n",
-        "lemma-text-m", "lemma-bootstrap", "lemma-trials"])
+], ids=["trials", "dim", "oracle-max-d", "oracle-max-d-int64", "oracle-max-d-digits", "lemma-dim",
+        "lemma-visual-n", "lemma-text-m", "lemma-bootstrap", "lemma-trials"])
 def test_out_of_memory_exits_3(monkeypatch, capsys, argv, message):
     if message is not None:
         def no_allocation(*args, **kwargs):
@@ -830,19 +837,15 @@ def _readme_commands(heading):
     return [line for line in block.splitlines() if line.startswith("vtcomp ")]
 
 
-def test_readme_cli_flags_exist(capsys):
-    # Two-way: every README flag exists, and every flag is in the README.
+def test_readme_usage_lists_exactly_the_parser_options():
+    # One usage line per subcommand, in the parser's order, each naming
+    # exactly the option strings build_parser() gives that subcommand.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     lines = _readme_commands("## CLI")
-    assert len(lines) == 6
-    for line in lines:
-        command = line.split()[1]
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
-        assert exc.value.code == 0
-        help_flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
-        readme_flags = set(re.findall(r"--[a-z][a-z-]*", line))
-        assert readme_flags - help_flags == set(), f"README: {command} has no such flags"
-        assert help_flags - readme_flags == set(), f"README: {command} line omits these flags"
+    assert [line.split()[1] for line in lines] == list(sub.choices)
+    for line, (command, parser) in zip(lines, sub.choices.items()):
+        options = {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", line)) == options, command
 
 
 def test_readme_flops_example_runs(capsys):

@@ -303,6 +303,25 @@ def test_tie_class_gram_stays_bounded():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_outsized_tie_classes_match_oracle(seed):
+    # Classes of 700 and 300 exact copies at random positions: a frontier
+    # holding the larger one (or, once 202 distinct rows are picked, every
+    # unpicked copy) is too large for its Gram at the default FRONTIER, so
+    # those picks are flushed one at a time.
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((1200, 8)).astype(np.float32)
+    order = rng.permutation(1200)
+    v[order[:700]] = v[order[0]]
+    v[order[700:1000]] = v[order[700]]
+    assert 700 ** 2 > 1200 * max(kcenter.FRONTIER, 8)
+    pivot = int(rng.integers(0, 1200))
+    fast, slow = greedy_kcenter(v, pivot, 400), oracle_greedy(v, pivot, 400)
+    assert fast.indices == slow.indices
+    for (_, a), (_, b) in zip(fast.trace, slow.trace):
+        assert abs(a - b) <= 1e-12
+
+
 # Referees at the bench's stage-1 shapes: video-narrow's 4608 x 64 at
 # ratio 0.10, and anyres-wide's 2880 x 4096 at k = 144 and 288.
 

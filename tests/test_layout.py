@@ -52,6 +52,9 @@ def test_video_structure():
     assert lo.frames * lo.tokens_per_frame == lo.visual_len
     with pytest.raises(EngineError, match=r"frames\*tokens_per_frame = 9 != visual count 8"):
         make_layout(kind="video", frames=3, tokens_per_frame=3)
+    with pytest.raises(EngineError, match=r"^layout: frames\*tokens_per_frame = <more than 4300 digits> "
+                                          r"!= visual count 8$"):
+        make_layout(kind="video", frames=10**3000, tokens_per_frame=10**3000)
 
 
 def test_resolve_k_paper_anchors():

@@ -39,6 +39,13 @@ def test_declared_shape_vs_file_size(tmp_path):
     payload.write_bytes(payload.read_bytes()[:188])
     with pytest.raises(EngineError, match=r"entry 'visual': file 'visual.bin' holds 188 bytes, shape \[8, 6\] requires 192"):
         load_manifest(path)
+    # Each dimension parses, but the byte count has more digits than Python prints.
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["entries"][0]["shape"] = [10**3000, 10**3000]
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(EngineError, match=r"^entry 'visual': file 'visual.bin' holds 188 bytes, "
+                                          r"shape \[10{3000}, 10{3000}\] requires <more than 4300 digits>$"):
+        load_manifest(path)
 
 
 def test_nonfinite_payload(tmp_path):
