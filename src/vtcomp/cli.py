@@ -29,7 +29,7 @@ from .costmodel import MODEL_PRESETS, preset_configs, stage_ratio_report
 from .errors import EngineError, InternalInvariant, refuse_beyond_address_space
 from .kcenter import greedy_kcenter, oracle_greedy
 from .layout import CompressionPlan, layer_schedule, resolve_k
-from .manifest import ManifestData, load_manifest, release
+from .manifest import ManifestData, load_manifest
 from .pivot import cls_attention, select_pivot
 from .relevance import decide_drop_layer, decoding_attention_report
 from .report import build_run_report, canonical_json, report_to_csv
@@ -121,8 +121,6 @@ def cmd_run(args) -> int:
         if md.cls_vector is None or md.wq is None or md.wk is None:
             raise EngineError("stage 1 requires cls_vector, wq and wk entries in the manifest")
         scores = cls_attention(md.cls_vector, md.visual_embeddings, md.wq, md.wk, layout)
-        release(md.wq)  # nothing reads the projections after the pivot
-        release(md.wk)
         pivot = select_pivot(scores, layout)
         retention = greedy_kcenter(md.visual_embeddings, pivot, resolve_k(plan, layout.visual_len))
     if "stage2" in args.stages:

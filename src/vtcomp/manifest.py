@@ -43,7 +43,7 @@ from .relevance import partition_masses
 
 FORMAT_VERSION = 1
 ROW_SUM_TOL = 1e-4
-SCAN_ROWS = 256  # rows per scan block
+SCAN_ROWS = 256  # rows per block of the scan and of normalize_rows' cast
 
 ROLES = ("visual_embeddings", "cls_vector", "wq", "wk", "attention_layer_k", "decode_rows")
 _LAYERED_ROLES = ("attention_layer_k", "decode_rows")
@@ -108,16 +108,17 @@ def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
 
 
 def release(array: np.ndarray) -> None:
-    """Drop from this process the resident pages under ``array``, a
-    contiguous view of a payload the loader mapped. The pages stay in the
-    page cache, so a later read faults the same bytes back in. A no-op on an
-    empty payload, on an array the loader did not map, and where the
-    platform has no MADV_DONTNEED."""
+    """Drop from this process the resident pages under ``array``, a view of
+    a payload the loader mapped, once the load's scan, ``pivot.cls_attention``
+    or ``kcenter.normalize_rows`` has read it. The pages stay in the page
+    cache, so a later read faults the same bytes back in. A no-op on a view
+    that is not C-contiguous (its data range spans other rows), on an empty
+    payload, on an array the loader did not map, and without MADV_DONTNEED."""
     owner = array
     while isinstance(owner.base, np.ndarray):
         owner = owner.base
     buf = getattr(owner.base, "obj", None)  # np.frombuffer keeps a memoryview of the mmap
-    if isinstance(buf, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+    if isinstance(buf, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED") and array.flags.c_contiguous:
         start = array.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
         page = start - start % mmap.PAGESIZE
         buf.madvise(mmap.MADV_DONTNEED, page, start + array.nbytes - page)

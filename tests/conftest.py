@@ -13,6 +13,14 @@ def write_tensor(path, data: np.ndarray) -> None:
     np.ascontiguousarray(data, dtype="<f4").tofile(path)
 
 
+def rss_file_kb() -> int:
+    """Resident pages of this process that map files, from /proc/self/status."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("RssFile:"):
+            return int(line.split()[1])
+    pytest.skip("no RssFile line in /proc/self/status")
+
+
 def cosine_similarity(a, b) -> float:
     """Cosine similarity of two vectors, clamped to [-1, 1]: the one-pair
     oracle for the engine's batched similarity code.

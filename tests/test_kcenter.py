@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_manifest, rss_file_kb
 from oracles import covering_radius, nested_loop_greedy, optimal_kcenter_radius
 from vtcomp import kcenter
 from vtcomp.errors import EngineError
 from vtcomp.kcenter import greedy_kcenter, normalize_rows, oracle_greedy
+from vtcomp.manifest import load_manifest
 
 
 def circle_tokens(*degrees):
@@ -61,6 +64,49 @@ def test_normalize_rows_batch_equals_per_slice_calls(rng):
     batch[2, 3] = 0.0
     with pytest.raises(EngineError, match=r"^measure: row 15 has near-zero norm$"):
         normalize_rows(batch, "measure")
+
+
+def unit_rows_reference(m):
+    """The whole-array cast, then the division in place: normalize_rows' arithmetic."""
+    m64 = np.array(m, dtype=np.float64)
+    m64 /= np.sqrt(np.einsum("...i,...i->...", m64, m64))[..., None]
+    return m64
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads RssFile from /proc/self/status")
+def test_normalize_rows_releases_a_mapped_payload(tmp_path):
+    n = d = 2048  # the visual payload is 16 MB
+    md = load_manifest(build_manifest(tmp_path, visual_len=n, width=d, with_stage1=False))
+    v = md.visual_embeddings
+    before = rss_file_kb()
+    got = normalize_rows(v)
+    assert rss_file_kb() - before < v.nbytes // 1024 // 2
+    assert np.array_equal(got, unit_rows_reference(v))
+    assert np.array_equal(v, np.fromfile(tmp_path / "visual.bin", dtype="<f4").reshape(n, d))
+
+
+def test_normalize_rows_leaves_the_callers_array_alone(rng):
+    # Both span several cast blocks along their first axis.
+    for m in (rng.standard_normal((600, 5)), rng.standard_normal((300, 4, 5))):
+        kept = m.copy()
+        got = normalize_rows(m)
+        assert np.array_equal(m, kept)
+        assert np.array_equal(got, unit_rows_reference(kept))
+    empty = normalize_rows(np.empty((0, 7), dtype=np.float32))
+    assert empty.shape == (0, 7) and empty.dtype == np.float64
+
+
+@pytest.mark.parametrize("k", [205, 512])
+def test_greedy_holds_one_float64_copy_of_its_rows(k):
+    # The float64 rows are 16 MB; a second copy of them would read 2.0 or more.
+    v = np.random.default_rng(0).standard_normal((2048, 1024)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        greedy_kcenter(v, 0, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * v.size * 8
 
 
 def test_greedy_matches_oracle_random_sample(rng):

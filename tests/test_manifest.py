@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_manifest, row_stochastic, write_tensor
+from conftest import build_manifest, row_stochastic, rss_file_kb, write_tensor
 from vtcomp import manifest
 from vtcomp.errors import EngineError
 from vtcomp.manifest import SCAN_ROWS, load_manifest
@@ -487,14 +487,6 @@ def test_last_block_of_last_payload_fails_at_its_entry(tmp_path, rng, role, corr
         load_manifest(path)
 
 
-def _rss_file_kb() -> int:
-    """Resident pages of this process that map files, from /proc/self/status."""
-    for line in Path("/proc/self/status").read_text().splitlines():
-        if line.startswith("RssFile:"):
-            return int(line.split()[1])
-    pytest.skip("no RssFile line in /proc/self/status")
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="reads RssFile from /proc/self/status")
 def test_load_releases_the_payload_pages_it_scanned(tmp_path, rng, monkeypatch):
     seq = 2048
@@ -502,20 +494,44 @@ def test_load_releases_the_payload_pages_it_scanned(tmp_path, rng, monkeypatch):
     path = build_manifest(tmp_path, text_len=seq - 10, with_stage1=False,
                           attention={layer: attn for layer in (4, 5, 6, 7)})
     payload_kb = attn.nbytes // 1024
-    before = _rss_file_kb()
+    before = rss_file_kb()
     md = load_manifest(path)
-    assert _rss_file_kb() - before < payload_kb // 2  # not 4 * payload_kb
+    assert rss_file_kb() - before < payload_kb // 2  # not 4 * payload_kb
     # The pages left the process, not the data: a read faults the same bytes back in.
     a = md.attention_layers[7]
     assert np.array_equal(a, np.fromfile(tmp_path / "attn_7.bin", dtype="<f4").reshape(seq, seq))
-    assert _rss_file_kb() - before > payload_kb // 2
+    assert rss_file_kb() - before > payload_kb // 2
     with monkeypatch.context() as m:
         m.delattr(mmap, "MADV_DONTNEED")
         manifest.release(a)
-        assert _rss_file_kb() - before > payload_kb // 2
+        assert rss_file_kb() - before > payload_kb // 2
     manifest.release(a)
-    assert _rss_file_kb() - before < payload_kb // 2
+    assert rss_file_kb() - before < payload_kb // 2
     assert np.array_equal(a, attn)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads RssFile from /proc/self/status")
+def test_release_drops_only_the_pages_of_a_contiguous_view(tmp_path):
+    d = 2048  # wq is 16 MB, and 256 of its rows are 2 MB
+    md = load_manifest(build_manifest(tmp_path, visual_len=8, width=d))
+    wq, rows_kb = md.wq, 256 * d * 4 // 1024
+    assert np.array_equal(wq, np.fromfile(tmp_path / "wq.bin", dtype="<f4").reshape(d, d))
+    before = rss_file_kb()
+
+    def resident_change_is(kb):  # give or take the few pages a first library call faults in
+        return abs(rss_file_kb() - before - kb) <= 64
+
+    # 256 columns: its data pointer and size would name rows 0-255, which it
+    # does not hold, so release must leave them resident.
+    manifest.release(wq.T[:256])
+    assert resident_change_is(0)
+    manifest.release(wq[256:512])
+    assert resident_change_is(-rows_kb)
+    # Reading every other row faults nothing in: only rows 256-511 left.
+    assert np.isfinite(wq[:256]).all() and np.isfinite(wq[512:]).all()
+    assert resident_change_is(-rows_kb)
+    assert np.isfinite(wq[256:512]).all()
+    assert resident_change_is(0)
 
 
 def test_release_is_a_no_op_on_arrays_the_loader_did_not_map(tmp_path):

@@ -1,13 +1,16 @@
 import math
+import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from conftest import build_manifest, rss_file_kb
 from vtcomp import pivot
 from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
+from vtcomp.manifest import load_manifest
 from vtcomp.pivot import PIVOT_BLOCK, cls_attention, select_pivot, softmax_row
 
 
@@ -229,3 +232,17 @@ def test_pivot_holds_no_whole_payload_float64_copy(rng):
     finally:
         tracemalloc.stop()
     assert peak < d * d * 8
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads RssFile from /proc/self/status")
+def test_pivot_releases_the_projection_pages(tmp_path):
+    d = 2048  # wq and wk are 16 MB each
+    md = load_manifest(build_manifest(tmp_path, visual_len=512, width=d))
+    copies = {name: np.fromfile(tmp_path / f"{name}.bin", dtype="<f4")
+              for name in ("cls", "visual", "wq", "wk")}
+    want = cls_attention(copies["cls"], copies["visual"].reshape(-1, d),
+                         copies["wq"].reshape(d, d), copies["wk"].reshape(d, d), md.layout)
+    before = rss_file_kb()
+    got = cls_attention(md.cls_vector, md.visual_embeddings, md.wq, md.wk, md.layout)
+    assert rss_file_kb() - before < (md.wq.nbytes + md.wk.nbytes) // 1024 // 2
+    assert np.array_equal(got, want)
