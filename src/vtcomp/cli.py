@@ -161,8 +161,7 @@ def cmd_verify_lemma(args) -> int:
     if args.seed < 0:  # numpy's SeedSequence takes only non-negative seeds
         raise EngineError(f"--seed must be >= 0, got {args.seed}")
     trial = LemmaTrial(**{f.name: getattr(args, f.name) for f in fields(LemmaTrial)})
-    result = covariance_experiment(trial, args.trials, negative_control=args.negative_control,
-                                   bootstrap_resamples=args.bootstrap)
+    result = covariance_experiment(trial, args.trials, negative_control=args.negative_control)
     _emit(result, args)
     return EXIT_OK
 
@@ -237,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                         ("--dim", "ambient_dim"), ("--subspace", "subdim")):
         p.add_argument(flag, dest=field, type=int, default=getattr(LemmaTrial, field))
     p.add_argument("--kernel", choices=KERNELS, default=LemmaTrial.kernel)
-    p.add_argument("--bootstrap", type=int, default=1000)
+    p.add_argument("--bootstrap", type=int, default=1000,
+                   help="ignored: the standard error is in closed form")
     p.add_argument("--negative-control", action="store_true",
                    help="break orthogonality on purpose (shared basis + shared tokens)")
     p.add_argument("--out", default=None)

@@ -12,10 +12,15 @@ tokens back in as text, forcing shared variance. Both bases have dimension
 refuses as out of memory, naming the parameters, an array beyond the
 address space.
 
-After the bases, one worker thread makes every draw in the serial order,
-one draw ahead of the caller, which measures the draw before; numpy's
+After the bases, one worker thread draws the trials' tokens in the serial
+order, one draw ahead of the caller, which measures the draw before; numpy's
 Generator releases the GIL while it fills an array. The random stream, and
 so every result, is a serial run's.
+
+The sample covariance is a mean of the products p_i = (d_i - d̄)(r_i - r̄),
+so its standard error is the delta-method one, sqrt(var(p, ddof=1) / N): one
+pass over the measures, with no random draws. A bootstrap estimates the same
+quantity by Monte Carlo (Efron & Tibshirani 1993).
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ KERNELS = ("cosine", "shifted")
 # Trials drawn per batch, and measured per sub-batch of it.
 TRIAL_CHUNK = 10000
 MEASURE_BATCH = 1000
-# Bootstrap indices handed to the draw thread at once (at least one resample).
-RESAMPLE_GROUP = 100000
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,9 @@ def covariance_experiment(
     trial: LemmaTrial,
     num_trials: int,
     negative_control: bool = False,
-    bootstrap_resamples: int = 1000,
 ) -> dict:
-    """Sample covariance of the two measures over independent trials, with a
-    bootstrap standard error. Deterministic for a fixed trial seed.
+    """Sample covariance of the two measures over independent trials, with
+    its delta-method standard error. Deterministic for a fixed trial seed.
 
     ``negative_control=True`` deliberately breaks the orthogonality premise:
     the text basis is replaced by the visual basis and the text set by the
@@ -135,13 +137,10 @@ def covariance_experiment(
     for names, count in (("ambient_dim, subdim", trial.ambient_dim * 2 * trial.subdim),
                          ("num_trials", num_trials),
                          ("n_visual, ambient_dim", chunk * trial.n_visual * trial.ambient_dim),
-                         ("n_text, ambient_dim", chunk * trial.n_text * trial.ambient_dim),
-                         ("bootstrap_resamples", bootstrap_resamples)):
+                         ("n_text, ambient_dim", chunk * trial.n_text * trial.ambient_dim)):
         refuse_beyond_address_space(names, count)
     if num_trials < 100:
         raise EngineError(f"covariance_experiment: need >= 100 trials, got {num_trials}")
-    if bootstrap_resamples < 2:
-        raise EngineError("covariance_experiment: need >= 2 bootstrap resamples")
 
     rng = np.random.default_rng(trial.seed)
     w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.subdim, trial.subdim)
@@ -158,15 +157,11 @@ def covariance_experiment(
     # the caller measures the other, and one text buffer.
     buffers = [np.empty((chunk, n, trial.ambient_dim))
                for n in (trial.n_visual, trial.n_visual, trial.n_text)]
-    group = max(1, RESAMPLE_GROUP // num_trials)
 
     def draws():
         for i, done in enumerate(range(0, num_trials, TRIAL_CHUNK)):
             for k in (i % 2, 2):
                 yield partial(rng.standard_normal, out=buffers[k][:num_trials - done])
-        for first in range(0, bootstrap_resamples, group):
-            yield lambda n=min(group, bootstrap_resamples - first): [
-                rng.integers(0, num_trials, size=num_trials) for _ in range(n)]
 
     # Imported here: at module level it would cost every command about 10 ms.
     from concurrent.futures import ThreadPoolExecutor
@@ -182,31 +177,15 @@ def covariance_experiment(
                 sub = slice(s, s + MEASURE_BATCH)
                 d[sub] = diversity_batch(v[sub], w_v, trial.kernel)
                 r[sub] = redundancy_batch(v[sub], t_tokens[sub], w_t, trial.kernel)
-        # The bootstrap needs no buffer: freed now, they stay out of its peak.
-        del v, t_tokens
-        buffers.clear()
+    # Freed now, the buffers stay out of the standard error's peak.
+    del v, t_tokens
+    buffers.clear()
 
-        dm = d_all - d_all.mean()
-        rm = r_all - r_all.mean()
-        sample_cov = float((dm * rm).sum() / (num_trials - 1))
-
-        # A resample that takes trial j w_j times has covariance
-        #   (sum w*dm*rm - (sum w*dm)(sum w*rm)/N) / (N - 1),
-        # so each resample needs only its counts w and one (3 x N) @ N product,
-        # not two gathers of length N. The covariance is shift-invariant, so the
-        # centred measures give the same value with less cancellation. Each
-        # resample still draws its N indices with one rng.integers call (on the
-        # worker), so the random stream, and with it the standard error, is
-        # unchanged. The counts are float64 (exact integers): no cast.
-        weighted = np.stack((dm, rm, dm * rm))
-        ones = np.ones(num_trials)
-        boot = np.empty(bootstrap_resamples)
-        for first in range(0, bootstrap_resamples, group):
-            for i, indices in enumerate(next(ahead), first):
-                counts = np.bincount(indices, weights=ones, minlength=num_trials)
-                sum_d, sum_r, sum_dr = weighted @ counts
-                boot[i] = (sum_dr - sum_d * sum_r / num_trials) / (num_trials - 1)
-    standard_error = float(boot.std(ddof=1))
+    dm = d_all - d_all.mean()
+    rm = r_all - r_all.mean()
+    p = dm * rm
+    sample_cov = float(p.sum() / (num_trials - 1))
+    standard_error = float(np.sqrt(p.var(ddof=1) / num_trials))
 
     return {
         "sample_covariance": sample_cov,

@@ -1,9 +1,12 @@
 """Referees for the array-at-a-time code: the covering radius of a
 center set and the brute-force optimum it is compared against in the
-2-approximation check (Gonzalez 1985), plus loop-at-a-time versions of
-`oracle_greedy` and of the lemma's bootstrap.
+2-approximation check (Gonzalez 1985), a loop-at-a-time version of
+`oracle_greedy`, and two referees for the lemma's closed-form standard
+error: the same formula one trial at a time, and a bootstrap gathered by
+index, which estimates the same quantity by Monte Carlo.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -78,10 +81,10 @@ def nested_loop_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     return RetentionSet(indices=tuple(indices), trace=tuple(trace))
 
 
-def gather_bootstrap_experiment(trial, num_trials: int, negative_control: bool,
-                                resamples: int) -> tuple[float, float]:
-    """(sample covariance, standard error) of covariance_experiment, replayed
-    on the same random stream with each bootstrap resample gathered by index."""
+def replay_measures(trial, num_trials: int, negative_control: bool):
+    """(random generator, diversity, redundancy) of covariance_experiment,
+    replayed on the same random stream one whole chunk at a time; the
+    generator is left where the trial draws end."""
     rng = np.random.default_rng(trial.seed)
     w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.subdim, trial.subdim)
     if negative_control:
@@ -95,7 +98,29 @@ def gather_bootstrap_experiment(trial, num_trials: int, negative_control: bool,
             t_tokens = v[:, : trial.n_text, :]
         d_parts.append(diversity_batch(v, w_v, trial.kernel))
         r_parts.append(redundancy_batch(v, t_tokens, w_t, trial.kernel))
-    d_all, r_all = np.concatenate(d_parts), np.concatenate(r_parts)
+    return rng, np.concatenate(d_parts), np.concatenate(r_parts)
+
+
+def loop_closed_form_experiment(trial, num_trials: int,
+                                negative_control: bool) -> tuple[float, float]:
+    """(sample covariance, standard error) of covariance_experiment, one
+    trial at a time in Python floats: with p_i = (d_i - d̄)(r_i - r̄), the
+    covariance is Σp_i / (N-1) and the error sqrt(Σ(p_i - p̄)² / ((N-1)·N))."""
+    _, d_all, r_all = replay_measures(trial, num_trials, negative_control)
+    d_bar = sum(float(x) for x in d_all) / num_trials
+    r_bar = sum(float(x) for x in r_all) / num_trials
+    products = [(float(d) - d_bar) * (float(r) - r_bar) for d, r in zip(d_all, r_all)]
+    p_bar = sum(products) / num_trials
+    squares = sum((p - p_bar) ** 2 for p in products)
+    return sum(products) / (num_trials - 1), math.sqrt(squares / ((num_trials - 1) * num_trials))
+
+
+def gather_bootstrap_experiment(trial, num_trials: int, negative_control: bool,
+                                resamples: int) -> tuple[float, float]:
+    """(sample covariance, bootstrap standard error) of the measures of
+    covariance_experiment, each resample gathered by index from the random
+    stream that follows the trial draws."""
+    rng, d_all, r_all = replay_measures(trial, num_trials, negative_control)
     sample_cov = float(((d_all - d_all.mean()) * (r_all - r_all.mean())).sum() / (num_trials - 1))
 
     boot = np.empty(resamples)

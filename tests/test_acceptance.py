@@ -102,10 +102,9 @@ def test_criterion_3_flops_ratios_and_decode_form():
 
 def test_criterion_4_covariance_lemma():
     start = time.monotonic()
-    res = covariance_experiment(LemmaTrial(seed=0), 100000, bootstrap_resamples=1000)
+    res = covariance_experiment(LemmaTrial(seed=0), 100000)
     ok = abs(res["sample_covariance"]) <= 3.0 * res["standard_error"]
-    control = covariance_experiment(LemmaTrial(seed=0), 10000,
-                                    negative_control=True, bootstrap_resamples=1000)
+    control = covariance_experiment(LemmaTrial(seed=0), 10000, negative_control=True)
     ok &= abs(control["sample_covariance"]) > 3.0 * control["standard_error"]
     elapsed = time.monotonic() - start
     ok &= elapsed < 120.0

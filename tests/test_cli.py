@@ -361,6 +361,15 @@ def test_verify_lemma_negative_control(capsys):
     assert report["within_3se"] is False
 
 
+def test_verify_lemma_ignores_bootstrap(capsys):
+    # The standard error is in closed form; --bootstrap is still accepted.
+    argv = ["verify-lemma", "--trials", "500", "--seed", "3"]
+    assert main(argv) == 0
+    without = capsys.readouterr().out
+    assert main([*argv[:3], "--bootstrap", "1000", *argv[3:]]) == 0
+    assert capsys.readouterr().out == without
+
+
 def test_oracle_check_subcommand(capsys):
     code, report = run_json(
         ["oracle-check", "--instances", "10", "--max-n", "16", "--max-d", "6"], capsys)
@@ -667,8 +676,7 @@ def test_oracle_check_bounds_exit_3(capsys, flag, value):
     (["--subspace", "-1"], "LemmaTrial: need subdim >= 1"),
     (["--negative-control", "--text-m", "9", "--visual-n", "8"],
      "negative control requires n_text <= n_visual"),
-    (["--bootstrap", "1"], "covariance_experiment: need >= 2 bootstrap resamples"),
-], ids=["subspace-0", "subspace--1", "negative-control-text-m", "bootstrap-1"])
+], ids=["subspace-0", "subspace--1", "negative-control-text-m"])
 def test_verify_lemma_bounds_exit_3(capsys, argv, message):
     code = main(["verify-lemma", "--trials", "100", "--bootstrap", "2", *argv])
     captured = capsys.readouterr()
@@ -748,11 +756,9 @@ BIG = "100000000000000000000"
      f"n_visual, ambient_dim: a float64 array of {1600 * int(BIG)} elements"),
     (["verify-lemma", "--trials", "100", "--text-m", BIG],
      f"n_text, ambient_dim: a float64 array of {1600 * int(BIG)} elements"),
-    (["verify-lemma", "--trials", "100", "--bootstrap", BIG],
-     f"bootstrap_resamples: a float64 array of {BIG} elements"),
     (["verify-lemma", "--trials", BIG], f"num_trials: a float64 array of {BIG} elements"),
 ], ids=["trials", "dim", "oracle-max-d", "oracle-max-d-int64", "oracle-max-d-digits", "lemma-dim",
-        "lemma-visual-n", "lemma-text-m", "lemma-bootstrap", "lemma-trials"])
+        "lemma-visual-n", "lemma-text-m", "lemma-trials"])
 def test_out_of_memory_exits_3(monkeypatch, capsys, argv, message):
     if message is not None:
         def no_allocation(*args, **kwargs):

@@ -72,11 +72,11 @@ CASES = {
     "flops-csv": (["flops", "--report", "csv", "--reduced-n", "500", "--preset", "llava-next-13b"],
                   None, "538cbf4be60037c46445b205820693475a42d925d30e939bd480fc915faddc59"),
     "verify-lemma": (["verify-lemma", "--trials", "500", "--bootstrap", "50", "--seed", "3"], None,
-                     "ce680311e66162380213762ecd7ad89ac712c3a5c52521228ea89cf5b66c1ea4"),
+                     "56f83e824e1ac15ce33cbe0c62c14cb99449f982af124989bf83176fb1b5e2c9"),
     "verify-lemma-negative-control": (
         ["verify-lemma", "--trials", "500", "--bootstrap", "50", "--kernel", "shifted",
          "--negative-control"], None,
-        "a3a91e319d89c03d662ed28ccc3845d0a1f2e6429d83955dd1983b2f68878ce0"),
+        "933f457e0fd9e3c72b1ef8f56e1a24c99cd69400757c73f09d50ab7f2ef7cff6"),
     "oracle-check": (["oracle-check", "--instances", "20", "--max-n", "40", "--seed", "5"], None,
                      "835807acaffdb2b7a9522da2a3d6cda95c1f4270f34f9ce41bce3623921206cb"),
 }

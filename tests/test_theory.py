@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cosine_similarity
-from oracles import gather_bootstrap_experiment
+from oracles import gather_bootstrap_experiment, loop_closed_form_experiment
 from vtcomp import theory
 from vtcomp.cli import main
 from vtcomp.errors import EngineError, InternalInvariant
@@ -90,39 +90,38 @@ def test_redundancy_matches_double_loop(rng):
 
 def test_measures_stay_in_range(rng):
     trial = LemmaTrial(seed=7)
-    res = covariance_experiment(trial, 500, bootstrap_resamples=100)
+    res = covariance_experiment(trial, 500)
     assert -1.0 <= res["diversity_mean"] <= 1.0
     assert -1.0 <= res["redundancy_mean"] <= 1.0
 
 
 def test_experiment_reproducible_bit_for_bit():
     trial = LemmaTrial(seed=42)
-    a = covariance_experiment(trial, 300, bootstrap_resamples=50)
-    b = covariance_experiment(trial, 300, bootstrap_resamples=50)
+    a = covariance_experiment(trial, 300)
+    b = covariance_experiment(trial, 300)
     assert a == b
 
 
 def test_shifted_kernel_is_nonnegative():
     trial = LemmaTrial(kernel="shifted", seed=3)
-    res = covariance_experiment(trial, 200, bootstrap_resamples=50)
+    res = covariance_experiment(trial, 200)
     assert 0.0 <= res["diversity_mean"] <= 1.0
     assert 0.0 <= res["redundancy_mean"] <= 1.0
 
 
 def test_covariance_near_zero_under_orthogonality():
-    res = covariance_experiment(LemmaTrial(seed=0), 20000, bootstrap_resamples=200)
+    res = covariance_experiment(LemmaTrial(seed=0), 20000)
     assert abs(res["sample_covariance"]) <= 3.0 * res["standard_error"]
 
 
 def test_negative_control_shares_variance():
-    res = covariance_experiment(LemmaTrial(seed=0), 5000,
-                                negative_control=True, bootstrap_resamples=200)
+    res = covariance_experiment(LemmaTrial(seed=0), 5000, negative_control=True)
     assert abs(res["sample_covariance"]) > 3.0 * res["standard_error"]
 
 
 def test_standard_error_shrinks_with_trials():
-    small = covariance_experiment(LemmaTrial(seed=1), 400, bootstrap_resamples=300)
-    large = covariance_experiment(LemmaTrial(seed=1), 6400, bootstrap_resamples=300)
+    small = covariance_experiment(LemmaTrial(seed=1), 400)
+    large = covariance_experiment(LemmaTrial(seed=1), 6400)
     ratio = small["standard_error"] / large["standard_error"]
     # sqrt(6400/400) = 4, allowed within a factor of 2
     assert 2.0 <= ratio <= 8.0
@@ -143,19 +142,44 @@ def test_trial_guards():
 
 @pytest.mark.parametrize("kernel", ["cosine", "shifted"])
 @pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
-def test_standard_error_matches_gather_bootstrap(kernel, negative_control):
+def test_standard_error_matches_per_trial_loop(kernel, negative_control):
     # 100 trials are below one TRIAL_CHUNK, 10000 are exactly one, and 12000
-    # and 25001 end in a ragged chunk. 2 and 37 resamples are not multiples
-    # of the resamples drawn per hand-off to the worker (1000, 10 and 3 at
-    # 100, 10000 and 25001 trials).
+    # and 25001 end in a ragged chunk.
     trial = LemmaTrial(kernel=kernel, seed=5)
-    for num_trials, resamples in ((100, 2), (100, 37), (10000, 37), (12000, 200), (25001, 37)):
-        res = covariance_experiment(trial, num_trials, negative_control=negative_control,
-                                    bootstrap_resamples=resamples)
-        sample_cov, standard_error = gather_bootstrap_experiment(
-            trial, num_trials, negative_control, resamples)
-        assert res["sample_covariance"] == sample_cov
+    for num_trials in (100, 10000, 12000, 25001):
+        res = covariance_experiment(trial, num_trials, negative_control=negative_control)
+        sample_cov, standard_error = loop_closed_form_experiment(trial, num_trials, negative_control)
+        assert res["sample_covariance"] == pytest.approx(sample_cov, rel=1e-12, abs=0.0)
         assert res["standard_error"] == pytest.approx(standard_error, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kernel", ["cosine", "shifted"])
+@pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
+def test_standard_error_agrees_with_a_bootstrap(kernel, negative_control):
+    # B bootstrap resamples of a near-normal statistic estimate its standard
+    # error with relative noise 1/sqrt(2(B - 1)), 2.2 % at B = 1000; the
+    # closed form must agree within four of those.
+    trial, num_trials, resamples = LemmaTrial(kernel=kernel, seed=5), 10000, 1000
+    res = covariance_experiment(trial, num_trials, negative_control=negative_control)
+    sample_cov, bootstrap_se = gather_bootstrap_experiment(trial, num_trials, negative_control,
+                                                           resamples)
+    assert res["sample_covariance"] == sample_cov
+    bound = 4.0 / np.sqrt(2 * (resamples - 1))
+    assert abs(res["standard_error"] / bootstrap_se - 1.0) <= bound
+
+
+@pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
+def test_standard_error_matches_the_spread_over_seeds(negative_control):
+    # Each seed draws its own bases and trials, so the covariances of S seeds
+    # are S independent draws of the statistic. Their standard deviation has
+    # relative noise about 1/sqrt(2(S - 1)), 3.5 % at S = 400, and must match
+    # the root mean square of the closed-form errors within four of those.
+    seeds = 400
+    results = [covariance_experiment(LemmaTrial(seed=seed), 100, negative_control=negative_control)
+               for seed in range(seeds)]
+    spread = np.std([r["sample_covariance"] for r in results], ddof=1)
+    rms_se = np.sqrt(np.mean([r["standard_error"] ** 2 for r in results]))
+    assert abs(rms_se / spread - 1.0) <= 4.0 / np.sqrt(2 * (seeds - 1))
 
 
 @pytest.mark.parametrize("kernel", ["cosine", "shifted"])
@@ -173,7 +197,7 @@ def test_measures_do_not_depend_on_their_batch(rng, kernel):
 
 def test_experiment_joins_its_draw_thread(monkeypatch, capsys):
     before = threading.active_count()
-    covariance_experiment(LemmaTrial(seed=2), 25000, bootstrap_resamples=5)
+    covariance_experiment(LemmaTrial(seed=2), 25000)
     assert threading.active_count() == before
     # The second measure fails while the worker draws ahead; the error
     # reaches the caller with its own type once the worker is joined.
