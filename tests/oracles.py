@@ -101,18 +101,22 @@ def replay_measures(trial, num_trials: int, negative_control: bool):
     return rng, np.concatenate(d_parts), np.concatenate(r_parts)
 
 
-def loop_closed_form_experiment(trial, num_trials: int,
-                                negative_control: bool) -> tuple[float, float]:
-    """(sample covariance, standard error) of covariance_experiment, one
-    trial at a time in Python floats: with p_i = (d_i - d̄)(r_i - r̄), the
-    covariance is Σp_i / (N-1) and the error sqrt(Σ(p_i - p̄)² / ((N-1)·N))."""
-    _, d_all, r_all = replay_measures(trial, num_trials, negative_control)
-    d_bar = sum(float(x) for x in d_all) / num_trials
-    r_bar = sum(float(x) for x in r_all) / num_trials
+def sample_covariance(d_all: np.ndarray, r_all: np.ndarray) -> float:
+    """The sample covariance of the measures, in covariance_experiment's
+    numpy expression, so that a replay gives the same bits."""
+    return float(((d_all - d_all.mean()) * (r_all - r_all.mean())).sum() / (len(d_all) - 1))
+
+
+def loop_standard_error(d_all: np.ndarray, r_all: np.ndarray) -> float:
+    """The closed-form standard error of the sample covariance, one trial at a
+    time in Python floats: with p_i = (d_i - d̄)(r_i - r̄), it is
+    sqrt(Σ(p_i - p̄)² / ((N-1)·N))."""
+    n = len(d_all)
+    d_bar = sum(float(x) for x in d_all) / n
+    r_bar = sum(float(x) for x in r_all) / n
     products = [(float(d) - d_bar) * (float(r) - r_bar) for d, r in zip(d_all, r_all)]
-    p_bar = sum(products) / num_trials
-    squares = sum((p - p_bar) ** 2 for p in products)
-    return sum(products) / (num_trials - 1), math.sqrt(squares / ((num_trials - 1) * num_trials))
+    p_bar = sum(products) / n
+    return math.sqrt(sum((p - p_bar) ** 2 for p in products) / ((n - 1) * n))
 
 
 def gather_bootstrap_experiment(trial, num_trials: int, negative_control: bool,
@@ -121,7 +125,7 @@ def gather_bootstrap_experiment(trial, num_trials: int, negative_control: bool,
     covariance_experiment, each resample gathered by index from the random
     stream that follows the trial draws."""
     rng, d_all, r_all = replay_measures(trial, num_trials, negative_control)
-    sample_cov = float(((d_all - d_all.mean()) * (r_all - r_all.mean())).sum() / (num_trials - 1))
+    sample_cov = sample_covariance(d_all, r_all)
 
     boot = np.empty(resamples)
     for i in range(resamples):

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import cosine_similarity
-from oracles import gather_bootstrap_experiment, loop_closed_form_experiment
+from oracles import (
+    gather_bootstrap_experiment,
+    loop_standard_error,
+    replay_measures,
+    sample_covariance,
+)
 from vtcomp import theory
 from vtcomp.cli import main
 from vtcomp.errors import EngineError, InternalInvariant
@@ -144,13 +149,15 @@ def test_trial_guards():
 @pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
 def test_standard_error_matches_per_trial_loop(kernel, negative_control):
     # 100 trials are below one TRIAL_CHUNK, 10000 are exactly one, and 12000
-    # and 25001 end in a ragged chunk.
+    # and 25001 end in a ragged chunk. The covariance is the replay's bit for
+    # bit; the error matches the loop's Python-float sums within rounding.
     trial = LemmaTrial(kernel=kernel, seed=5)
     for num_trials in (100, 10000, 12000, 25001):
         res = covariance_experiment(trial, num_trials, negative_control=negative_control)
-        sample_cov, standard_error = loop_closed_form_experiment(trial, num_trials, negative_control)
-        assert res["sample_covariance"] == pytest.approx(sample_cov, rel=1e-12, abs=0.0)
-        assert res["standard_error"] == pytest.approx(standard_error, rel=1e-12, abs=0.0)
+        _, d_all, r_all = replay_measures(trial, num_trials, negative_control)
+        assert res["sample_covariance"] == sample_covariance(d_all, r_all)
+        assert res["standard_error"] == pytest.approx(loop_standard_error(d_all, r_all),
+                                                      rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kernel", ["cosine", "shifted"])
