@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -197,6 +198,7 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves a parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vtcomp",
@@ -255,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (EngineError, MemoryError) as e:

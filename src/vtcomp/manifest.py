@@ -131,20 +131,24 @@ def _scan(data: np.ndarray, role: str, name: str, layout: InputLayout) -> np.nda
     row not fully masked (all exact zeros) summing to 1 +/- ROW_SUM_TOL over
     its full width. A float64 row sum is finite exactly when the row's
     float32 values are: they cannot overflow it, and a NaN or an inf spreads.
+    Plain roles need no sums: a float32 block sum, non-finite whenever a
+    value is, screens them without allocating, and only a non-finite one
+    (finite values can overflow it) falls back to the float64 row sums.
     Returns a layered payload's read-only partition masses (of its query
     rows, for decode rows), else None, and releases each block once checked."""
     rows = data if data.ndim == 2 else data.reshape(1, -1)
     layered = role in _LAYERED_ROLES
     masses = []
     # Numpy's error state is per thread, so it is set here, on the worker.
-    with np.errstate(invalid="ignore"):  # +inf + -inf in one sum
+    with np.errstate(invalid="ignore", over="ignore"):  # +inf + -inf in one sum; float32 overflow
         for start in range(0, len(rows), SCAN_ROWS):
             block = rows[start:start + SCAN_ROWS]
             part = partition_masses(block, layout) if layered else None
-            # An attention row's masses tile it, so their sum is its row sum.
-            sums = (part if role == "attention_layer_k" else block).sum(axis=1, dtype=np.float64)
-            if not np.isfinite(sums).all():
-                raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
+            if layered or not np.isfinite(block.sum()):
+                # An attention row's masses tile it, so their sum is its row sum.
+                sums = (part if role == "attention_layer_k" else block).sum(axis=1, dtype=np.float64)
+                if not np.isfinite(sums).all():
+                    raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
             if layered:
                 if block.min() < 0:
                     raise EngineError(f"entry {name!r}: negative attention weight")

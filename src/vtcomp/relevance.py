@@ -8,7 +8,11 @@ visual and text keys. ``load_manifest`` takes it of every prompt attention
 matrix and every set of decode rows while validating them, so neither
 stage 2 nor the decode report reads an attention payload. Decode rows are
 query rows captured during generation; they may extend past the prompt to
-cover previously generated keys, whose mass lies in no partition.
+cover previously generated keys, whose mass lies in no partition. Each
+mass is a float64 ``einsum`` of float32 weights, added in sequence (maybe in
+SIMD lanes, so the last bits may depend on the CPU): bit-equal to pairwise
+sums on the bench fixtures, and within 2.3e-15 relative of ``math.fsum`` on
+1280 softmax rows of n = 4608, logits ~ N(0, 6^2) (pairwise: 4.4e-16).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ def partition_masses(rows: np.ndarray, layout: InputLayout) -> np.ndarray:
     """Each row's attention mass on the system, visual and text keys, as a
     (rows, 3) float64 array with one float64 sum per row and partition."""
     ranges = (layout.system_range, layout.visual_range, layout.text_range)
-    return np.stack([rows[:, a:b].sum(axis=1, dtype=np.float64) for a, b in ranges], axis=1)
+    return np.stack([np.einsum("ij->i", rows[:, a:b], dtype=np.float64) for a, b in ranges], axis=1)
 
 
 def attention_ratios(masses: np.ndarray, layout: InputLayout) -> tuple[float, float]:

@@ -3,12 +3,14 @@
 Reports must be byte-identical across identical runs, so JSON is emitted
 by a fixed-order serializer of our own: keys keep insertion order, floats
 print with 9 significant digits, and the file ends with a single newline.
+Keys come only from engine code, so each is encoded once and cached.
 CSV output carries one row per probed layer and per decode layer, plus
 summary rows.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from typing import Any
@@ -24,6 +26,9 @@ def _text(value: Any) -> str:
     except ValueError:  # an int longer than Python will print
         raise EngineError(f"report: an integer value has more than "
                           f"{sys.get_int_max_str_digits()} digits") from None
+
+
+_key_text = functools.cache(functools.partial(json.dumps, ensure_ascii=False))
 
 
 def _render(value: Any, out: list[str]) -> None:
@@ -42,7 +47,7 @@ def _render(value: Any, out: list[str]) -> None:
         for i, (k, v) in enumerate(value.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k), ensure_ascii=False))
+            out.append(_key_text(str(k)))
             out.append(":")
             _render(v, out)
         out.append("}")

@@ -19,7 +19,7 @@ from conftest import block_weighted_attention, build_manifest, row_stochastic
 from vtcomp import cli, kcenter, manifest
 from vtcomp.cli import build_parser, main
 from vtcomp.layout import InputLayout
-from vtcomp.report import canonical_json
+from vtcomp.report import canonical_json, report_to_csv
 
 
 def small_layout():
@@ -161,6 +161,49 @@ def test_report_roundtrip_via_canonical_json(tmp_path, rng, capsys):
     text = out.read_text()
     parsed = json.loads(text)
     assert canonical_json(parsed) == text
+
+
+KEYS = ["plain", "naïve→ü", "emoji 😀", 'a "quoted" key', "back\\slash", "tab\tnewline\n", "\u2028", ""]
+
+
+def test_report_keys_encode_as_json_dumps_does():
+    # Each key exactly as json.dumps(key, ensure_ascii=False), on the first
+    # (uncached) and on a later (cached) rendering alike.
+    body = {key: [{key: None}, 1] for key in KEYS}
+    want = json.dumps(body, ensure_ascii=False, separators=(",", ":")) + "\n"
+    assert canonical_json(body) == want
+    assert canonical_json(body) == want
+    report = {"engine_version": "v", "seed": 3, "warnings": KEYS[2:4]}
+    assert report_to_csv(report) == ("section,key,value_1,value_2,value_3\n"
+                                     'summary,warning,"emoji 😀",,\n'
+                                     'summary,warning,"a ""quoted"" key",,\n'
+                                     "summary,engine_version,v,,\n"
+                                     "summary,seed,3,,\n")
+
+
+def test_one_process_reuses_its_parser(tmp_path, rng):
+    # main() builds its parser once per process: no call, a usage error
+    # included, may leave an option or a default behind for a later one,
+    # even for a subcommand that lacks that option (decide has no --ratio;
+    # verify-lemma has no --report).
+    m = ["--manifest", str(fixture_with_trace(tmp_path, rng))]
+
+    def run(name, *argv):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    first = run("pipeline", "pipeline", *m, "--k", "3")
+    decide = run("decide", "decide", *m)
+    run("select", "select", *m, "--ratio", "0.5", "--report", "csv")
+    with pytest.raises(SystemExit) as usage:
+        main(["select", *m, "--ratio", "0.5", "--k", "3"])
+    assert usage.value.code == 2
+    assert run("decide-again", "decide", *m) == decide
+    assert json.loads(run("lemma", "verify-lemma", "--trials", "100"))["num_trials"] == 100
+    run("oracle", "oracle-check", "--instances", "2")
+    assert run("pipeline-again", "pipeline", *m, "--k", "3") == first
+    assert build_parser() is build_parser()
 
 
 def test_csv_report(tmp_path, rng, capsys):

@@ -56,6 +56,35 @@ def test_nonfinite_payload(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ["visual", "cls", "wq", "wk"])
+def test_non_finite_last_value_of_a_plain_payload_fails(tmp_path, monkeypatch, name, value):
+    # Blocks of 3 rows: the 8-row visual payload ends in a ragged block, the
+    # 6-row wq and wk in a full one, and cls is one row.
+    monkeypatch.setattr(manifest, "SCAN_ROWS", 3)
+    path = build_manifest(tmp_path)
+    payload = tmp_path / f"{name}.bin"
+    data = np.fromfile(payload, dtype="<f4")
+    data[-1] = value
+    write_tensor(payload, data)
+    with pytest.raises(EngineError, match=f"^entry '{name}': payload contains NaN/Inf$"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)], ids=["positive", "negative", "both"])
+def test_finite_payload_whose_float32_sum_overflows_loads(tmp_path, signs):
+    # Rows of +/-3.4e38: finite values whose float32 sum is not, while each
+    # float64 row sum (about 2e39) is.
+    wq = np.full((6, 6), 3.4e38, dtype=np.float32)
+    wq[:3] *= signs[0]
+    wq[3:] *= signs[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(wq.sum())
+    path = build_manifest(tmp_path)
+    write_tensor(tmp_path / "wq.bin", wq)
+    assert np.array_equal(load_manifest(path).wq, wq)
+
+
 def test_nan_reported_before_negative_weight(tmp_path, rng):
     attn = row_stochastic(rng, 14)
     attn[2, 3] = -0.5

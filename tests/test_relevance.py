@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import build_manifest
+from vtcomp import manifest
 from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
 from vtcomp.manifest import load_manifest
@@ -44,6 +47,45 @@ def test_partition_masses_sum_each_key_range(rng):
     for i in range(4):
         for col, (a, b) in enumerate([(0, 2), (5, 9), (2, 5)]):
             assert got[i, col] == pytest.approx(sum(float(rows[i, j]) for j in range(a, b)), abs=1e-12)
+
+
+def softmax_rows(rng, rows, width):
+    """Float32 softmax rows of logits ~ N(0, 6^2): weights over many binades."""
+    z = rng.normal(0.0, 6.0, (rows, width))
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    return (p / p.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+@pytest.mark.parametrize("system, visual, text, past", [
+    (8, 4488, 112, 0), (1, 4606, 1, 0), (1, 300, 1, 3),
+], ids=["wide", "ragged-ends", "keys-past-the-prompt"])
+def test_partition_masses_match_fsum(rng, system, visual, text, past):
+    # Referee: each mass against the correctly rounded sum of its float32
+    # weights, taken as Python floats. Fully masked rows must give exact zeros.
+    lo = layout_for(system, visual, text)
+    rows = softmax_rows(rng, 12, lo.seq_len + past)
+    rows[[0, 7]] = 0.0
+    got = partition_masses(rows, lo)
+    for i, row in enumerate(rows.tolist()):
+        for col, (a, b) in enumerate((lo.system_range, lo.visual_range, lo.text_range)):
+            want = math.fsum(row[a:b])
+            assert abs(got[i, col] - want) <= 1e-12 * want, (i, col)
+
+
+@pytest.mark.parametrize("scan_rows", [1, 7, 256])
+def test_loaded_masses_do_not_depend_on_the_block_split(tmp_path, rng, monkeypatch, scan_rows):
+    seq = 302
+    attn = softmax_rows(rng, seq, seq)
+    attn[[0, 150, -1]] = 0.0
+    decode = softmax_rows(rng, 9, seq + 3)
+    decode[4] = 0.0
+    monkeypatch.setattr(manifest, "SCAN_ROWS", scan_rows)
+    md = load_manifest(build_manifest(tmp_path, system_len=1, visual_len=300, text_len=1,
+                                      attention={4: attn}, decode_rows={4: decode},
+                                      with_stage1=False))
+    assert np.array_equal(md.attention_masses[4], partition_masses(attn, md.layout))
+    queries = np.arange(9) != 4
+    assert np.array_equal(md.decode_masses[4], partition_masses(decode, md.layout)[queries])
 
 
 def test_uniform_matrix_analytic():
