@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EngineError
-from .manifest import SCAN_ROWS, release
+from .manifest import row_blocks
 
 # Norms at or below this are treated as degenerate (true zero vectors at
 # 32-bit scale, as opposed to merely small embeddings).
@@ -57,15 +57,14 @@ class RetentionSet:
 
 def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Rows (along the last axis, under any leading batch axes) scaled to unit
-    L2 norm, in a new float64 array filled SCAN_ROWS entries of the first axis
-    at a time, each mapped block released once cast; raises on degenerate rows
-    with the flattened index of the first one."""
+    L2 norm, in a new float64 array filled one ``row_blocks`` block at a time,
+    each released once cast; raises on degenerate rows with the flattened
+    index of the first one."""
     # A new array, so the division runs in place without touching the caller's.
     m = np.asarray(m)
     m64 = np.empty(m.shape, dtype=np.float64)
-    for i in range(0, len(m), SCAN_ROWS):
-        m64[i:i + SCAN_ROWS] = m[i:i + SCAN_ROWS]
-        release(m[i:i + SCAN_ROWS])
+    for start, block in row_blocks(m):
+        m64[start:start + len(block)] = block
     norms = np.sqrt(np.einsum("...i,...i->...", m64, m64))
     bad = np.flatnonzero(norms <= NORM_EPS)
     if bad.size:

@@ -18,11 +18,13 @@ widths of ``cls_vector``, ``wq`` and ``wk``.
 
 Payloads are mapped read-only and every returned array is read-only. The
 scan keeps the partition masses of each attention payload and of each
-decode payload's query rows, so no later stage reads those payloads, and
-releases each block's pages once checked; a later read faults them back in
-from the page cache. A payload must not be truncated or rewritten while a
-command runs: a read past the end of a truncated mapping ends the process
-with SIGBUS, not an error message.
+decode payload's query rows, so no later stage reads those payloads. The
+scan, the pivot and ``kcenter.normalize_rows`` each read a payload through
+``row_blocks``, which releases each block's pages once the caller is done
+with it; a later read faults them back in from the page cache. A payload
+must not be truncated or rewritten while a command runs: a read past the
+end of a truncated mapping ends the process with SIGBUS, not an error
+message.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .relevance import partition_masses
 
 FORMAT_VERSION = 1
 ROW_SUM_TOL = 1e-4
-SCAN_ROWS = 256  # rows per block of the scan and of normalize_rows' cast
+BLOCK_ROWS = 256  # per row_blocks block: 8 MB as float64 at d=4096, so the heap reuses its pages
 
 ROLES = ("visual_embeddings", "cls_vector", "wq", "wk", "attention_layer_k", "decode_rows")
 _LAYERED_ROLES = ("attention_layer_k", "decode_rows")
@@ -104,13 +106,16 @@ def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
         raise EngineError(f"entry {name!r}: file {rel!r}: {e.strerror}") from None
     except RuntimeError:  # a symlink loop, as resolve() reports it before Python 3.13
         raise EngineError(f"entry {name!r}: file {rel!r}: {os.strerror(errno.ELOOP)}") from None
-    return np.frombuffer(buf, dtype="<f4").reshape(shape)
+    try:
+        return np.frombuffer(buf, dtype="<f4").reshape(shape)
+    except ValueError as e:  # more axes than numpy supports
+        raise EngineError(f"entry {name!r}: shape {shape}: {e}") from None
 
 
 def release(array: np.ndarray) -> None:
     """Drop from this process the resident pages under ``array``, a view of
-    a payload the loader mapped, once the load's scan, ``pivot.cls_attention``
-    or ``kcenter.normalize_rows`` has read it. The pages stay in the page
+    a payload the loader mapped, once ``row_blocks``' caller or
+    ``pivot.cls_attention`` has read it. The pages stay in the page
     cache, so a later read faults the same bytes back in. A no-op on a view
     that is not C-contiguous (its data range spans other rows), on an empty
     payload, on an array the loader did not map, and without MADV_DONTNEED."""
@@ -124,29 +129,35 @@ def release(array: np.ndarray) -> None:
         buf.madvise(mmap.MADV_DONTNEED, page, start + array.nbytes - page)
 
 
+def row_blocks(array: np.ndarray):
+    """Yield ``(start, block)`` over blocks of BLOCK_ROWS entries of the first
+    axis of ``array``, releasing each block when the caller asks for the next."""
+    for start in range(0, len(array), BLOCK_ROWS):
+        block = array[start:start + BLOCK_ROWS]
+        yield start, block
+        release(block)
+
+
 def _scan(data: np.ndarray, role: str, name: str, layout: InputLayout) -> np.ndarray | None:
-    """Check a payload's values one block of SCAN_ROWS rows at a time (a
-    payload that is not 2-D is one row), raising at the first bad block:
-    finite values, then, for a layered role, no negative weight and each
-    row not fully masked (all exact zeros) summing to 1 +/- ROW_SUM_TOL over
-    its full width. A float64 row sum is finite exactly when the row's
-    float32 values are: they cannot overflow it, and a NaN or an inf spreads.
-    Plain roles need no sums: a float32 block sum, non-finite whenever a
-    value is, screens them without allocating, and only a non-finite one
-    (finite values can overflow it) falls back to the float64 row sums.
-    Returns a layered payload's read-only partition masses (of its query
-    rows, for decode rows), else None, and releases each block once checked."""
-    rows = data if data.ndim == 2 else data.reshape(1, -1)
+    """Check a payload's values one ``row_blocks`` block at a time, raising
+    at the first bad block: finite values, then, for a layered role, no
+    negative weight and each row not fully masked (all exact zeros) summing
+    to 1 +/- ROW_SUM_TOL over its full width. A float64 sum over the last
+    axis is finite exactly when its float32 values are: they cannot
+    overflow it, and a NaN or an inf spreads. Plain roles need no sums: a
+    float32 block sum, non-finite whenever a value is, screens them without
+    allocating, and only a non-finite one (finite values can overflow it)
+    falls back to the float64 sums. Returns a layered payload's read-only
+    partition masses (of its query rows, for decode rows), else None."""
     layered = role in _LAYERED_ROLES
     masses = []
     # Numpy's error state is per thread, so it is set here, on the worker.
     with np.errstate(invalid="ignore", over="ignore"):  # +inf + -inf in one sum; float32 overflow
-        for start in range(0, len(rows), SCAN_ROWS):
-            block = rows[start:start + SCAN_ROWS]
+        for start, block in row_blocks(data):
             part = partition_masses(block, layout) if layered else None
             if layered or not np.isfinite(block.sum()):
                 # An attention row's masses tile it, so their sum is its row sum.
-                sums = (part if role == "attention_layer_k" else block).sum(axis=1, dtype=np.float64)
+                sums = (part if role == "attention_layer_k" else block).sum(axis=-1, dtype=np.float64)
                 if not np.isfinite(sums).all():
                     raise EngineError(f"entry {name!r}: payload contains NaN/Inf")
             if layered:
@@ -159,7 +170,6 @@ def _scan(data: np.ndarray, role: str, name: str, layout: InputLayout) -> np.nda
                     raise EngineError(f"entry {name!r}: row {start + row} sums to {sums[row]:.6f}, "
                                       f"expected 1 +/- {ROW_SUM_TOL}")
                 masses.append(part[unmasked] if role == "decode_rows" else part)
-            release(block)
     if not layered:
         return None
     masses = np.concatenate(masses)  # a layered payload's shape rule leaves it a row

@@ -5,13 +5,14 @@ weight matrices are ingested from files and never trained. The logits are
 re-associated as ``z_v @ (w_k @ (z_cls @ w_q))``: two d x d matrix-vector
 products and one n x d, O(d^2 + n*d), instead of forming the n x d keys in
 O(n*d^2). Each is one ``_blocked_matvec``, over ``w_q.T``, ``w_k`` or ``z_v``,
-which casts PIVOT_BLOCK rows of the float32 operand to float64 at a time, then
-releases their mapped pages; ``w_q.T``'s blocks are strided, so ``w_q`` is
-released whole once ``q`` is formed. A block keeps each output element's
-reduction whole, so on every bench shape the logits equal the whole-array
-products bit for bit. Video logits are reshaped to one row per frame for one
-``softmax_row`` call, so that frame-wise candidates are comparable before the
-cross-frame argmax. Inputs are validated by ``load_manifest``.
+which casts one ``manifest.row_blocks`` block of the float32 operand to
+float64 at a time, each released after its product; ``w_q.T``'s blocks are
+strided, so ``w_q`` is released whole once ``q`` is formed. A block keeps
+each output element's reduction whole, so on every bench shape the logits
+equal the whole-array products bit for bit. Video logits are reshaped to one
+row per frame for one ``softmax_row`` call, so that frame-wise candidates are
+comparable before the cross-frame argmax. Inputs are validated by
+``load_manifest``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layout import KIND_ANYRES, KIND_VIDEO, InputLayout
-from .manifest import release
-
-PIVOT_BLOCK = 256  # 8 MB at d=4096, small enough that the heap reuses its pages
+from .manifest import release, row_blocks
 
 
 def softmax_row(scores: np.ndarray) -> np.ndarray:
@@ -36,14 +35,10 @@ def softmax_row(scores: np.ndarray) -> np.ndarray:
 
 
 def _blocked_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``m @ x`` in float64, casting, then releasing, PIVOT_BLOCK rows of ``m`` at a time."""
+    """``m @ x`` in float64, casting one ``row_blocks`` block of ``m`` at a time."""
     # At some ragged sizes BLAS rounds a block's edge element a last bit off
     # the whole product; the float32 scores absorbed that wherever measured.
-    out = []
-    for i in range(0, len(m), PIVOT_BLOCK):
-        out.append(m[i:i + PIVOT_BLOCK].astype(np.float64) @ x)
-        release(m[i:i + PIVOT_BLOCK])
-    return np.concatenate(out)
+    return np.concatenate([block.astype(np.float64) @ x for _, block in row_blocks(m)])
 
 
 def cls_attention(

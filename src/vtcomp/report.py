@@ -28,7 +28,7 @@ def _text(value: Any) -> str:
                           f"{sys.get_int_max_str_digits()} digits") from None
 
 
-_key_text = functools.cache(functools.partial(json.dumps, ensure_ascii=False))
+_key_text = functools.cache(lambda key: json.dumps(key, ensure_ascii=False))
 
 
 def _render(value: Any, out: list[str]) -> None:

@@ -12,10 +12,11 @@ tokens back in as text, forcing shared variance. Both bases have dimension
 refuses as out of memory, naming the parameters, an array beyond the
 address space.
 
-After the bases, one worker thread draws the trials' tokens in the serial
-order, one draw ahead of the caller, which measures the draw before; numpy's
-Generator releases the GIL while it fills an array. The random stream, and
-so every result, is a serial run's.
+After the bases, the trials are drawn in chunks, each chunk's visual
+tokens and then its text tokens. One worker thread draws the next chunk's
+visual tokens while the caller measures the current chunk; numpy's Generator
+releases the GIL while it fills an array. Every draw starts after the one
+before it ends, so the random stream, and every result, is a serial run's.
 
 The sample covariance is a mean of the products p_i = (d_i - d̄)(r_i - r̄),
 so its standard error is the delta-method one, sqrt(var(p, ddof=1) / N): one
@@ -26,7 +27,6 @@ quantity by Monte Carlo (Efron & Tibshirani 1993).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -107,18 +107,6 @@ def redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
     return _kernel((pvt * pt).sum(axis=1), kernel)
 
 
-def _one_ahead(pool, draws):
-    """The results of draws in order, each draw submitted to the pool's one
-    thread while the caller still uses the result before it."""
-    draws = iter(draws)
-    pending = pool.submit(next(draws))
-    for draw in draws:
-        following = pool.submit(draw)
-        yield pending.result()
-        pending = following
-    yield pending.result()
-
-
 def covariance_experiment(
     trial: LemmaTrial,
     num_trials: int,
@@ -153,22 +141,19 @@ def covariance_experiment(
 
     d_all = np.empty(num_trials)
     r_all = np.empty(num_trials)
-    # Drawn into on the worker: two visual buffers, so that it fills one while
-    # the caller measures the other, and one text buffer.
-    buffers = [np.empty((chunk, n, trial.ambient_dim))
-               for n in (trial.n_visual, trial.n_visual, trial.n_text)]
-
-    def draws():
-        for i, done in enumerate(range(0, num_trials, TRIAL_CHUNK)):
-            for k in (i % 2, 2):
-                yield partial(rng.standard_normal, out=buffers[k][:num_trials - done])
+    # Two visual buffers, so that the worker fills one while the caller
+    # measures the other, and one text buffer, filled on the caller.
+    visual = [np.empty((chunk, trial.n_visual, trial.ambient_dim)) for _ in range(2)]
+    text = np.empty((chunk, trial.n_text, trial.ambient_dim))
 
     # Imported here: at module level it would cost every command about 10 ms.
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1) as pool:
-        ahead = _one_ahead(pool, draws())
-        for done in range(0, num_trials, TRIAL_CHUNK):
-            v, t_tokens = next(ahead), next(ahead)
+        v = rng.standard_normal(out=visual[0])
+        for i, done in enumerate(range(0, num_trials, TRIAL_CHUNK)):
+            t_tokens = rng.standard_normal(out=text[:len(v)])
+            # The next chunk's visual tokens; after the last chunk, none.
+            ahead = pool.submit(rng.standard_normal, out=visual[1 - i % 2][:num_trials - done - len(v)])
             if negative_control:
                 t_tokens = v[:, : trial.n_text, :]
             # Measured in sub-batches: a trial's measures do not depend on its batch.
@@ -177,9 +162,9 @@ def covariance_experiment(
                 sub = slice(s, s + MEASURE_BATCH)
                 d[sub] = diversity_batch(v[sub], w_v, trial.kernel)
                 r[sub] = redundancy_batch(v[sub], t_tokens[sub], w_t, trial.kernel)
+            v = ahead.result()
     # Freed now, the buffers stay out of the standard error's peak.
-    del v, t_tokens
-    buffers.clear()
+    del v, t_tokens, ahead, visual, text
 
     dm = d_all - d_all.mean()
     rm = r_all - r_all.mean()

@@ -639,6 +639,24 @@ def test_wrong_payload_shape_exits_3(tmp_path, rng, capsys, recwarn, name, shape
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("shape, named", [
+    ([1] * 65, r"entry 'cls': shape \[1(, 1){64}\]: .*\b65\b.*"),
+    ([0] * 65, r"entry 'cls': shape \[0(, 0){64}\]: .*\b65\b.*"),
+    ([1] * 64, r"cls_vector: length 1 != token width 6"),
+], ids=["65-axes", "65-empty-axes", "64-axes"])
+def test_cls_shape_past_numpy_axis_limit_exits_3(tmp_path, capsys, shape, named):
+    # numpy arrays take at most 64 axes: a 65th fails at its entry, not with a traceback.
+    path = build_manifest(tmp_path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    next(e for e in raw["entries"] if e["name"] == "cls")["shape"] = shape
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    (tmp_path / "cls.bin").write_bytes(b"\0" * 4 * shape[0])
+    code = main(["select", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert re.fullmatch(f"vtcomp select: error: {named}\n", captured.err)
+
+
 @pytest.mark.parametrize("argv", [
     ["flops", "--preset", "nope"],
     ["pipeline", "--manifest", "m.json", "--preset", "nope"],

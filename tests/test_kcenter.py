@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import build_manifest, rss_file_kb
 from oracles import covering_radius, nested_loop_greedy, optimal_kcenter_radius
-from vtcomp import kcenter
+from vtcomp import kcenter, manifest
 from vtcomp.errors import EngineError
 from vtcomp.kcenter import greedy_kcenter, normalize_rows, oracle_greedy
 from vtcomp.manifest import load_manifest
@@ -55,12 +55,16 @@ def test_normalize_rows_reports_offending_row():
         normalize_rows(m)
 
 
-def test_normalize_rows_batch_equals_per_slice_calls(rng):
-    # A (b, n, d) batch normalises as b separate 2-D calls, bit for bit, and a
-    # degenerate row is named by its index in the flattened (b * n) rows.
-    batch = rng.standard_normal((4, 6, 5))
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+def test_normalize_rows_batch_equals_per_slice_calls(rng, monkeypatch, block_rows):
+    # A (b, n, d) batch normalises as b separate 2-D calls and as the whole
+    # array at once, bit for bit, however the first axis is split into blocks,
+    # and a degenerate row is named by its index in the flattened (b * n) rows.
+    monkeypatch.setattr(manifest, "BLOCK_ROWS", block_rows)
+    batch = rng.standard_normal((9, 6, 5))
     got = normalize_rows(batch)
     assert np.array_equal(got, np.stack([normalize_rows(m) for m in batch]))
+    assert np.array_equal(got, unit_rows_reference(batch))
     batch[2, 3] = 0.0
     with pytest.raises(EngineError, match=r"^measure: row 15 has near-zero norm$"):
         normalize_rows(batch, "measure")
@@ -78,6 +82,7 @@ def test_normalize_rows_releases_a_mapped_payload(tmp_path):
     n = d = 2048  # the visual payload is 16 MB
     md = load_manifest(build_manifest(tmp_path, visual_len=n, width=d, with_stage1=False))
     v = md.visual_embeddings
+    manifest.release(v)  # none of it resident, whatever the load left
     before = rss_file_kb()
     got = normalize_rows(v)
     assert rss_file_kb() - before < v.nbytes // 1024 // 2

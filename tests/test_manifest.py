@@ -11,7 +11,7 @@ import pytest
 from conftest import build_manifest, row_stochastic, rss_file_kb, write_tensor
 from vtcomp import manifest
 from vtcomp.errors import EngineError
-from vtcomp.manifest import SCAN_ROWS, load_manifest
+from vtcomp.manifest import BLOCK_ROWS, load_manifest
 from vtcomp.relevance import partition_masses
 
 
@@ -59,9 +59,9 @@ def test_nonfinite_payload(tmp_path):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("name", ["visual", "cls", "wq", "wk"])
 def test_non_finite_last_value_of_a_plain_payload_fails(tmp_path, monkeypatch, name, value):
-    # Blocks of 3 rows: the 8-row visual payload ends in a ragged block, the
-    # 6-row wq and wk in a full one, and cls is one row.
-    monkeypatch.setattr(manifest, "SCAN_ROWS", 3)
+    # Blocks of 3 entries of the first axis: the 8-row visual payload ends in
+    # a ragged block, the 6-row wq and wk and the 6-entry cls in a full one.
+    monkeypatch.setattr(manifest, "BLOCK_ROWS", 3)
     path = build_manifest(tmp_path)
     payload = tmp_path / f"{name}.bin"
     data = np.fromfile(payload, dtype="<f4")
@@ -461,7 +461,24 @@ def test_write_tensor_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back, data)
 
 
-@pytest.mark.parametrize("seq", [SCAN_ROWS - 1, SCAN_ROWS, SCAN_ROWS + 1, 2 * SCAN_ROWS + 3],
+def test_row_blocks_releases_each_block_after_the_callers_body(monkeypatch):
+    # The first axis of 600 entries: two full blocks and a partial one.
+    a = np.arange(1200.0).reshape(600, 2)
+    events = []
+    monkeypatch.setattr(manifest, "release", lambda block: events.append(("release", span(block))))
+
+    def span(block):
+        assert np.shares_memory(block, a)
+        return int(block[0, 0]) // 2, int(block[-1, 0]) // 2 + 1
+
+    for start, block in manifest.row_blocks(a):
+        assert start == span(block)[0]
+        events.append(("body", span(block)))
+    spans = [(0, 256), (256, 512), (512, 600)]
+    assert events == [(event, s) for s in spans for event in ("body", "release")]
+
+
+@pytest.mark.parametrize("seq", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3],
                          ids=["under-one-block", "one-block", "one-row-past", "three-blocks"])
 def test_block_scan_equals_whole_array_reductions(tmp_path, rng, seq):
     attn = row_stochastic(rng, seq)
@@ -481,7 +498,7 @@ def test_block_scan_equals_whole_array_reductions(tmp_path, rng, seq):
 
 @pytest.mark.parametrize("row", [0, 5, -1], ids=["first-block", "middle-block", "last-block"])
 def test_nan_in_any_block_fails_the_load(tmp_path, rng, monkeypatch, row):
-    monkeypatch.setattr(manifest, "SCAN_ROWS", 4)
+    monkeypatch.setattr(manifest, "BLOCK_ROWS", 4)
     rows = row_stochastic(rng, 14)[:10]
     rows[row, 3] = np.nan
     path = build_manifest(tmp_path, decode_rows={4: rows}, with_stage1=False)
@@ -493,10 +510,10 @@ def test_nan_in_any_block_fails_the_load(tmp_path, rng, monkeypatch, row):
 @pytest.mark.parametrize("corruption, message", [
     ("nan", "payload contains NaN/Inf$"),
     ("negative", "negative attention weight$"),
-    ("sum", rf"row {SCAN_ROWS} sums to 0\.5"),
+    ("sum", rf"row {BLOCK_ROWS} sums to 0\.5"),
 ], ids=["nan", "negative", "sum"])
 def test_last_block_of_last_payload_fails_at_its_entry(tmp_path, rng, role, corruption, message):
-    seq = SCAN_ROWS + 1  # the last block holds one row
+    seq = BLOCK_ROWS + 1  # the last block holds one row
     width = seq + 2 if role == "decode_rows" else seq
     layers = {layer: row_stochastic(rng, width)[:seq] for layer in (4, 7)}
     last = layers[7]

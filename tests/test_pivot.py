@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import build_manifest, rss_file_kb
-from vtcomp import pivot
+from vtcomp import manifest, pivot
 from vtcomp.errors import EngineError
 from vtcomp.layout import InputLayout
-from vtcomp.manifest import load_manifest
-from vtcomp.pivot import PIVOT_BLOCK, cls_attention, select_pivot, softmax_row
+from vtcomp.manifest import BLOCK_ROWS, load_manifest
+from vtcomp.pivot import cls_attention, select_pivot, softmax_row
 
 
 def image_layout(m, system=1, text=2, **kw):
@@ -193,8 +193,8 @@ def whole_array_logits(z_cls, z_v, w_q, w_k):
 def test_blocked_pivot_equals_whole_array_products(rng, kind):
     # d and n both span several blocks and end in a ragged one.
     d, n = 600, 777
-    assert d > 2 * PIVOT_BLOCK and n > 3 * PIVOT_BLOCK
-    assert d % PIVOT_BLOCK and n % PIVOT_BLOCK
+    assert d > 2 * BLOCK_ROWS and n > 3 * BLOCK_ROWS
+    assert d % BLOCK_ROWS and n % BLOCK_ROWS
     extra = {"frames": 7, "tokens_per_frame": 111} if kind == "video" else {}
     lo = image_layout(n, kind=kind, **extra)
     operands = float32_operands(rng, d, n)
@@ -213,7 +213,7 @@ def test_blocked_logits_equal_whole_array_products(rng, monkeypatch):
     # rounds a block's edge elements as in the whole product. At ragged
     # sizes it may round one a last bit apart.
     d, n = 640, 896
-    assert d % PIVOT_BLOCK and n % PIVOT_BLOCK
+    assert d % BLOCK_ROWS and n % BLOCK_ROWS
     operands = float32_operands(rng, d, n)
     seen = []
     monkeypatch.setattr(pivot, "softmax_row", lambda s: seen.append(s.copy()) or softmax_row(s))
@@ -242,6 +242,8 @@ def test_pivot_releases_the_projection_pages(tmp_path):
               for name in ("cls", "visual", "wq", "wk")}
     want = cls_attention(copies["cls"], copies["visual"].reshape(-1, d),
                          copies["wq"].reshape(d, d), copies["wk"].reshape(d, d), md.layout)
+    for payload in (md.visual_embeddings, md.wq, md.wk):  # none resident, whatever the load left
+        manifest.release(payload)
     before = rss_file_kb()
     got = cls_attention(md.cls_vector, md.visual_embeddings, md.wq, md.wk, md.layout)
     assert rss_file_kb() - before < (md.wq.nbytes + md.wk.nbytes) // 1024 // 2

@@ -72,14 +72,14 @@ def test_partition_masses_match_fsum(rng, system, visual, text, past):
             assert abs(got[i, col] - want) <= 1e-12 * want, (i, col)
 
 
-@pytest.mark.parametrize("scan_rows", [1, 7, 256])
-def test_loaded_masses_do_not_depend_on_the_block_split(tmp_path, rng, monkeypatch, scan_rows):
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+def test_loaded_masses_do_not_depend_on_the_block_split(tmp_path, rng, monkeypatch, block_rows):
     seq = 302
     attn = softmax_rows(rng, seq, seq)
     attn[[0, 150, -1]] = 0.0
     decode = softmax_rows(rng, 9, seq + 3)
     decode[4] = 0.0
-    monkeypatch.setattr(manifest, "SCAN_ROWS", scan_rows)
+    monkeypatch.setattr(manifest, "BLOCK_ROWS", block_rows)
     md = load_manifest(build_manifest(tmp_path, system_len=1, visual_len=300, text_len=1,
                                       attention={4: attn}, decode_rows={4: decode},
                                       with_stage1=False))
