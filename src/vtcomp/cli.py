@@ -135,7 +135,7 @@ def cmd_run(args) -> int:
         enc_cfg, llm_cfg = preset_configs(args.preset, seq_len=layout.seq_len, out_len=args.decode_len)
         flops = stage_ratio_report(enc_cfg, llm_cfg, reduced_seq_len=reduced)
         config.update(preset=args.preset, decode_len=llm_cfg.out_len)
-    if "decode" in args.stages and md.decode_masses:
+    if "stage2" in args.stages and md.decode_masses:
         decode_report = decoding_attention_report(md.decode_masses)
     report = build_run_report(seed=args.seed, config=config, retention=retention, decision=decision,
                               flops=flops, decode_report=decode_report, warnings=warnings)
@@ -212,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="stage 2: relevance-driven drop decision")
     _add_common_flags(p, with_plan=False)
-    p.set_defaults(func=cmd_run, stages=("stage2", "decode"))
+    p.set_defaults(func=cmd_run, stages=("stage2",))
 
     p = sub.add_parser("pipeline", help="both stages plus the FLOPs savings report")
     _add_common_flags(p)
     p.add_argument("--preset", default="llava-next-7b", choices=sorted(MODEL_PRESETS))
     p.add_argument("--decode-len", type=int, default=None)
-    p.set_defaults(func=cmd_run, stages=("stage1", "stage2", "decode", "flops"))
+    p.set_defaults(func=cmd_run, stages=("stage1", "stage2", "flops"))
 
     p = sub.add_parser("flops", help="stage-ratio cost model with presets")
     p.add_argument("--preset", default="llava-next-7b", choices=sorted(MODEL_PRESETS))

@@ -73,11 +73,14 @@ def normalize_rows(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m64
 
 
-def _validate(n: int, pivot: int, k: int) -> None:
+def _unit_rows(v, pivot: int, k: int, name: str) -> np.ndarray:
+    """Both greedy paths' entry check: k and the pivot, then ``v``'s unit rows."""
+    n = len(v)
     if not 1 <= k <= n:
         raise EngineError(f"k={k} outside [1, {n}]")
     if not 0 <= pivot < n:
         raise EngineError(f"pivot index {pivot} outside [0, {n})")
+    return normalize_rows(v, name)
 
 
 def _pick(values: np.ndarray, low: float) -> int:
@@ -144,10 +147,7 @@ def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     maximum cosine similarity to the current set. Candidates within TIE_EPS
     of that minimum tie, and the lowest index wins.
     """
-    v = np.asarray(v)
-    n = v.shape[0]
-    _validate(n, pivot, k)
-    rows = normalize_rows(v, "greedy_kcenter")
+    rows = _unit_rows(v, pivot, k, "greedy_kcenter")
     picks = _frontier_picks(rows, pivot, k)
     trace = [(pivot, -1.0), *picks]
     return RetentionSet(indices=tuple(i for i, _ in trace), trace=tuple(trace))
@@ -161,16 +161,13 @@ def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     candidate's maximum is taken over its column: O(n*k^2*d) in total, with
     nothing carried from one step to the next but the selected indices.
     """
-    v = np.asarray(v)
-    n = v.shape[0]
-    _validate(n, pivot, k)
-    rows = normalize_rows(v, "oracle_greedy")
+    rows = _unit_rows(v, pivot, k, "oracle_greedy")
 
     indices = [pivot]
     trace = [(pivot, -1.0)]
     # Each step overwrites its leading rows, so nothing carries over in it;
     # one allocation spares every step a newly sized temporary.
-    buf = np.empty((k, n))
+    buf = np.empty((k, len(rows)))
     for _ in range(k - 1):
         sims = np.matmul(rows[indices], rows.T, out=buf[:len(indices)])
         # Clipping is monotone, so clipping the n column maxima equals

@@ -7,29 +7,31 @@ manifest directory and must resolve inside it. No JSON object may give a
 key twice, and each object takes a closed set of keys: any other key is an
 error. Every validation failure names the offending entry or key.
 
-Each entry is checked completely on a thread pool with one worker per CPU
-the process may use, in one order: its JSON, its file, its role's shape
-rule against the layout, then its values block by block. Errors are taken
-in entry order, so a manifest fails at its first bad entry, with the same
-message, on any number of CPUs; an error raised in a check (such as
-``MemoryError``) keeps its type. The join then checks only the rules
-between entries: duplicates, a missing ``visual_embeddings``, and the
-widths of ``cls_vector``, ``wq`` and ``wk``.
+Each entry is checked completely by ``_map_entry``, on a thread pool with
+one worker per CPU the process may use, in one order: its JSON, its file,
+its role's shape rule against the layout, then its values block by block.
+Errors are taken in entry order, so a manifest fails at its first bad
+entry, with the same message, on any number of CPUs; an error raised in a
+check (such as ``MemoryError``) keeps its type. The join then checks only
+the rules between entries: duplicates, a missing ``visual_embeddings``,
+and the widths of ``cls_vector``, ``wq`` and ``wk``.
 
 Payloads are mapped read-only and every returned array is read-only. The
 scan keeps the partition masses of each attention payload and of each
 decode payload's query rows, so no later stage reads those payloads. The
 scan, the pivot and ``kcenter.normalize_rows`` each read a payload through
-``row_blocks``, which releases each block's pages once the caller is done
-with it; a later read faults them back in from the page cache. A payload
-must not be truncated or rewritten while a command runs: a read past the
-end of a truncated mapping ends the process with SIGBUS, not an error
-message.
+``row_blocks``, the one caller of ``release``: it releases each block's
+pages once the caller is done with it, and a transposed operand whole
+after its last block; a later read faults them back in from the page
+cache. A payload must not be truncated or rewritten while a command runs:
+a read past the end of a truncated mapping ends the process with SIGBUS,
+not an error message.
 """
 
 from __future__ import annotations
 
 import errno
+import functools
 import json
 import math
 import mmap
@@ -114,11 +116,11 @@ def _map_payload(base: Path, entry: dict, name: str) -> np.ndarray:
 
 def release(array: np.ndarray) -> None:
     """Drop from this process the resident pages under ``array``, a view of
-    a payload the loader mapped, once ``row_blocks``' caller or
-    ``pivot.cls_attention`` has read it. The pages stay in the page
-    cache, so a later read faults the same bytes back in. A no-op on a view
-    that is not C-contiguous (its data range spans other rows), on an empty
-    payload, on an array the loader did not map, and without MADV_DONTNEED."""
+    a payload the loader mapped, once ``row_blocks``' caller has read it. The
+    pages stay in the page cache, so a later read faults the same bytes back
+    in. A no-op on a view that is not C-contiguous (its data range spans
+    other rows), on an empty payload, on an array the loader did not map,
+    and without MADV_DONTNEED."""
     owner = array
     while isinstance(owner.base, np.ndarray):
         owner = owner.base
@@ -131,11 +133,15 @@ def release(array: np.ndarray) -> None:
 
 def row_blocks(array: np.ndarray):
     """Yield ``(start, block)`` over blocks of BLOCK_ROWS entries of the first
-    axis of ``array``, releasing each block when the caller asks for the next."""
+    axis of ``array``, releasing each block when the caller asks for the next
+    and, after the last, ``array.T`` whole if ``array`` is not C-contiguous
+    (a transposed payload, whose strided blocks ``release`` skips)."""
     for start in range(0, len(array), BLOCK_ROWS):
         block = array[start:start + BLOCK_ROWS]
         yield start, block
         release(block)
+    if not array.flags.c_contiguous:
+        release(array.T)
 
 
 def _scan(data: np.ndarray, role: str, name: str, layout: InputLayout) -> np.ndarray | None:
@@ -153,7 +159,7 @@ def _scan(data: np.ndarray, role: str, name: str, layout: InputLayout) -> np.nda
     masses = []
     # Numpy's error state is per thread, so it is set here, on the worker.
     with np.errstate(invalid="ignore", over="ignore"):  # +inf + -inf in one sum; float32 overflow
-        for start, block in row_blocks(data):
+        for start, block in row_blocks(np.atleast_2d(data)):  # a 1-D payload is one row
             part = partition_masses(block, layout) if layered else None
             if layered or not np.isfinite(block.sum()):
                 # An attention row's masses tile it, so their sum is its row sum.
@@ -192,12 +198,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _map_entry(base: Path, i: int, entry, layout: InputLayout,
-               plan: CompressionPlan) -> tuple[str, str, int | None, np.ndarray]:
-    """The checks on one entry that need no payload scan, in order: its JSON,
-    its file, and its role's shape rule against the layout (the widths of
-    cls_vector, wq and wk need visual's d, so the join checks them). Returns
-    the entry's name, role, layer (None for a role without one) and data."""
+def _map_entry(base: Path, layout: InputLayout, plan: CompressionPlan, i: int,
+               entry) -> tuple[str, str, int | None, np.ndarray, np.ndarray | None]:
+    """Every check on one entry, in order: its JSON, its file, its role's
+    shape rule against the layout (the join checks the widths of cls_vector,
+    wq and wk against visual's d), then its values. Returns the entry's name,
+    role, layer (None for a role without one), data and ``_scan``'s masses."""
     if not isinstance(entry, dict):
         raise EngineError(f"entry #{i}: must be a JSON object")
     name = entry.get("name", f"#{i}")
@@ -233,7 +239,7 @@ def _map_entry(base: Path, i: int, entry, layout: InputLayout,
                 f"entry {name!r}: decode rows shape {data.shape} narrower than prompt length {seq}")
         if data.shape[0] < 1:
             raise EngineError(f"entry {name!r}: decode rows need at least one row, got 0")
-    return name, role, layer, data
+    return name, role, layer, data, _scan(data, role, name, layout)
 
 
 def load_manifest(path) -> ManifestData:
@@ -259,10 +265,6 @@ def load_manifest(path) -> ManifestData:
     if not isinstance(entries, list):
         raise EngineError(f"manifest {path}: entries must be a list")
 
-    def check(i: int, entry) -> tuple:
-        name, role, layer, data = _map_entry(path.parent, i, entry, layout, plan)
-        return name, role, layer, data, _scan(data, role, name, layout)
-
     singletons: dict[str, np.ndarray] = {}
     layered: dict[str, dict[int, np.ndarray]] = {role: {} for role in _LAYERED_ROLES}
     reduced: dict[str, dict[int, np.ndarray]] = {role: {} for role in _LAYERED_ROLES}
@@ -272,7 +274,8 @@ def load_manifest(path) -> ManifestData:
     pool = ThreadPoolExecutor(_usable_cpus())
     try:
         # Results, and any error raised on the pool, come back in entry order.
-        for name, role, layer, data, masses in pool.map(check, range(len(entries)), entries):
+        for name, role, layer, data, masses in pool.map(
+                functools.partial(_map_entry, path.parent, layout, plan), range(len(entries)), entries):
             if role in _LAYERED_ROLES:
                 if layer in layered[role]:
                     raise EngineError(f"entry {name!r}: duplicate {role} for layer {layer}")
@@ -285,13 +288,11 @@ def load_manifest(path) -> ManifestData:
     finally:
         pool.shutdown(cancel_futures=True)
 
-    visual = singletons.get("visual_embeddings")
-    if visual is None:
+    if "visual_embeddings" not in singletons:
         raise EngineError(f"manifest {path}: no visual_embeddings entry")
-    d = visual.shape[1]
-    cls_vector = singletons.get("cls_vector")
-    if cls_vector is not None:
-        cls_vector = cls_vector.reshape(-1)
+    d = singletons["visual_embeddings"].shape[1]
+    if "cls_vector" in singletons:
+        cls_vector = singletons["cls_vector"] = singletons["cls_vector"].reshape(-1)
         if cls_vector.shape[0] != d:
             raise EngineError(f"cls_vector: length {cls_vector.shape[0]} != token width {d}")
     for role in ("wq", "wk"):
@@ -300,12 +301,9 @@ def load_manifest(path) -> ManifestData:
             raise EngineError(f"{role}: shape {w.shape} != ({d}, {d})")
 
     return ManifestData(
-        visual_embeddings=visual,
+        **singletons,  # the singleton roles are named as their fields
         layout=layout,
         plan=plan,
-        cls_vector=cls_vector,
-        wq=singletons.get("wq"),
-        wk=singletons.get("wk"),
         attention_masses=reduced["attention_layer_k"],
         decode_masses=reduced["decode_rows"],
         attention_layers=layered["attention_layer_k"],

@@ -7,12 +7,12 @@ products and one n x d, O(d^2 + n*d), instead of forming the n x d keys in
 O(n*d^2). Each is one ``_blocked_matvec``, over ``w_q.T``, ``w_k`` or ``z_v``,
 which casts one ``manifest.row_blocks`` block of the float32 operand to
 float64 at a time, each released after its product; ``w_q.T``'s blocks are
-strided, so ``w_q`` is released whole once ``q`` is formed. A block keeps
-each output element's reduction whole, so on every bench shape the logits
-equal the whole-array products bit for bit. Video logits are reshaped to one
-row per frame for one ``softmax_row`` call, so that frame-wise candidates are
-comparable before the cross-frame argmax. Inputs are validated by
-``load_manifest``.
+strided, so ``row_blocks`` releases ``w_q`` whole after the last one. A block
+keeps each output element's reduction whole, so on every bench shape the
+logits equal the whole-array products bit for bit. Video logits are reshaped
+to one row per frame for one ``softmax_row`` call, so that frame-wise
+candidates are comparable before the cross-frame argmax. Inputs are validated
+by ``load_manifest``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layout import KIND_ANYRES, KIND_VIDEO, InputLayout
-from .manifest import release, row_blocks
+from .manifest import row_blocks
 
 
 def softmax_row(scores: np.ndarray) -> np.ndarray:
@@ -54,7 +54,6 @@ def cls_attention(
     (frames, tokens_per_frame) with one softmax row per frame for video.
     """
     q = _blocked_matvec(np.asarray(w_q).T, np.asarray(z_cls, dtype=np.float64).reshape(-1))
-    release(np.asarray(w_q))  # whole: its strided column blocks above were not released
     logits = _blocked_matvec(np.asarray(z_v), _blocked_matvec(np.asarray(w_k), q))
     logits /= np.sqrt(len(q))
 

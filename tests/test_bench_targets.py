@@ -49,7 +49,7 @@ GREEDY_PAIR = ["kcenter.greedy", "tensors.normalize_rows",
                     "costmodel.stage_ratio", "relevance.decode_report", "report.build",
                     "report.emit"]),
     (["flops"], ["costmodel.stage_ratio", "report.build", "report.emit"]),
-    (["verify-lemma", "--trials", "100", "--bootstrap", "2"], ["theory.covariance", "report.emit"]),
+    (["verify-lemma", "--trials", "100"], ["theory.covariance", "report.emit"]),
     (["oracle-check", "--instances", "2", "--max-n", "4"], [*GREEDY_PAIR, *GREEDY_PAIR, "report.emit"]),
 ], ids=["pipeline", "flops", "verify-lemma", "oracle-check"])
 def test_bench_spans_per_command(tmp_path, rng, argv, names):

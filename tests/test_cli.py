@@ -391,14 +391,14 @@ def test_flops_encoder_override(tmp_path, capsys):
 
 def test_verify_lemma_subcommand(capsys):
     code, report = run_json(
-        ["verify-lemma", "--trials", "2000", "--bootstrap", "100", "--seed", "0"], capsys)
+        ["verify-lemma", "--trials", "2000", "--seed", "0"], capsys)
     assert code == 0
     assert report["within_3se"] is True
 
 
 def test_verify_lemma_negative_control(capsys):
     code, report = run_json(
-        ["verify-lemma", "--trials", "2000", "--bootstrap", "100", "--negative-control"],
+        ["verify-lemma", "--trials", "2000", "--negative-control"],
         capsys)
     assert code == 0
     assert report["within_3se"] is False
@@ -739,7 +739,7 @@ def test_oracle_check_bounds_exit_3(capsys, flag, value):
      "negative control requires n_text <= n_visual"),
 ], ids=["subspace-0", "subspace--1", "negative-control-text-m"])
 def test_verify_lemma_bounds_exit_3(capsys, argv, message):
-    code = main(["verify-lemma", "--trials", "100", "--bootstrap", "2", *argv])
+    code = main(["verify-lemma", "--trials", "100", *argv])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -803,8 +803,8 @@ BIG = "100000000000000000000"
 # arrays of the cases with a message are beyond the int64 address range
 # itself, so the engine refuses them before it allocates anything.
 @pytest.mark.parametrize("argv, message", [
-    (["verify-lemma", "--trials", "1000000000000000", "--bootstrap", "2"], None),
-    (["verify-lemma", "--dim", "35184372088832", "--trials", "100", "--bootstrap", "2"], None),
+    (["verify-lemma", "--trials", "1000000000000000"], None),
+    (["verify-lemma", "--dim", "35184372088832", "--trials", "100"], None),
     (["oracle-check", "--instances", "1", "--max-d", "4611686018427387904"],
      "--max-n, --max-d: a float64 array of 295147905179352825856 elements"),
     (["oracle-check", "--max-d", BIG],

@@ -39,14 +39,15 @@ def test_all_identical_lowest_index_ties():
     assert oracle_greedy(v, 0, 3).indices == (0, 1, 2)
 
 
-def test_invalid_k(rng):
+@pytest.mark.parametrize("select", [greedy_kcenter, oracle_greedy], ids=["greedy", "oracle"])
+def test_invalid_k(rng, select):
     v = rng.standard_normal((4, 2)).astype(np.float32)
     with pytest.raises(EngineError, match=r"^k=0 outside \[1, 4\]$"):
-        greedy_kcenter(v, 0, 0)
+        select(v, 0, 0)
     with pytest.raises(EngineError, match=r"^k=5 outside \[1, 4\]$"):
-        greedy_kcenter(v, 0, 5)
+        select(v, 0, 5)
     with pytest.raises(EngineError, match=r"^pivot index 7 outside \[0, 4\)$"):
-        greedy_kcenter(v, 7, 2)
+        select(v, 7, 2)
 
 
 def test_normalize_rows_reports_offending_row():

@@ -477,6 +477,28 @@ def test_row_blocks_releases_each_block_after_the_callers_body(monkeypatch):
     spans = [(0, 256), (256, 512), (512, 600)]
     assert events == [(event, s) for s in spans for event in ("body", "release")]
 
+    # The .T of a 600 x 300 array: its blocks are strided, so after the last
+    # one the untransposed array is released whole.
+    wide = np.arange(600.0 * 300).reshape(600, 300)
+    events = []
+    monkeypatch.setattr(manifest, "release", lambda view: events.append(("release", view)))
+    for start, block in manifest.row_blocks(wide.T):
+        events.append(("body", (start, start + len(block))))
+    assert [event for event, _ in events] == ["body", "release", "body", "release", "release"]
+    assert [s for event, s in events if event == "body"] == [(0, 256), (256, 300)]
+    assert events[-1][1].__array_interface__ == wide.__array_interface__  # same data, shape, strides
+
+
+def test_scan_releases_a_mapped_cls_vector_once(tmp_path, monkeypatch):
+    # A 1-D payload is one row: blocks of 256 values, each smaller than a
+    # page, would release the page the next block then faults back in.
+    write_tensor(tmp_path / "cls.bin", np.ones(4096, dtype=np.float32))
+    cls = manifest._map_payload(tmp_path, {"shape": [4096], "file": "cls.bin"}, "cls")
+    released = []
+    monkeypatch.setattr(manifest, "release", released.append)
+    assert manifest._scan(cls, "cls_vector", "cls", None) is None
+    assert len(released) == 1 and released[0].size == 4096 and np.shares_memory(released[0], cls)
+
 
 @pytest.mark.parametrize("seq", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3],
                          ids=["under-one-block", "one-block", "one-row-past", "three-blocks"])

@@ -71,10 +71,10 @@ CASES = {
                    "c760fe288abc62211cb3c907e5152d9732debc423e7c58b21c5349abb7e4107a"),
     "flops-csv": (["flops", "--report", "csv", "--reduced-n", "500", "--preset", "llava-next-13b"],
                   None, "538cbf4be60037c46445b205820693475a42d925d30e939bd480fc915faddc59"),
-    "verify-lemma": (["verify-lemma", "--trials", "500", "--bootstrap", "50", "--seed", "3"], None,
+    "verify-lemma": (["verify-lemma", "--trials", "500", "--seed", "3"], None,
                      "56f83e824e1ac15ce33cbe0c62c14cb99449f982af124989bf83176fb1b5e2c9"),
     "verify-lemma-negative-control": (
-        ["verify-lemma", "--trials", "500", "--bootstrap", "50", "--kernel", "shifted",
+        ["verify-lemma", "--trials", "500", "--kernel", "shifted",
          "--negative-control"], None,
         "933f457e0fd9e3c72b1ef8f56e1a24c99cd69400757c73f09d50ab7f2ef7cff6"),
     "oracle-check": (["oracle-check", "--instances", "20", "--max-n", "40", "--seed", "5"], None,

@@ -218,7 +218,7 @@ def test_experiment_joins_its_draw_thread(monkeypatch, capsys):
         return measure(*args, **kwargs)
 
     monkeypatch.setattr(theory, "redundancy_batch", fails_second)
-    code = main(["verify-lemma", "--trials", "25000", "--bootstrap", "2"])
+    code = main(["verify-lemma", "--trials", "25000"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -232,7 +232,7 @@ def test_report_bytes_do_not_depend_on_cpu_count():
     # Pinned before numpy is imported, so its BLAS also sees one CPU.
     pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
     run = ("import sys; from vtcomp.cli import main; "
-           "sys.exit(main(['verify-lemma', '--trials', '500', '--bootstrap', '50', '--seed', '3']))")
+           "sys.exit(main(['verify-lemma', '--trials', '500', '--seed', '3']))")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     unpinned, pinned = (subprocess.run([sys.executable, "-c", prefix + run], capture_output=True,
