@@ -183,7 +183,7 @@ def _scan(data: np.ndarray, role: str, name: str, layout: InputLayout) -> np.nda
     return masses
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the OS has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -271,7 +271,7 @@ def load_manifest(path) -> ManifestData:
     # Imported here: the import costs every command about 10 ms at startup.
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(_usable_cpus())
+    pool = ThreadPoolExecutor(usable_cpus())
     try:
         # Results, and any error raised on the pool, come back in entry order.
         for name, role, layer, data, masses in pool.map(

@@ -12,11 +12,12 @@ tokens back in as text, forcing shared variance. Both bases have dimension
 refuses as out of memory, naming the parameters, an array beyond the
 address space.
 
-After the bases, the trials are drawn in chunks, each chunk's visual
-tokens and then its text tokens. One worker thread draws the next chunk's
-visual tokens while the caller measures the current chunk; numpy's Generator
-releases the GIL while it fills an array. Every draw starts after the one
-before it ends, so the random stream, and every result, is a serial run's.
+After the bases, the trials are drawn in chunks of ``TRIAL_CHUNK``. Chunk i
+draws from its own stream, child i of ``SeedSequence(seed).spawn`` (Salmon
+et al., SC'11), so every result is the same on any number of CPUs. Each
+chunk is a task on a pool of one thread per usable CPU (numpy's Generator
+releases the GIL while it draws): it draws its visual tokens, then its text
+tokens (the control draws none), and measures them into its own slices.
 
 The sample covariance is a mean of the products p_i = (d_i - d̄)(r_i - r̄),
 so its standard error is the delta-method one, sqrt(var(p, ddof=1) / N): one
@@ -32,11 +33,12 @@ import numpy as np
 
 from .errors import EngineError, InternalInvariant, refuse_beyond_address_space
 from .kcenter import normalize_rows
+from .manifest import usable_cpus
 
 ORTHO_TOL = 1e-10
 KERNELS = ("cosine", "shifted")
-# Trials drawn per batch, and measured per sub-batch of it.
-TRIAL_CHUNK = 10000
+# Trials drawn per random stream, and measured per sub-batch of it.
+TRIAL_CHUNK = 5000
 MEASURE_BATCH = 1000
 
 
@@ -141,30 +143,28 @@ def covariance_experiment(
 
     d_all = np.empty(num_trials)
     r_all = np.empty(num_trials)
-    # Two visual buffers, so that the worker fills one while the caller
-    # measures the other, and one text buffer, filled on the caller.
-    visual = [np.empty((chunk, trial.n_visual, trial.ambient_dim)) for _ in range(2)]
-    text = np.empty((chunk, trial.n_text, trial.ambient_dim))
+    starts = range(0, num_trials, TRIAL_CHUNK)
+
+    def measure_chunk(done: int, stream: np.random.SeedSequence) -> None:
+        chunk_rng = np.random.default_rng(stream)
+        d, r = d_all[done:done + TRIAL_CHUNK], r_all[done:done + TRIAL_CHUNK]
+        v = chunk_rng.standard_normal((len(d), trial.n_visual, trial.ambient_dim))
+        t_tokens = (v[:, : trial.n_text, :] if negative_control
+                    else chunk_rng.standard_normal((len(d), trial.n_text, trial.ambient_dim)))
+        # Measured in sub-batches: a trial's measures do not depend on its batch.
+        for s in range(0, len(d), MEASURE_BATCH):
+            sub = slice(s, s + MEASURE_BATCH)
+            d[sub] = diversity_batch(v[sub], w_v, trial.kernel)
+            r[sub] = redundancy_batch(v[sub], t_tokens[sub], w_t, trial.kernel)
 
     # Imported here: at module level it would cost every command about 10 ms.
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1) as pool:
-        v = rng.standard_normal(out=visual[0])
-        for i, done in enumerate(range(0, num_trials, TRIAL_CHUNK)):
-            t_tokens = rng.standard_normal(out=text[:len(v)])
-            # The next chunk's visual tokens; after the last chunk, none.
-            ahead = pool.submit(rng.standard_normal, out=visual[1 - i % 2][:num_trials - done - len(v)])
-            if negative_control:
-                t_tokens = v[:, : trial.n_text, :]
-            # Measured in sub-batches: a trial's measures do not depend on its batch.
-            d, r = d_all[done:done + len(v)], r_all[done:done + len(v)]
-            for s in range(0, len(v), MEASURE_BATCH):
-                sub = slice(s, s + MEASURE_BATCH)
-                d[sub] = diversity_batch(v[sub], w_v, trial.kernel)
-                r[sub] = redundancy_batch(v[sub], t_tokens[sub], w_t, trial.kernel)
-            v = ahead.result()
-    # Freed now, the buffers stay out of the standard error's peak.
-    del v, t_tokens, ahead, visual, text
+    pool = ThreadPoolExecutor(min(usable_cpus(), len(starts)))
+    try:
+        # Results, and the first failing chunk's error, come back in chunk order.
+        list(pool.map(measure_chunk, starts, np.random.SeedSequence(trial.seed).spawn(len(starts))))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     dm = d_all - d_all.mean()
     rm = r_all - r_all.mean()

@@ -1,9 +1,10 @@
 """Referees for the array-at-a-time code: the covering radius of a
 center set and the brute-force optimum it is compared against in the
 2-approximation check (Gonzalez 1985), a loop-at-a-time version of
-`oracle_greedy`, and two referees for the lemma's closed-form standard
-error: the same formula one trial at a time, and a bootstrap gathered by
-index, which estimates the same quantity by Monte Carlo.
+`oracle_greedy`, a serial replay of the lemma's per-chunk random streams,
+and two referees for the lemma's closed-form standard error: the same
+formula one trial at a time, and a bootstrap gathered by index, which
+estimates the same quantity by Monte Carlo.
 """
 
 import math
@@ -82,23 +83,27 @@ def nested_loop_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
 
 
 def replay_measures(trial, num_trials: int, negative_control: bool):
-    """(random generator, diversity, redundancy) of covariance_experiment,
-    replayed on the same random stream one whole chunk at a time; the
-    generator is left where the trial draws end."""
-    rng = np.random.default_rng(trial.seed)
-    w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.subdim, trial.subdim)
+    """(diversity, redundancy) of covariance_experiment, replayed serially
+    with no pool: the bases from the trial seed's generator, then each whole
+    chunk of trials from its own stream, child i of the seed's
+    SeedSequence spawned once per chunk."""
+    w_v, w_t = make_orthogonal_bases(np.random.default_rng(trial.seed), trial.ambient_dim,
+                                     trial.subdim, trial.subdim)
     if negative_control:
         w_t = w_v
+    starts = range(0, num_trials, TRIAL_CHUNK)
     d_parts, r_parts = [], []
-    for done in range(0, num_trials, TRIAL_CHUNK):
+    for done, stream in zip(starts, np.random.SeedSequence(trial.seed).spawn(len(starts))):
+        rng = np.random.default_rng(stream)
         b = min(TRIAL_CHUNK, num_trials - done)
         v = rng.standard_normal((b, trial.n_visual, trial.ambient_dim))
-        t_tokens = rng.standard_normal((b, trial.n_text, trial.ambient_dim))
         if negative_control:
             t_tokens = v[:, : trial.n_text, :]
+        else:
+            t_tokens = rng.standard_normal((b, trial.n_text, trial.ambient_dim))
         d_parts.append(diversity_batch(v, w_v, trial.kernel))
         r_parts.append(redundancy_batch(v, t_tokens, w_t, trial.kernel))
-    return rng, np.concatenate(d_parts), np.concatenate(r_parts)
+    return np.concatenate(d_parts), np.concatenate(r_parts)
 
 
 def sample_covariance(d_all: np.ndarray, r_all: np.ndarray) -> float:
@@ -122,10 +127,11 @@ def loop_standard_error(d_all: np.ndarray, r_all: np.ndarray) -> float:
 def gather_bootstrap_experiment(trial, num_trials: int, negative_control: bool,
                                 resamples: int) -> tuple[float, float]:
     """(sample covariance, bootstrap standard error) of the measures of
-    covariance_experiment, each resample gathered by index from the random
-    stream that follows the trial draws."""
-    rng, d_all, r_all = replay_measures(trial, num_trials, negative_control)
+    covariance_experiment, each resample gathered by index from a resampling
+    generator of its own, seeded with the trial seed."""
+    d_all, r_all = replay_measures(trial, num_trials, negative_control)
     sample_cov = sample_covariance(d_all, r_all)
+    rng = np.random.default_rng(trial.seed)
 
     boot = np.empty(resamples)
     for i in range(resamples):

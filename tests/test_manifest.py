@@ -355,7 +355,7 @@ def test_layer_errors_reported_in_entry_order(tmp_path, rng, first, second, name
 
 
 def test_load_joins_its_scan_threads(tmp_path, rng, monkeypatch):
-    monkeypatch.setattr(manifest, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(manifest, "usable_cpus", lambda: 4)
     attention = {layer: row_stochastic(rng, 14) for layer in (4, 5, 6, 7)}
     path = build_manifest(tmp_path, attention=attention)
     before = threading.active_count()
@@ -407,7 +407,7 @@ def test_each_payload_scanned_once_by_more_threads_than_cores(tmp_path, rng, mon
         return scan(data, *args)
 
     monkeypatch.setattr(manifest, "_scan", counted_scan)
-    monkeypatch.setattr(manifest, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(manifest, "usable_cpus", lambda: 8)
     loaded = {}
     caller = threading.Thread(target=lambda: loaded.update(md=load_manifest(path)))
     interval = sys.getswitchinterval()

@@ -72,11 +72,11 @@ CASES = {
     "flops-csv": (["flops", "--report", "csv", "--reduced-n", "500", "--preset", "llava-next-13b"],
                   None, "538cbf4be60037c46445b205820693475a42d925d30e939bd480fc915faddc59"),
     "verify-lemma": (["verify-lemma", "--trials", "500", "--seed", "3"], None,
-                     "56f83e824e1ac15ce33cbe0c62c14cb99449f982af124989bf83176fb1b5e2c9"),
+                     "f8ca0ea056aa01adc1feb620569fbf8164e745fca8b65538c90f4a742950e645"),
     "verify-lemma-negative-control": (
         ["verify-lemma", "--trials", "500", "--kernel", "shifted",
          "--negative-control"], None,
-        "933f457e0fd9e3c72b1ef8f56e1a24c99cd69400757c73f09d50ab7f2ef7cff6"),
+        "9e5c31d1d88b5b76962389ece6c203160581c7be3dc84286424d6b4328f58f32"),
     "oracle-check": (["oracle-check", "--instances", "20", "--max-n", "40", "--seed", "5"], None,
                      "835807acaffdb2b7a9522da2a3d6cda95c1f4270f34f9ce41bce3623921206cb"),
 }

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import cosine_similarity
 from oracles import (
     gather_bootstrap_experiment,
@@ -114,6 +115,18 @@ def test_shifted_kernel_is_nonnegative():
     assert 0.0 <= res["redundancy_mean"] <= 1.0
 
 
+@pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
+def test_shifted_kernel_is_a_quarter_of_cosine(negative_control):
+    # (1 + cos) / 2 is an affine image of cos with slope 1/2 in both measures,
+    # so on the same draws the covariance and its error scale by exactly 1/4.
+    cosine, shifted = (covariance_experiment(LemmaTrial(kernel=kernel, seed=0), 20000,
+                                             negative_control=negative_control)
+                       for kernel in ("cosine", "shifted"))
+    for key in ("sample_covariance", "standard_error"):
+        assert shifted[key] == pytest.approx(cosine[key] / 4, rel=1e-12, abs=0.0)
+    assert shifted["within_3se"] == cosine["within_3se"]
+
+
 def test_covariance_near_zero_under_orthogonality():
     res = covariance_experiment(LemmaTrial(seed=0), 20000)
     assert abs(res["sample_covariance"]) <= 3.0 * res["standard_error"]
@@ -148,13 +161,14 @@ def test_trial_guards():
 @pytest.mark.parametrize("kernel", ["cosine", "shifted"])
 @pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
 def test_standard_error_matches_per_trial_loop(kernel, negative_control):
-    # 100 trials are below one TRIAL_CHUNK, 10000 are exactly one, and 12000
-    # and 25001 end in a ragged chunk. The covariance is the replay's bit for
-    # bit; the error matches the loop's Python-float sums within rounding.
+    # 100 trials are below one TRIAL_CHUNK of 5000, 5000 are exactly one,
+    # 15000 are three whole chunks, and 22501 end in a ragged chunk. The
+    # covariance is the serial replay's bit for bit; the error matches the
+    # loop's Python-float sums within rounding.
     trial = LemmaTrial(kernel=kernel, seed=5)
-    for num_trials in (100, 10000, 12000, 25001):
+    for num_trials in (100, 5000, 15000, 22501):
         res = covariance_experiment(trial, num_trials, negative_control=negative_control)
-        _, d_all, r_all = replay_measures(trial, num_trials, negative_control)
+        d_all, r_all = replay_measures(trial, num_trials, negative_control)
         assert res["sample_covariance"] == sample_covariance(d_all, r_all)
         assert res["standard_error"] == pytest.approx(loop_standard_error(d_all, r_all),
                                                       rel=1e-12, abs=0.0)
@@ -202,40 +216,79 @@ def test_measures_do_not_depend_on_their_batch(rng, kernel):
         assert np.array_equal(redundancy[a:b], redundancy_batch(v[a:b], t[a:b], w_t, kernel))
 
 
-def test_experiment_joins_its_draw_thread(monkeypatch, capsys):
+def test_experiment_joins_its_pool_threads(monkeypatch, capsys):
     before = threading.active_count()
     covariance_experiment(LemmaTrial(seed=2), 25000)
     assert threading.active_count() == before
-    # The second measure fails while the worker draws ahead; the error
-    # reaches the caller with its own type once the worker is joined.
+    # Chunks 1 and 3 of five fail in a measure on the pool's workers, chunk 3
+    # first. The error of chunk 1, the lower-numbered, reaches the caller with
+    # its own type once every worker is joined.
+    streams = np.random.SeedSequence(0).spawn(5)
+    first_draw = {np.random.default_rng(s).standard_normal(): i for i, s in enumerate(streams)}
     measure = theory.redundancy_batch
     raised_on = []
+    chunk_3_raised = threading.Event()
 
-    def fails_second(*args, **kwargs):
-        raised_on.append(threading.current_thread())
-        if len(raised_on) == 2:
-            raise MemoryError("measure")
-        return measure(*args, **kwargs)
+    def fails_in_chunks_1_and_3(v, *args, **kwargs):
+        chunk = first_draw.get(v[0, 0, 0])
+        if chunk in (1, 3):
+            raised_on.append(threading.current_thread())
+            if chunk == 3:
+                chunk_3_raised.set()
+            else:
+                chunk_3_raised.wait(timeout=30)
+            raise MemoryError(f"chunk {chunk}")
+        return measure(v, *args, **kwargs)
 
-    monkeypatch.setattr(theory, "redundancy_batch", fails_second)
+    monkeypatch.setattr(theory, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(theory, "redundancy_batch", fails_in_chunks_1_and_3)
     code = main(["verify-lemma", "--trials", "25000"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == "vtcomp verify-lemma: error: out of memory: measure\n"
-    assert raised_on == [threading.current_thread()] * 2
+    assert captured.err == "vtcomp verify-lemma: error: out of memory: chunk 1\n"
+    assert chunk_3_raised.is_set()
+    assert len(raised_on) == 2 and threading.current_thread() not in raised_on
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
+def test_chunks_on_more_workers_than_cores_match_the_serial_replay(monkeypatch, negative_control):
+    # 23 chunks of 100 trials, the last ragged, on 8 workers that switch as
+    # often as the interpreter allows: a chunk writing outside its own slices,
+    # or a slice left unwritten, breaks the bit-for-bit replay.
+    for module in (theory, oracles):
+        monkeypatch.setattr(module, "TRIAL_CHUNK", 100)
+    monkeypatch.setattr(theory, "usable_cpus", lambda: 8)
+    trial, num_trials, results = LemmaTrial(seed=7), 2250, {}
+    caller = threading.Thread(target=lambda: results.update(res=covariance_experiment(
+        trial, num_trials, negative_control=negative_control)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    d_all, r_all = replay_measures(trial, num_trials, negative_control)
+    assert results["res"]["sample_covariance"] == sample_covariance(d_all, r_all)
+    assert results["res"]["diversity_mean"] == float(d_all.mean())
+    assert results["res"]["redundancy_mean"] == float(r_all.mean())
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_report_bytes_do_not_depend_on_cpu_count():
     # Pinned before numpy is imported, so its BLAS also sees one CPU.
     pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-    run = ("import sys; from vtcomp.cli import main; "
-           "sys.exit(main(['verify-lemma', '--trials', '500', '--seed', '3']))")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    unpinned, pinned = (subprocess.run([sys.executable, "-c", prefix + run], capture_output=True,
-                                       check=True, env=env).stdout for prefix in ("", pin))
-    assert unpinned.startswith(b'{"engine_version"')
-    assert pinned == unpinned
+    # 500 trials are one chunk; 12000 are two whole chunks and a ragged one,
+    # which an unpinned run measures on more than one worker.
+    for trials in ("500", "12000"):
+        run = ("import sys; from vtcomp.cli import main; "
+               f"sys.exit(main(['verify-lemma', '--trials', '{trials}', '--seed', '3']))")
+        unpinned, pinned = (subprocess.run([sys.executable, "-c", prefix + run], capture_output=True,
+                                           check=True, env=env).stdout for prefix in ("", pin))
+        assert unpinned.startswith(b'{"engine_version"')
+        assert pinned == unpinned
