@@ -39,11 +39,11 @@ from .theory import KERNELS, LemmaTrial, covariance_experiment
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-# oracle-check runs the oracle at k = n: n - 1 steps, each one (step x n)
-# matrix product. Warm on a 2-core Xeon with OpenBLAS, the default 200
-# instances take about 0.26 s, one at n = 512, d = 16 about 0.12 s (0.16-0.17 s
-# as a process's first call), and one at --max-n 512 about 0.05 s on average, so
-# the instance cap bounds a run to about 8 min.
+# oracle-check runs the oracle at k = n: one (n x n) Gram, then n - 1 steps,
+# each a max over (step x n) of its rows. Warm on a 2-core Xeon with OpenBLAS,
+# the default 200 instances take about 0.06 s, one at n = 512, d = 16 about
+# 0.07 s (also as a process's first call), and one at --max-n 512 about 0.017 s
+# on average, so the instance cap bounds a run to about 3 min.
 ORACLE_MAX_N = 512
 ORACLE_MAX_INSTANCES = 10_000
 

@@ -7,9 +7,10 @@ small frontier of the least-covered tokens is kept exact through its own
 clipped Gram matrix, one row of which updates it per pick: O(n*k*d) in the
 flushes plus O(|frontier|^2*d) per rebuild and O(|frontier|) per pick. A tie
 class too large for that Gram is flushed pick by pick, O(n*d) each. The
-oracle, `oracle_greedy`, deliberately avoids that incremental state: at each
-step it recomputes every selected/candidate similarity from scratch as one
-(selected x n) matrix product. Its size guard lives in `oracle-check`, its
+oracle, `oracle_greedy`, deliberately avoids that incremental state: it
+forms one clipped (n x n) float64 Gram matrix, and at each step takes every
+candidate's maximum afresh over the Gram rows of the selected tokens,
+O(n^2*d + k^2*n) in all. Its size guard lives in `oracle-check`, its
 only CLI caller. Both paths break ties by one rule, `_pick`. `normalize_rows`
 takes leading batch axes, and the lemma check in `theory` normalises its
 tokens with it.
@@ -156,26 +157,24 @@ def greedy_kcenter(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
 def oracle_greedy(v: np.ndarray, pivot: int, k: int) -> RetentionSet:
     """Same contract as greedy_kcenter, recomputed without incremental state.
 
-    At every step the similarities of all selected tokens to all tokens are
-    evaluated afresh as one (selected x n) matrix product, and each
-    candidate's maximum is taken over its column: O(n*k^2*d) in total, with
-    nothing carried from one step to the next but the selected indices.
+    Every similarity is formed once, in an (n x n) clipped float64 Gram
+    matrix. At every step each candidate's maximum is taken afresh over the
+    Gram rows of the selected tokens, with nothing carried from one step to
+    the next but the selected indices: O(n^2*d + k^2*n) in total.
     """
     rows = _unit_rows(v, pivot, k, "oracle_greedy")
+    gram = rows @ rows.T
+    np.clip(gram, -1.0, 1.0, out=gram)
 
-    indices = [pivot]
+    order = np.empty(k, dtype=np.intp)
+    order[0] = pivot
     trace = [(pivot, -1.0)]
-    # Each step overwrites its leading rows, so nothing carries over in it;
-    # one allocation spares every step a newly sized temporary.
-    buf = np.empty((k, len(rows)))
-    for _ in range(k - 1):
-        sims = np.matmul(rows[indices], rows.T, out=buf[:len(indices)])
-        # Clipping is monotone, so clipping the n column maxima equals
-        # taking the maxima of the clipped matrix.
-        max_sims = np.clip(sims.max(axis=0), -1.0, 1.0)
-        max_sims[indices] = np.inf
+    for step in range(1, k):
+        chosen = order[:step]
+        max_sims = gram[chosen].max(axis=0)
+        max_sims[chosen] = np.inf
         best_idx = _pick(max_sims, max_sims.min())
-        indices.append(best_idx)
+        order[step] = best_idx
         trace.append((best_idx, float(max_sims[best_idx])))
 
-    return RetentionSet(indices=tuple(indices), trace=tuple(trace))
+    return RetentionSet(indices=tuple(order.tolist()), trace=tuple(trace))

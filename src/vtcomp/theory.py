@@ -89,13 +89,19 @@ def _kernel(cos: np.ndarray, kernel: str) -> np.ndarray:
     return cos
 
 
+def token_mean(u: np.ndarray) -> np.ndarray:
+    """u.mean(axis=1) of a (trials, tokens, width) batch of unit rows, bit for bit: both add
+    tokens in order, except that at width 1 mean adds pairwise, exact on rows of +-1."""
+    return np.einsum("bnj->bj", u) / u.shape[1]
+
+
 def diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
     """Diversity of each trial in a (trials, n_visual, ambient) batch: the mean
     pairwise kernel over projected tokens, diagonal excluded. For unit rows
     u_i, sum_{i != j} u_i . u_j = |sum_i u_i|^2 - n, and both kernels are
-    affine, so the mean row gives the measure."""
+    affine, so the mean row (``token_mean``) gives the measure."""
     n = v.shape[1]
-    mean = normalize_rows(v @ w_v, "diversity_measure").mean(axis=1)
+    mean = token_mean(normalize_rows(v @ w_v, "diversity_measure"))
     return _kernel((n * (mean * mean).sum(axis=1) - 1) / (n - 1), kernel)
 
 
@@ -103,9 +109,9 @@ def redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
                      kernel: str) -> np.ndarray:
     """Redundancy of each trial in a batch of visual and text token sets: the
     mean over visual tokens of the mean kernel to all projected text tokens,
-    which is the kernel of the product of the two mean rows."""
-    pvt = normalize_rows(v @ w_t, "cross_redundancy_measure (visual)").mean(axis=1)
-    pt = normalize_rows(t_tokens @ w_t, "cross_redundancy_measure (text)").mean(axis=1)
+    which is the kernel of the product of the two mean rows (``token_mean``)."""
+    pvt = token_mean(normalize_rows(v @ w_t, "cross_redundancy_measure (visual)"))
+    pt = token_mean(normalize_rows(t_tokens @ w_t, "cross_redundancy_measure (text)"))
     return _kernel((pvt * pt).sum(axis=1), kernel)
 
 

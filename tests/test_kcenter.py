@@ -115,6 +115,20 @@ def test_greedy_holds_one_float64_copy_of_its_rows(k):
     assert peak <= 1.6 * v.size * 8
 
 
+def test_oracle_holds_one_gram():
+    # The n x n float64 Gram is 2 MB at n = 512, whatever k is; the last
+    # step's rows of it are the one other array that size.
+    n = 512
+    v = np.random.default_rng(0).standard_normal((n, 16)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        oracle_greedy(v, 0, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
+
+
 def test_greedy_matches_oracle_random_sample(rng):
     for _ in range(40):
         n = int(rng.integers(2, 24))
@@ -265,13 +279,15 @@ def test_zero_padding_crosses_regimes_without_changing_picks():
 
 
 def test_oracle_matches_nested_loop_referee():
-    # Exact and near duplicates, with n <= d and n > d: the one-product-per-
-    # step oracle must pick what the per-candidate loop picks.
-    for seed in range(120):
+    # Random rows, exact and near duplicates, and lattice and repeated basis
+    # rows, whose cosines tie exactly, with n <= d and n > d: the one-Gram
+    # oracle must pick what the per-candidate loop picks.
+    draws = (random_rows, near_duplicates, near_duplicates, lattice, repeated_basis)
+    for seed in range(200):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 33))
         d = int(rng.integers(n, n + 20)) if seed % 2 else int(rng.integers(2, n))
-        v = near_duplicates(rng, n, d) if seed % 3 else rng.standard_normal((n, d)).astype(np.float32)
+        v = draws[seed % 5](rng, n, d)
         pivot = int(rng.integers(0, n))
         k = int(rng.integers(1, n + 1))
         fast, slow = oracle_greedy(v, pivot, k), nested_loop_greedy(v, pivot, k)

@@ -77,6 +77,10 @@ CASES = {
         ["verify-lemma", "--trials", "500", "--kernel", "shifted",
          "--negative-control"], None,
         "9e5c31d1d88b5b76962389ece6c203160581c7be3dc84286424d6b4328f58f32"),
+    # Width 1, 40 tokens: u.mean sums these pairwise, not in order.
+    "verify-lemma-width-1": (["verify-lemma", "--subspace", "1", "--dim", "8", "--visual-n", "40",
+                              "--text-m", "12", "--trials", "2000"], None,
+                             "5f7e5ed549b8f722aa3e07f8fb9df305f97c13588c0a4baec1dabc6ac49feb93"),
     "oracle-check": (["oracle-check", "--instances", "20", "--max-n", "40", "--seed", "5"], None,
                      "835807acaffdb2b7a9522da2a3d6cda95c1f4270f34f9ce41bce3623921206cb"),
 }

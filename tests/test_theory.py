@@ -18,6 +18,7 @@ from oracles import (
 from vtcomp import theory
 from vtcomp.cli import main
 from vtcomp.errors import EngineError, InternalInvariant
+from vtcomp.kcenter import normalize_rows
 from vtcomp.theory import (
     LemmaTrial,
     check_orthogonality,
@@ -25,6 +26,7 @@ from vtcomp.theory import (
     diversity_batch,
     make_orthogonal_bases,
     redundancy_batch,
+    token_mean,
 )
 
 
@@ -92,6 +94,15 @@ def test_redundancy_matches_double_loop(rng):
     pt = t @ w_t
     acc = np.mean([[cosine_similarity(pv[i], pt[j]) for j in range(3)] for i in range(5)])
     assert redundancy_batch(v[None], t[None], w_t, "cosine")[0] == pytest.approx(acc, abs=1e-6)
+
+
+@pytest.mark.parametrize("trials, tokens, width", [
+    (1, 2, 1), (1000, 9, 1), (1000, 300, 1), (7, 17, 2), (1000, 2, 64), (100, 300, 64), (1, 300, 64),
+    (1000, 129, 3), (5, 64, 16)])
+def test_token_mean_is_the_mean_bit_for_bit(rng, trials, tokens, width):
+    # At width 1 and 9 or more tokens u.mean sums pairwise, not in order.
+    u = normalize_rows(rng.standard_normal((trials, tokens, width)))
+    assert np.array_equal(token_mean(u), u.mean(axis=1))
 
 
 def test_measures_stay_in_range(rng):
