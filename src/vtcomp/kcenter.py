@@ -86,7 +86,7 @@ def _unit_rows(v, pivot: int, k: int, name: str) -> np.ndarray:
 
 def _pick(values: np.ndarray, low: float) -> int:
     """Lowest index among the values within TIE_EPS of their minimum, low."""
-    return int(np.argmax(values <= low + TIE_EPS))
+    return int((values <= low + TIE_EPS).argmax())
 
 
 def _frontier_picks(rows: np.ndarray, pivot: int, k: int):

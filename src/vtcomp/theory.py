@@ -16,8 +16,11 @@ After the bases, the trials are drawn in chunks of ``TRIAL_CHUNK``. Chunk i
 draws from its own stream, child i of ``SeedSequence(seed).spawn`` (Salmon
 et al., SC'11), so every result is the same on any number of CPUs. Each
 chunk is a task on a pool of one thread per usable CPU (numpy's Generator
-releases the GIL while it draws): it draws its visual tokens, then its text
-tokens (the control draws none), and measures them into its own slices.
+releases the GIL while it draws). Holding ``MEASURE_BATCH`` trials' tokens
+at a time, it draws every sub-batch's visual tokens, keeping their mean rows
+on W_T, then every sub-batch's text tokens (the control draws none). Split
+fills draw the values of one whole fill, and a trial's measures do not
+depend on its batch, so the results are those of whole-chunk draws.
 
 The sample covariance is a mean of the products p_i = (d_i - d̄)(r_i - r̄),
 so its standard error is the delta-method one, sqrt(var(p, ddof=1) / N): one
@@ -37,7 +40,7 @@ from .manifest import usable_cpus
 
 ORTHO_TOL = 1e-10
 KERNELS = ("cosine", "shifted")
-# Trials drawn per random stream, and measured per sub-batch of it.
+# Trials per random stream, which fix the bits, and per sub-batch, which bound a worker's memory.
 TRIAL_CHUNK = 5000
 MEASURE_BATCH = 1000
 
@@ -95,31 +98,31 @@ def token_mean(u: np.ndarray) -> np.ndarray:
     return np.einsum("bnj->bj", u) / u.shape[1]
 
 
+def projected_mean(tokens: np.ndarray, w: np.ndarray, name: str) -> np.ndarray:
+    """Mean row (``token_mean``) of each trial's tokens projected on w and scaled to unit rows."""
+    return token_mean(normalize_rows(tokens @ w, name))
+
+
 def diversity_batch(v: np.ndarray, w_v: np.ndarray, kernel: str) -> np.ndarray:
     """Diversity of each trial in a (trials, n_visual, ambient) batch: the mean
     pairwise kernel over projected tokens, diagonal excluded. For unit rows
     u_i, sum_{i != j} u_i . u_j = |sum_i u_i|^2 - n, and both kernels are
-    affine, so the mean row (``token_mean``) gives the measure."""
+    affine, so the mean row (``projected_mean``) gives the measure."""
     n = v.shape[1]
-    mean = token_mean(normalize_rows(v @ w_v, "diversity_measure"))
+    mean = projected_mean(v, w_v, "diversity_measure")
     return _kernel((n * (mean * mean).sum(axis=1) - 1) / (n - 1), kernel)
 
 
-def redundancy_batch(v: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
+def redundancy_batch(visual_mean: np.ndarray, t_tokens: np.ndarray, w_t: np.ndarray,
                      kernel: str) -> np.ndarray:
-    """Redundancy of each trial in a batch of visual and text token sets: the
-    mean over visual tokens of the mean kernel to all projected text tokens,
-    which is the kernel of the product of the two mean rows (``token_mean``)."""
-    pvt = token_mean(normalize_rows(v @ w_t, "cross_redundancy_measure (visual)"))
-    pt = token_mean(normalize_rows(t_tokens @ w_t, "cross_redundancy_measure (text)"))
-    return _kernel((pvt * pt).sum(axis=1), kernel)
+    """Redundancy of each trial: the mean kernel from its visual to its text tokens on W_T,
+    the kernel of the product of their ``projected_mean`` rows, the visual row passed in."""
+    text_mean = projected_mean(t_tokens, w_t, "cross_redundancy_measure (text)")
+    return _kernel((visual_mean * text_mean).sum(axis=1), kernel)
 
 
-def covariance_experiment(
-    trial: LemmaTrial,
-    num_trials: int,
-    negative_control: bool = False,
-) -> dict:
+def covariance_experiment(trial: LemmaTrial, num_trials: int,
+                          negative_control: bool = False) -> dict:
     """Sample covariance of the two measures over independent trials, with
     its delta-method standard error. Deterministic for a fixed trial seed.
 
@@ -128,12 +131,12 @@ def covariance_experiment(
     first tokens of the visual set, so both measures are driven by the same
     projected coordinates.
     """
-    # Each array's first allocation, in order, checked in Python ints.
-    chunk = min(TRIAL_CHUNK, num_trials)
+    # Each array's first allocation, in order, in Python ints (the mean rows fit if the bases do).
+    batch = min(MEASURE_BATCH, num_trials)
     for names, count in (("ambient_dim, subdim", trial.ambient_dim * 2 * trial.subdim),
                          ("num_trials", num_trials),
-                         ("n_visual, ambient_dim", chunk * trial.n_visual * trial.ambient_dim),
-                         ("n_text, ambient_dim", chunk * trial.n_text * trial.ambient_dim)):
+                         ("n_visual, ambient_dim", batch * trial.n_visual * trial.ambient_dim),
+                         ("n_text, ambient_dim", batch * trial.n_text * trial.ambient_dim)):
         refuse_beyond_address_space(names, count)
     if num_trials < 100:
         raise EngineError(f"covariance_experiment: need >= 100 trials, got {num_trials}")
@@ -147,21 +150,24 @@ def covariance_experiment(
     else:
         check_orthogonality(w_v, w_t)
 
-    d_all = np.empty(num_trials)
-    r_all = np.empty(num_trials)
+    d_all, r_all = np.empty(num_trials), np.empty(num_trials)
     starts = range(0, num_trials, TRIAL_CHUNK)
 
     def measure_chunk(done: int, stream: np.random.SeedSequence) -> None:
         chunk_rng = np.random.default_rng(stream)
         d, r = d_all[done:done + TRIAL_CHUNK], r_all[done:done + TRIAL_CHUNK]
-        v = chunk_rng.standard_normal((len(d), trial.n_visual, trial.ambient_dim))
-        t_tokens = (v[:, : trial.n_text, :] if negative_control
-                    else chunk_rng.standard_normal((len(d), trial.n_text, trial.ambient_dim)))
-        # Measured in sub-batches: a trial's measures do not depend on its batch.
-        for s in range(0, len(d), MEASURE_BATCH):
-            sub = slice(s, s + MEASURE_BATCH)
-            d[sub] = diversity_batch(v[sub], w_v, trial.kernel)
-            r[sub] = redundancy_batch(v[sub], t_tokens[sub], w_t, trial.kernel)
+        subs = [slice(s, s + MEASURE_BATCH) for s in range(0, len(d), MEASURE_BATCH)]
+        visual_means = np.empty((len(d), trial.subdim))
+        # The stream's order: every sub-batch's visual tokens, then every one's text tokens.
+        for sub in subs:
+            v = chunk_rng.standard_normal((len(d[sub]), trial.n_visual, trial.ambient_dim))
+            d[sub] = diversity_batch(v, w_v, trial.kernel)
+            visual_means[sub] = projected_mean(v, w_t, "cross_redundancy_measure (visual)")
+            if negative_control:
+                r[sub] = redundancy_batch(visual_means[sub], v[:, :trial.n_text], w_t, trial.kernel)
+        for sub in subs if not negative_control else ():
+            t_tokens = chunk_rng.standard_normal((len(d[sub]), trial.n_text, trial.ambient_dim))
+            r[sub] = redundancy_batch(visual_means[sub], t_tokens, w_t, trial.kernel)
 
     # Imported here: at module level it would cost every command about 10 ms.
     from concurrent.futures import ThreadPoolExecutor
@@ -172,9 +178,7 @@ def covariance_experiment(
     finally:
         pool.shutdown(cancel_futures=True)
 
-    dm = d_all - d_all.mean()
-    rm = r_all - r_all.mean()
-    p = dm * rm
+    p = (d_all - d_all.mean()) * (r_all - r_all.mean())
     sample_cov = float(p.sum() / (num_trials - 1))
     standard_error = float(np.sqrt(p.var(ddof=1) / num_trials))
 

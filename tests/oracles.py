@@ -14,7 +14,8 @@ import numpy as np
 
 from vtcomp.errors import EngineError
 from vtcomp.kcenter import TIE_EPS, RetentionSet, normalize_rows
-from vtcomp.theory import TRIAL_CHUNK, diversity_batch, make_orthogonal_bases, redundancy_batch
+from vtcomp.theory import (TRIAL_CHUNK, diversity_batch, make_orthogonal_bases, projected_mean,
+                           redundancy_batch)
 
 EXHAUSTIVE_MAX_N = 12
 EXHAUSTIVE_MAX_K = 5
@@ -102,7 +103,7 @@ def replay_measures(trial, num_trials: int, negative_control: bool):
         else:
             t_tokens = rng.standard_normal((b, trial.n_text, trial.ambient_dim))
         d_parts.append(diversity_batch(v, w_v, trial.kernel))
-        r_parts.append(redundancy_batch(v, t_tokens, w_t, trial.kernel))
+        r_parts.append(redundancy_batch(projected_mean(v, w_t, "visual"), t_tokens, w_t, trial.kernel))
     return np.concatenate(d_parts), np.concatenate(r_parts)
 
 

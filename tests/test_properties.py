@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +207,20 @@ def test_mutated_manifest_exits_0_or_3(valid_manifest, data, command):
         _assert_valid_report(report)
     else:
         assert out == "" and f"vtcomp {command}: error: " in err
+
+
+def test_a_failing_property_is_reported_as_a_failure(tmp_path):
+    # Under the project's warning filters, a failing hypothesis test must count
+    # as one failure, not end the session in an INTERNALERROR that hides the rest.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n", encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+                          "--rootdir", str(tmp_path), "test_fails.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert "1 failed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

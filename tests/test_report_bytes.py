@@ -81,6 +81,15 @@ CASES = {
     "verify-lemma-width-1": (["verify-lemma", "--subspace", "1", "--dim", "8", "--visual-n", "40",
                               "--text-m", "12", "--trials", "2000"], None,
                              "5f7e5ed549b8f722aa3e07f8fb9df305f97c13588c0a4baec1dabc6ac49feb93"),
+    # Three chunks, the last ragged (2345 trials), and a ragged last sub-batch of 345.
+    "verify-lemma-ragged-sub-batch": (["verify-lemma", "--trials", "12345", "--seed", "5",
+                                       "--visual-n", "7", "--text-m", "3", "--dim", "12",
+                                       "--subspace", "5"], None,
+                                      "45fecdf0c0a57c22a3087ee72e3417f914e1668bea4dae067d88c4d584404445"),
+    # One chunk of three sub-batches, the last of one trial.
+    "verify-lemma-negative-control-ragged": (["verify-lemma", "--negative-control", "--trials", "2001",
+                                              "--seed", "9", "--visual-n", "9", "--text-m", "9"], None,
+                                             "93eb3ecdc0d55900557dc89fdb26dc8a52af2057485a2900cc78a3d59b37bca4"),
     "oracle-check": (["oracle-check", "--instances", "20", "--max-n", "40", "--seed", "5"], None,
                      "835807acaffdb2b7a9522da2a3d6cda95c1f4270f34f9ce41bce3623921206cb"),
 }

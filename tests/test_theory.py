@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,14 @@ from vtcomp.cli import main
 from vtcomp.errors import EngineError, InternalInvariant
 from vtcomp.kcenter import normalize_rows
 from vtcomp.theory import (
+    MEASURE_BATCH,
+    TRIAL_CHUNK,
     LemmaTrial,
     check_orthogonality,
     covariance_experiment,
     diversity_batch,
     make_orthogonal_bases,
+    projected_mean,
     redundancy_batch,
     token_mean,
 )
@@ -74,7 +78,8 @@ def test_redundancy_aligned_projections(rng):
     direction = w_t @ rng.standard_normal(3)
     v = rng.uniform(0.5, 2.0, size=(4, 1)) * direction
     t = rng.uniform(0.5, 2.0, size=(3, 1)) * direction
-    assert redundancy_batch(v[None], t[None], w_t, "cosine")[0] == pytest.approx(1.0, abs=1e-9)
+    visual_mean = projected_mean(v[None], w_t, "v")
+    assert redundancy_batch(visual_mean, t[None], w_t, "cosine")[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_redundancy_orthogonal_projection_is_zero(rng):
@@ -83,7 +88,8 @@ def test_redundancy_orthogonal_projection_is_zero(rng):
     v[:, 0] = 1.0
     t = np.zeros((2, 6))
     t[:, 1] = 1.0
-    assert redundancy_batch(v[None], t[None], w_t, "cosine")[0] == pytest.approx(0.0, abs=1e-12)
+    visual_mean = projected_mean(v[None], w_t, "v")
+    assert redundancy_batch(visual_mean, t[None], w_t, "cosine")[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_redundancy_matches_double_loop(rng):
@@ -93,7 +99,8 @@ def test_redundancy_matches_double_loop(rng):
     pv = v @ w_t
     pt = t @ w_t
     acc = np.mean([[cosine_similarity(pv[i], pt[j]) for j in range(3)] for i in range(5)])
-    assert redundancy_batch(v[None], t[None], w_t, "cosine")[0] == pytest.approx(acc, abs=1e-6)
+    visual_mean = projected_mean(v[None], w_t, "v")
+    assert redundancy_batch(visual_mean, t[None], w_t, "cosine")[0] == pytest.approx(acc, abs=1e-6)
 
 
 @pytest.mark.parametrize("trials, tokens, width", [
@@ -221,10 +228,44 @@ def test_measures_do_not_depend_on_their_batch(rng, kernel):
     v = rng.standard_normal((2500, 8, 16))
     t = rng.standard_normal((2500, 4, 16))
     diversity = diversity_batch(v, w_v, kernel)
-    redundancy = redundancy_batch(v, t, w_t, kernel)
+    redundancy = redundancy_batch(projected_mean(v, w_t, "v"), t, w_t, kernel)
     for a, b in ((0, 1), (0, 1000), (7, 1500), (999, 2500), (1234, 1237)):
         assert np.array_equal(diversity[a:b], diversity_batch(v[a:b], w_v, kernel))
-        assert np.array_equal(redundancy[a:b], redundancy_batch(v[a:b], t[a:b], w_t, kernel))
+        assert np.array_equal(redundancy[a:b],
+                              redundancy_batch(projected_mean(v[a:b], w_t, "v"), t[a:b], w_t, kernel))
+
+
+@pytest.mark.parametrize("trials, n_visual, n_text, dim, batch", [
+    (TRIAL_CHUNK, 8, 4, 16, MEASURE_BATCH), (777, 9, 9, 12, 100)])
+def test_split_fills_draw_the_values_of_whole_fills(trials, n_visual, n_text, dim, batch):
+    # covariance_experiment draws each sub-batch's visual tokens, then each
+    # one's text tokens; its results are those of a chunk's two whole fills
+    # only while a fill split into pieces, the last one ragged, draws the same values.
+    stream = np.random.SeedSequence(3).spawn(2)[1]
+    whole = np.random.default_rng(stream)
+    v, t = (whole.standard_normal((trials, n, dim)) for n in (n_visual, n_text))
+    split = np.random.default_rng(stream)
+    for tokens, n in ((v, n_visual), (t, n_text)):
+        for s in range(0, trials, batch):
+            piece = split.standard_normal((len(tokens[s:s + batch]), n, dim))
+            assert np.array_equal(piece, tokens[s:s + batch])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_worker_holds_one_sub_batch_of_tokens(monkeypatch, workers):
+    # Five arrays of num_trials floats are the lemma's own: its measures and the
+    # temporaries of the covariance and its error. Above them a worker holds
+    # about one MEASURE_BATCH sub-batch of tokens (1.0 MB each on 2 workers);
+    # whole 5000-trial chunks read 5.7 MB per worker on 1 worker and 6.8 on 2.
+    num_trials = 100000
+    monkeypatch.setattr(theory, "usable_cpus", lambda: workers)
+    tracemalloc.start()
+    try:
+        covariance_experiment(LemmaTrial(), num_trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 5 * 8 * num_trials <= workers * 1.5 * 2**20
 
 
 def test_experiment_joins_its_pool_threads(monkeypatch, capsys):
@@ -236,7 +277,7 @@ def test_experiment_joins_its_pool_threads(monkeypatch, capsys):
     # its own type once every worker is joined.
     streams = np.random.SeedSequence(0).spawn(5)
     first_draw = {np.random.default_rng(s).standard_normal(): i for i, s in enumerate(streams)}
-    measure = theory.redundancy_batch
+    measure = theory.diversity_batch
     raised_on = []
     chunk_3_raised = threading.Event()
 
@@ -252,7 +293,7 @@ def test_experiment_joins_its_pool_threads(monkeypatch, capsys):
         return measure(v, *args, **kwargs)
 
     monkeypatch.setattr(theory, "usable_cpus", lambda: 4)
-    monkeypatch.setattr(theory, "redundancy_batch", fails_in_chunks_1_and_3)
+    monkeypatch.setattr(theory, "diversity_batch", fails_in_chunks_1_and_3)
     code = main(["verify-lemma", "--trials", "25000"])
     captured = capsys.readouterr()
     assert code == 3
