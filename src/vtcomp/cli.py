@@ -159,8 +159,6 @@ def cmd_flops(args) -> int:
 
 
 def cmd_verify_lemma(args) -> int:
-    if args.seed < 0:  # numpy's SeedSequence takes only non-negative seeds
-        raise EngineError(f"--seed must be >= 0, got {args.seed}")
     trial = LemmaTrial(**{f.name: getattr(args, f.name) for f in fields(LemmaTrial)})
     result = covariance_experiment(trial, args.trials, negative_control=args.negative_control)
     _emit(result, args)

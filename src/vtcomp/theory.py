@@ -12,15 +12,14 @@ tokens back in as text, forcing shared variance. Both bases have dimension
 refuses as out of memory, naming the parameters, an array beyond the
 address space.
 
-After the bases, the trials are drawn in chunks of ``TRIAL_CHUNK``. Chunk i
-draws from its own stream, child i of ``SeedSequence(seed).spawn`` (Salmon
-et al., SC'11), so every result is the same on any number of CPUs. Each
-chunk is a task on a pool of one thread per usable CPU (numpy's Generator
-releases the GIL while it draws). Holding ``MEASURE_BATCH`` trials' tokens
-at a time, it draws every sub-batch's visual tokens, keeping their mean rows
-on W_T, then every sub-batch's text tokens (the control draws none). Split
-fills draw the values of one whole fill, and a trial's measures do not
-depend on its batch, so the results are those of whole-chunk draws.
+After the bases, the trials are drawn in chunks of ``TRIAL_CHUNK``, and a
+chunk is the unit of everything: chunk i draws from its own stream, child i
+of ``SeedSequence(seed).spawn`` (Salmon et al., SC'11), so every result is
+the same on any number of CPUs; it is one task on a pool of one thread per
+usable CPU (numpy's Generator releases the GIL while it draws); and its
+tokens are all a worker holds. A chunk draws and measures its visual
+tokens, then draws its text tokens (the control draws none) and measures
+their redundancy.
 
 The sample covariance is a mean of the products p_i = (d_i - d̄)(r_i - r̄),
 so its standard error is the delta-method one, sqrt(var(p, ddof=1) / N): one
@@ -40,9 +39,8 @@ from .manifest import usable_cpus
 
 ORTHO_TOL = 1e-10
 KERNELS = ("cosine", "shifted")
-# Trials per random stream, which fix the bits, and per sub-batch, which bound a worker's memory.
-TRIAL_CHUNK = 5000
-MEASURE_BATCH = 1000
+# Trials per random stream, per pool task and per worker's tokens.
+TRIAL_CHUNK = 1000
 
 
 @dataclass(frozen=True)
@@ -63,13 +61,17 @@ class LemmaTrial:
             raise EngineError("LemmaTrial: need subdim >= 1")
         if 2 * self.subdim > self.ambient_dim:
             raise EngineError("LemmaTrial: sub-space dims exceed ambient dimension")
+        if self.kernel not in KERNELS:
+            raise EngineError(f"LemmaTrial: need kernel in {KERNELS}, got {self.kernel!r}")
+        if self.seed < 0:  # numpy's SeedSequence takes only non-negative seeds
+            raise EngineError(f"LemmaTrial: need seed >= 0, got {self.seed}")
 
 
 def make_orthogonal_bases(rng: np.random.Generator, ambient_dim: int,
-                          visual_subdim: int, text_subdim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mutually orthogonal column-orthonormal bases via QR of a Gaussian draw."""
-    q, _ = np.linalg.qr(rng.standard_normal((ambient_dim, visual_subdim + text_subdim)))
-    return q[:, :visual_subdim].copy(), q[:, visual_subdim:].copy()
+                          subdim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two mutually orthogonal column-orthonormal bases of ``subdim`` columns, via QR of a Gaussian."""
+    q, _ = np.linalg.qr(rng.standard_normal((ambient_dim, 2 * subdim)))
+    return q[:, :subdim].copy(), q[:, subdim:].copy()
 
 
 def check_orthogonality(w_v: np.ndarray, w_t: np.ndarray) -> None:
@@ -131,8 +133,8 @@ def covariance_experiment(trial: LemmaTrial, num_trials: int,
     first tokens of the visual set, so both measures are driven by the same
     projected coordinates.
     """
-    # Each array's first allocation, in order, in Python ints (the mean rows fit if the bases do).
-    batch = min(MEASURE_BATCH, num_trials)
+    # Each array's first allocation, in order, in Python ints (projections and means fit if tokens do).
+    batch = min(TRIAL_CHUNK, num_trials)
     for names, count in (("ambient_dim, subdim", trial.ambient_dim * 2 * trial.subdim),
                          ("num_trials", num_trials),
                          ("n_visual, ambient_dim", batch * trial.n_visual * trial.ambient_dim),
@@ -142,7 +144,7 @@ def covariance_experiment(trial: LemmaTrial, num_trials: int,
         raise EngineError(f"covariance_experiment: need >= 100 trials, got {num_trials}")
 
     rng = np.random.default_rng(trial.seed)
-    w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.subdim, trial.subdim)
+    w_v, w_t = make_orthogonal_bases(rng, trial.ambient_dim, trial.subdim)
     if negative_control:
         if trial.n_text > trial.n_visual:
             raise EngineError("negative control requires n_text <= n_visual")
@@ -156,18 +158,14 @@ def covariance_experiment(trial: LemmaTrial, num_trials: int,
     def measure_chunk(done: int, stream: np.random.SeedSequence) -> None:
         chunk_rng = np.random.default_rng(stream)
         d, r = d_all[done:done + TRIAL_CHUNK], r_all[done:done + TRIAL_CHUNK]
-        subs = [slice(s, s + MEASURE_BATCH) for s in range(0, len(d), MEASURE_BATCH)]
-        visual_means = np.empty((len(d), trial.subdim))
-        # The stream's order: every sub-batch's visual tokens, then every one's text tokens.
-        for sub in subs:
-            v = chunk_rng.standard_normal((len(d[sub]), trial.n_visual, trial.ambient_dim))
-            d[sub] = diversity_batch(v, w_v, trial.kernel)
-            visual_means[sub] = projected_mean(v, w_t, "cross_redundancy_measure (visual)")
-            if negative_control:
-                r[sub] = redundancy_batch(visual_means[sub], v[:, :trial.n_text], w_t, trial.kernel)
-        for sub in subs if not negative_control else ():
-            t_tokens = chunk_rng.standard_normal((len(d[sub]), trial.n_text, trial.ambient_dim))
-            r[sub] = redundancy_batch(visual_means[sub], t_tokens, w_t, trial.kernel)
+        v = chunk_rng.standard_normal((len(d), trial.n_visual, trial.ambient_dim))
+        # Measured before the text is drawn: with both token sets held, these temporaries took a
+        # worker's heap past glibc's trim threshold: 2500-36000 pages re-faulted per 100000 trials.
+        d[:] = diversity_batch(v, w_v, trial.kernel)
+        visual_mean = projected_mean(v, w_t, "cross_redundancy_measure (visual)")
+        t_tokens = (v[:, :trial.n_text] if negative_control else
+                    chunk_rng.standard_normal((len(d), trial.n_text, trial.ambient_dim)))
+        r[:] = redundancy_batch(visual_mean, t_tokens, w_t, trial.kernel)
 
     # Imported here: at module level it would cost every command about 10 ms.
     from concurrent.futures import ThreadPoolExecutor

@@ -89,7 +89,7 @@ def replay_measures(trial, num_trials: int, negative_control: bool):
     chunk of trials from its own stream, child i of the seed's
     SeedSequence spawned once per chunk."""
     w_v, w_t = make_orthogonal_bases(np.random.default_rng(trial.seed), trial.ambient_dim,
-                                     trial.subdim, trial.subdim)
+                                     trial.subdim)
     if negative_control:
         w_t = w_v
     starts = range(0, num_trials, TRIAL_CHUNK)

@@ -770,7 +770,7 @@ def test_verify_lemma_negative_seed_exits_3(capsys):
     code = main(["verify-lemma", "--trials", "100", "--seed", "-1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err == "vtcomp verify-lemma: error: --seed must be >= 0, got -1\n"
+    assert captured.err == "vtcomp verify-lemma: error: LemmaTrial: need seed >= 0, got -1\n"
 
 
 def test_deeply_nested_manifest_exits_3(tmp_path, capsys):

@@ -77,19 +77,19 @@ CASES = {
         ["verify-lemma", "--trials", "500", "--kernel", "shifted",
          "--negative-control"], None,
         "9e5c31d1d88b5b76962389ece6c203160581c7be3dc84286424d6b4328f58f32"),
-    # Width 1, 40 tokens: u.mean sums these pairwise, not in order.
+    # Width 1, 40 tokens: u.mean sums these pairwise, not in order. Two whole chunks.
     "verify-lemma-width-1": (["verify-lemma", "--subspace", "1", "--dim", "8", "--visual-n", "40",
                               "--text-m", "12", "--trials", "2000"], None,
-                             "5f7e5ed549b8f722aa3e07f8fb9df305f97c13588c0a4baec1dabc6ac49feb93"),
-    # Three chunks, the last ragged (2345 trials), and a ragged last sub-batch of 345.
+                             "c4253ed08ffa890e0276f1bad7d09f2ee7340e30e9d5ca4f121b70967bb7640b"),
+    # Thirteen chunks, the last ragged (345 trials).
     "verify-lemma-ragged-sub-batch": (["verify-lemma", "--trials", "12345", "--seed", "5",
                                        "--visual-n", "7", "--text-m", "3", "--dim", "12",
                                        "--subspace", "5"], None,
-                                      "45fecdf0c0a57c22a3087ee72e3417f914e1668bea4dae067d88c4d584404445"),
-    # One chunk of three sub-batches, the last of one trial.
+                                      "f3bbd158fadc95e564f654914be6513013605a4c6736cba2362465da00e7dc8e"),
+    # Three chunks, the last of one trial.
     "verify-lemma-negative-control-ragged": (["verify-lemma", "--negative-control", "--trials", "2001",
                                               "--seed", "9", "--visual-n", "9", "--text-m", "9"], None,
-                                             "93eb3ecdc0d55900557dc89fdb26dc8a52af2057485a2900cc78a3d59b37bca4"),
+                                             "12f8f54f41301ddb221eabd29467c629330cf36ddb03a320db26c6645e2b6b11"),
     "oracle-check": (["oracle-check", "--instances", "20", "--max-n", "40", "--seed", "5"], None,
                      "835807acaffdb2b7a9522da2a3d6cda95c1f4270f34f9ce41bce3623921206cb"),
 }

@@ -21,7 +21,6 @@ from vtcomp.cli import main
 from vtcomp.errors import EngineError, InternalInvariant
 from vtcomp.kcenter import normalize_rows
 from vtcomp.theory import (
-    MEASURE_BATCH,
     TRIAL_CHUNK,
     LemmaTrial,
     check_orthogonality,
@@ -35,13 +34,13 @@ from vtcomp.theory import (
 
 
 def test_bases_satisfy_invariants(rng):
-    w_v, w_t = make_orthogonal_bases(rng, 16, 5, 4)
+    w_v, w_t = make_orthogonal_bases(rng, 16, 5)
     check_orthogonality(w_v, w_t)
     assert np.max(np.abs(w_v.T @ w_t)) <= 1e-10
 
 
 def test_orthogonality_check_rejects_shared_basis(rng):
-    w_v, _ = make_orthogonal_bases(rng, 8, 3, 3)
+    w_v, _ = make_orthogonal_bases(rng, 8, 3)
     with pytest.raises(InternalInvariant, match="bases are not mutually orthogonal"):
         check_orthogonality(w_v, w_v)
 
@@ -59,7 +58,7 @@ def test_diversity_orthogonal_projections():
 
 
 def test_diversity_matches_double_loop(rng):
-    w_v, _ = make_orthogonal_bases(rng, 10, 4, 3)
+    w_v, _ = make_orthogonal_bases(rng, 10, 4)
     v = rng.standard_normal((6, 10))
     proj = v @ w_v
     n = 6
@@ -74,7 +73,7 @@ def test_diversity_matches_double_loop(rng):
 def test_redundancy_aligned_projections(rng):
     # All tokens project onto the same direction of the text sub-space, so
     # every pairwise cosine is 1 regardless of magnitudes.
-    _, w_t = make_orthogonal_bases(rng, 8, 2, 3)
+    _, w_t = make_orthogonal_bases(rng, 8, 3)
     direction = w_t @ rng.standard_normal(3)
     v = rng.uniform(0.5, 2.0, size=(4, 1)) * direction
     t = rng.uniform(0.5, 2.0, size=(3, 1)) * direction
@@ -93,7 +92,7 @@ def test_redundancy_orthogonal_projection_is_zero(rng):
 
 
 def test_redundancy_matches_double_loop(rng):
-    _, w_t = make_orthogonal_bases(rng, 12, 4, 4)
+    _, w_t = make_orthogonal_bases(rng, 12, 4)
     v = rng.standard_normal((5, 12))
     t = rng.standard_normal((3, 12))
     pv = v @ w_t
@@ -176,15 +175,26 @@ def test_trial_guards():
         covariance_experiment(LemmaTrial(), 50)
 
 
+def test_trial_refuses_an_unknown_kernel():
+    with pytest.raises(EngineError, match=r"need kernel in \('cosine', 'shifted'\), got 'foo'"):
+        LemmaTrial(kernel="foo")
+
+
+def test_trial_refuses_a_negative_seed():
+    with pytest.raises(EngineError, match="need seed >= 0, got -1"):
+        LemmaTrial(seed=-1)
+
+
 @pytest.mark.parametrize("kernel", ["cosine", "shifted"])
 @pytest.mark.parametrize("negative_control", [False, True], ids=["orthogonal", "control"])
 def test_standard_error_matches_per_trial_loop(kernel, negative_control):
-    # 100 trials are below one TRIAL_CHUNK of 5000, 5000 are exactly one,
-    # 15000 are three whole chunks, and 22501 end in a ragged chunk. The
-    # covariance is the serial replay's bit for bit; the error matches the
+    # 100 trials, the fewest allowed, are below one TRIAL_CHUNK, then exactly
+    # one chunk, three whole chunks, and four whole chunks and a ragged one.
+    # The covariance is the serial replay's bit for bit; the error matches the
     # loop's Python-float sums within rounding.
+    assert 100 < TRIAL_CHUNK
     trial = LemmaTrial(kernel=kernel, seed=5)
-    for num_trials in (100, 5000, 15000, 22501):
+    for num_trials in (100, TRIAL_CHUNK, 3 * TRIAL_CHUNK, 4 * TRIAL_CHUNK + TRIAL_CHUNK // 2 + 1):
         res = covariance_experiment(trial, num_trials, negative_control=negative_control)
         d_all, r_all = replay_measures(trial, num_trials, negative_control)
         assert res["sample_covariance"] == sample_covariance(d_all, r_all)
@@ -223,8 +233,8 @@ def test_standard_error_matches_the_spread_over_seeds(negative_control):
 
 @pytest.mark.parametrize("kernel", ["cosine", "shifted"])
 def test_measures_do_not_depend_on_their_batch(rng, kernel):
-    # covariance_experiment measures each chunk in sub-batches.
-    w_v, w_t = make_orthogonal_bases(rng, 16, 4, 4)
+    # A trial's measures depend on its own tokens, not on the batch it is measured in.
+    w_v, w_t = make_orthogonal_bases(rng, 16, 4)
     v = rng.standard_normal((2500, 8, 16))
     t = rng.standard_normal((2500, 4, 16))
     diversity = diversity_batch(v, w_v, kernel)
@@ -235,28 +245,12 @@ def test_measures_do_not_depend_on_their_batch(rng, kernel):
                               redundancy_batch(projected_mean(v[a:b], w_t, "v"), t[a:b], w_t, kernel))
 
 
-@pytest.mark.parametrize("trials, n_visual, n_text, dim, batch", [
-    (TRIAL_CHUNK, 8, 4, 16, MEASURE_BATCH), (777, 9, 9, 12, 100)])
-def test_split_fills_draw_the_values_of_whole_fills(trials, n_visual, n_text, dim, batch):
-    # covariance_experiment draws each sub-batch's visual tokens, then each
-    # one's text tokens; its results are those of a chunk's two whole fills
-    # only while a fill split into pieces, the last one ragged, draws the same values.
-    stream = np.random.SeedSequence(3).spawn(2)[1]
-    whole = np.random.default_rng(stream)
-    v, t = (whole.standard_normal((trials, n, dim)) for n in (n_visual, n_text))
-    split = np.random.default_rng(stream)
-    for tokens, n in ((v, n_visual), (t, n_text)):
-        for s in range(0, trials, batch):
-            piece = split.standard_normal((len(tokens[s:s + batch]), n, dim))
-            assert np.array_equal(piece, tokens[s:s + batch])
-
-
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_worker_holds_one_sub_batch_of_tokens(monkeypatch, workers):
+def test_a_worker_holds_one_chunk_of_tokens(monkeypatch, workers):
     # Five arrays of num_trials floats are the lemma's own: its measures and the
     # temporaries of the covariance and its error. Above them a worker holds
-    # about one MEASURE_BATCH sub-batch of tokens (1.0 MB each on 2 workers);
-    # whole 5000-trial chunks read 5.7 MB per worker on 1 worker and 6.8 on 2.
+    # about one TRIAL_CHUNK of visual and text tokens (1.1 MB on 1 worker, 0.8
+    # each on 2); 5000-trial chunks read 5.7 MB per worker on 1 worker and 6.8 on 2.
     num_trials = 100000
     monkeypatch.setattr(theory, "usable_cpus", lambda: workers)
     tracemalloc.start()
@@ -272,7 +266,7 @@ def test_experiment_joins_its_pool_threads(monkeypatch, capsys):
     before = threading.active_count()
     covariance_experiment(LemmaTrial(seed=2), 25000)
     assert threading.active_count() == before
-    # Chunks 1 and 3 of five fail in a measure on the pool's workers, chunk 3
+    # Chunks 1 and 3 of the 25 fail in a measure on the pool's workers, chunk 3
     # first. The error of chunk 1, the lower-numbered, reaches the caller with
     # its own type once every worker is joined.
     streams = np.random.SeedSequence(0).spawn(5)
@@ -335,9 +329,9 @@ def test_report_bytes_do_not_depend_on_cpu_count():
     pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    # 500 trials are one chunk; 12000 are two whole chunks and a ragged one,
-    # which an unpinned run measures on more than one worker.
-    for trials in ("500", "12000"):
+    # Half a chunk, then two whole chunks and a ragged one, which an unpinned
+    # run measures on more than one worker.
+    for trials in (TRIAL_CHUNK // 2, 2 * TRIAL_CHUNK + TRIAL_CHUNK // 2):
         run = ("import sys; from vtcomp.cli import main; "
                f"sys.exit(main(['verify-lemma', '--trials', '{trials}', '--seed', '3']))")
         unpinned, pinned = (subprocess.run([sys.executable, "-c", prefix + run], capture_output=True,
